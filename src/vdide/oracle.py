@@ -11,11 +11,12 @@ NoConvergence on a sane problem is a sign h is far too large.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFiniteState
 from .problem import DelayProblem, FirstStepMode, GridSpec, Trajectory, init_trajectory
-from .stepper import predictor
+from .stepper import kernel_rows, m1_from_terms, predictor
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,28 @@ class OracleConfig:
 DEFAULT_CONFIG = OracleConfig()
 
 
+def _iterate(
+    problem: DelayProblem, grid: GridSpec, j: int, m1: float, config: OracleConfig
+) -> float:
+    """Iterate u <- M1 + (h/2) g(x_{j+1}, u) from u = M1 to tolerance."""
+    x_next = grid.point(j + 1)
+    half_h = 0.5 * grid.h
+    u = m1
+    for _ in range(config.max_iter):
+        fu = m1 + half_h * problem.g(x_next, u)
+        if abs(fu - u) <= config.tol:
+            return u
+        if not math.isfinite(fu):
+            raise NonFiniteState(
+                f"non-finite iterate in implicit step {j}", step_index=j
+            )
+        u = fu
+    raise NoConvergence(
+        f"implicit step {j} did not reach tol={config.tol!r} in "
+        f"{config.max_iter} iterations; h may be too large for this g"
+    )
+
+
 def implicit_step(
     problem: DelayProblem,
     traj: Trajectory,
@@ -45,26 +68,15 @@ def implicit_step(
 
     Returns the first iterate u with |M1 + (h/2) g(x_{j+1}, u) - u| <= tol,
     so the returned value itself satisfies the residual bound.  Raises
-    NoConvergence after max_iter sweeps without meeting it.
+    NonFiniteState as soon as an iterate is NaN or infinite, and
+    NoConvergence after max_iter sweeps without meeting the bound.
     """
     if j >= traj.grid.steps:
         raise ValueError(
             f"step index {j} is out of range; the grid ends after step "
             f"{traj.grid.steps - 1}"
         )
-    m1 = predictor(problem, traj, j)
-    x_next = traj.grid.point(j + 1)
-    half_h = 0.5 * traj.grid.h
-    u = m1
-    for _ in range(config.max_iter):
-        fu = m1 + half_h * problem.g(x_next, u)
-        if abs(fu - u) <= config.tol:
-            return u
-        u = fu
-    raise NoConvergence(
-        f"implicit step {j} did not reach tol={config.tol!r} in "
-        f"{config.max_iter} iterations; h may be too large for this g"
-    )
+    return _iterate(problem, traj.grid, j, predictor(problem, traj, j), config)
 
 
 def step_residual(problem: DelayProblem, traj: Trajectory, j: int) -> float:
@@ -85,8 +97,14 @@ def solve_implicit(
     mode: FirstStepMode = FirstStepMode.LITERAL,
     config: OracleConfig = DEFAULT_CONFIG,
 ) -> Trajectory:
-    """Run the implicit reference stepper over the whole grid."""
+    """Run the implicit reference stepper over the whole grid.
+
+    Bit-identical to appending implicit_step(problem, traj, j, config) for
+    each j, with the kernel terms drawn from kernel_rows.
+    """
     traj = init_trajectory(problem, grid, mode)
+    rows = kernel_rows(problem, traj)
     for j in range(grid.steps):
-        traj.append(implicit_step(problem, traj, j, config))
+        m1 = m1_from_terms(problem, grid, j, traj.value(j), next(rows))
+        traj.append(_iterate(problem, grid, j, m1, config))
     return traj

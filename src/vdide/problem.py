@@ -53,6 +53,12 @@ class DelayProblem:
     where v stands for the delayed state u(t - tau), and history(x) for
     x <= x0.  exact, when given, is the known closed-form solution used by
     error tables and order studies.
+
+    kernel_ignores_x declares that kernel(x, t, v) does not depend on x.
+    The solvers then carry each trapezium row forward as a running sum,
+    which makes a solve O(N) in kernel evaluations instead of O(N^2) with
+    bit-identical results.  Setting it True on a kernel that does read x
+    gives wrong answers; the default False is always safe.
     """
 
     g: Callable[[float, float], float]
@@ -62,6 +68,7 @@ class DelayProblem:
     x0: float
     x_end: float
     exact: Optional[Callable[[float], float]] = None
+    kernel_ignores_x: bool = False
 
     def __post_init__(self):
         if not self.tau > 0:

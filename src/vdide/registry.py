@@ -60,12 +60,14 @@ class ProblemConfig:
     def build(self) -> DelayProblem:
         """Parse, validate, and compile the expressions into a DelayProblem."""
         trees = {}
+        used = {}
         for slot in ("g", "K", "phi", "exact"):
             text = getattr(self, slot)
             if text is None:
                 continue
             tree = parse(text)
-            stray = variables(tree) - SLOT_VARIABLES[slot]
+            used[slot] = variables(tree)
+            stray = used[slot] - SLOT_VARIABLES[slot]
             if stray:
                 names = ", ".join(sorted(stray))
                 allowed = ", ".join(sorted(SLOT_VARIABLES[slot]))
@@ -102,6 +104,7 @@ class ProblemConfig:
             x0=self.x0,
             x_end=self.X,
             exact=exact,
+            kernel_ignores_x="x" not in used["K"],
         )
 
     def to_text(self) -> str:

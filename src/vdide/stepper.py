@@ -18,14 +18,24 @@ expansion (see the dgj module) that collapses to two corrector substitutions:
 
 The per-step truncation of this closure scales as h^3 while the trapezium
 discretization error keeps the accumulated error at second order, so the
-closure never dominates.  Cost is O(N^2) kernel evaluations over a solve;
-sums are accumulated fresh each step rather than cached.
+closure never dominates.
+
+The interior sum s2 of step j is, term for term and in the same order, the
+sum s1 of step j + 1, and the two kernel samples at x_{j+1} recur in the next
+step's corner.  solve therefore draws its kernel terms from kernel_rows,
+which evaluates each row once: N^2/2 + O(N) kernel evaluations over a
+solve.  When the problem declares that its kernel ignores x, a row is the
+previous row plus one term, already evaluated as a corner sample, and a
+solve costs N + 1 kernel evaluations.  Either way the sums are formed with
+the same additions in the same order as the stateless kernel_terms, which
+stays as the reference, so the output is bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import NonFiniteState
 from .problem import (
@@ -107,16 +117,78 @@ def kernel_terms(
     return corner, s1, s2
 
 
-def predictor(problem: DelayProblem, traj: Trajectory, j: int) -> float:
-    """M1: every explicit contribution to the step.
+def kernel_rows(
+    problem: DelayProblem, traj: Trajectory
+) -> Iterator[tuple[float, float, float]]:
+    """Yield kernel_terms(problem, traj, j, traj.mode) for j = 0 .. N-1.
 
-    M1 = u_j + (h/2) g(x_j, u_j) + corner + (h^2/2) (s1 + s2), using the
-    trajectory's first-step mode.  What remains of the step update is the
-    implicit half-weight of g at x_{j+1}.
+    Values are bit-identical to the stateless function, but each kernel
+    sample is evaluated once per solve: step j takes the previous step's s2
+    as its s1 and the previous step's two x_{j+1} samples as its x_j corner
+    samples, and only evaluates the new row.  With problem.kernel_ignores_x
+    the K(., x_0, u_{-M}) corner is a constant and the new row is the old one
+    plus K(., x_j, u_{j-M}), the previous step's diagonal corner sample.
+
+    Step j reads u_{j+1-M}, so advance the generator only once the
+    trajectory holds u_j.
     """
     grid = traj.grid
-    u_j = traj.value(j)
-    corner, s1, s2 = kernel_terms(problem, traj, j, traj.mode)
+    K = problem.kernel
+    x_free = problem.kernel_ignores_x
+    quarter_h2 = grid.h * grid.h / 4.0
+    x_start = grid.point(0)
+    u_oldest = delayed_value(traj, 0)
+    if x_free:
+        k_origin = K(x_start, x_start, u_oldest)
+    # grid points x_i and delayed values u_{i-M} of the row, i = 1 .. j
+    row_x: list[float] = []
+    row_v: list[float] = []
+    s2 = 0.0
+
+    # the two samples at x_j: K(x_j, x_0, u_{-M}) and K(x_j, x_j, u_{j-M})
+    literal = traj.mode is FirstStepMode.LITERAL
+    if literal and x_free:
+        k_start = k_diag = k_origin
+    elif literal:
+        k_start = K(x_start, x_start, u_oldest)
+        k_diag = K(x_start, x_start, u_oldest)
+
+    for j in range(grid.steps):
+        x_next = grid.point(j + 1)
+        v_next = delayed_value(traj, j + 1)
+        k_start_next = k_origin if x_free else K(x_next, x_start, u_oldest)
+        k_diag_next = K(x_next, x_next, v_next)
+        if j == 0 and not literal:
+            yield quarter_h2 * (k_start_next + k_diag_next), 0.0, 0.0
+        else:
+            corner = quarter_h2 * (k_start + k_diag + k_start_next + k_diag_next)
+            s1 = s2
+            if not x_free:
+                s2 = 0.0
+                for t, v in zip(row_x, row_v):
+                    s2 += K(x_next, t, v)
+            elif j > 0:
+                s2 = s1 + k_diag
+            yield corner, s1, s2
+        k_start, k_diag = k_start_next, k_diag_next
+        if not x_free:
+            row_x.append(x_next)
+            row_v.append(v_next)
+
+
+def m1_from_terms(
+    problem: DelayProblem,
+    grid: GridSpec,
+    j: int,
+    u_j: float,
+    terms: tuple[float, float, float],
+) -> float:
+    """M1 = u_j + (h/2) g(x_j, u_j) + corner + (h^2/2) (s1 + s2).
+
+    terms is the (corner, s1, s2) triple of step j.  Every solver path forms
+    M1 here, so all of them round it the same way.
+    """
+    corner, s1, s2 = terms
     return (
         u_j
         + 0.5 * grid.h * problem.g(grid.point(j), u_j)
@@ -125,19 +197,39 @@ def predictor(problem: DelayProblem, traj: Trajectory, j: int) -> float:
     )
 
 
+def predictor(problem: DelayProblem, traj: Trajectory, j: int) -> float:
+    """M1: every explicit contribution to the step.
+
+    M1 = u_j + (h/2) g(x_j, u_j) + corner + (h^2/2) (s1 + s2), using the
+    trajectory's first-step mode.  What remains of the step update is the
+    implicit half-weight of g at x_{j+1}.
+    """
+    u_j = traj.value(j)
+    terms = kernel_terms(problem, traj, j, traj.mode)
+    return m1_from_terms(problem, traj.grid, j, u_j, terms)
+
+
 def step_workspace(problem: DelayProblem, traj: Trajectory, j: int) -> StepWorkspace:
     """All intermediate step quantities at index j."""
     grid = traj.grid
     u_j = traj.value(j)
-    corner, s1, s2 = kernel_terms(problem, traj, j, traj.mode)
-    m1 = (
-        u_j
-        + 0.5 * grid.h * problem.g(grid.point(j), u_j)
-        + corner
-        + 0.5 * grid.h * grid.h * (s1 + s2)
-    )
+    corner, s1, s2 = terms = kernel_terms(problem, traj, j, traj.mode)
+    m1 = m1_from_terms(problem, grid, j, u_j, terms)
     m2 = m1 + 0.5 * grid.h * problem.g(grid.point(j + 1), m1)
     return StepWorkspace(corner=corner, s1=s1, s2=s2, m1=m1, m2=m2)
+
+
+def _close(problem: DelayProblem, grid: GridSpec, j: int, m1: float) -> float:
+    """The closure of nnm_step, given the predictor M1 of step j."""
+    x_next = grid.point(j + 1)
+    half_h = 0.5 * grid.h
+    m2 = m1 + half_h * problem.g(x_next, m1)
+    u_next = m1 + half_h * problem.g(x_next, m2)
+    if not (math.isfinite(m1) and math.isfinite(m2) and math.isfinite(u_next)):
+        raise NonFiniteState(
+            f"non-finite value while advancing from step {j}", step_index=j
+        )
+    return u_next
 
 
 def nnm_step(problem: DelayProblem, traj: Trajectory, j: int) -> float:
@@ -151,13 +243,7 @@ def nnm_step(problem: DelayProblem, traj: Trajectory, j: int) -> float:
             f"step index {j} is out of range; the grid ends after step "
             f"{traj.grid.steps - 1}"
         )
-    ws = step_workspace(problem, traj, j)
-    u_next = ws.m1 + 0.5 * traj.grid.h * problem.g(traj.grid.point(j + 1), ws.m2)
-    if not (math.isfinite(ws.m1) and math.isfinite(ws.m2) and math.isfinite(u_next)):
-        raise NonFiniteState(
-            f"non-finite value while advancing from step {j}", step_index=j
-        )
-    return u_next
+    return _close(problem, traj.grid, j, predictor(problem, traj, j))
 
 
 def solve(
@@ -165,8 +251,14 @@ def solve(
     grid: GridSpec,
     mode: FirstStepMode = FirstStepMode.LITERAL,
 ) -> Trajectory:
-    """Run the stepper over the whole grid and return the filled trajectory."""
+    """Run the stepper over the whole grid and return the filled trajectory.
+
+    Bit-identical to appending nnm_step(problem, traj, j) for each j, with
+    the kernel terms drawn from kernel_rows.
+    """
     traj = init_trajectory(problem, grid, mode)
+    rows = kernel_rows(problem, traj)
     for j in range(grid.steps):
-        traj.append(nnm_step(problem, traj, j))
+        m1 = m1_from_terms(problem, grid, j, traj.value(j), next(rows))
+        traj.append(_close(problem, grid, j, m1))
     return traj

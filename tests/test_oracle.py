@@ -18,7 +18,7 @@ from vdide import (
     solve_implicit,
     step_residual,
 )
-from vdide.errors import NoConvergence
+from vdide.errors import NoConvergence, NonFiniteState
 
 
 def pure_ode_problem(g, u0=1.0, tau=1.0, x_end=1.0):
@@ -77,6 +77,29 @@ class TestImplicitStep:
             OracleConfig(tol=0.0)
         with pytest.raises(ValueError):
             OracleConfig(max_iter=0)
+
+    @pytest.mark.parametrize(
+        "g, u0",
+        [(lambda x, u: math.nan, 1.0), (lambda x, u: u * u, 1e160)],
+        ids=["nan", "overflow"],
+    )
+    def test_non_finite_iterate_is_not_a_convergence_failure(self, g, u0):
+        problem = pure_ode_problem(g, u0=u0)
+        traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, 0.1))
+        with pytest.raises(NonFiniteState) as info:
+            implicit_step(problem, traj, 0)
+        assert info.value.step_index == 0
+
+    def test_both_solvers_report_the_same_non_finite_step(self):
+        # g turns NaN from x = 0.5 on, first reached as x_{j+1} at step 4
+        problem = pure_ode_problem(lambda x, u: math.nan if x > 0.45 else u)
+        grid = build_grid(0.0, 1.0, 1.0, 0.1)
+        steps = []
+        for run in (solve, solve_implicit):
+            with pytest.raises(NonFiniteState) as info:
+                run(problem, grid)
+            steps.append(info.value.step_index)
+        assert steps == [4, 4]
 
     def test_step_index_out_of_range(self):
         problem = pure_ode_problem(lambda x, u: u)

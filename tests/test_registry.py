@@ -35,6 +35,23 @@ class TestBuiltins:
         assert problem.x0 == 0.0
         assert problem.x_end == 1.0
 
+    @pytest.mark.parametrize(
+        "kernel, ignores_x",
+        [
+            ("v", True),
+            ("v^2", True),
+            ("t*v + exp(-t)", True),
+            ("x*v", False),
+            ("exp(-(x - t))*v", False),
+            ("cos(x - x) + v", False),
+        ],
+    )
+    def test_build_flags_kernels_that_do_not_mention_x(self, kernel, ignores_x):
+        config = parse_config_text(
+            f"name = k\ng = -u\nK = {kernel}\nphi = 1\ntau = 0.5\nx0 = 0\nX = 1\n"
+        )
+        assert config.build().kernel_ignores_x is ignores_x
+
     def test_example2_starts_at_e(self):
         problem = builtin_problem("example2").build()
         # the initial value comes from the shifted exponential history

@@ -15,6 +15,7 @@ from vdide import (
     nnm_step,
     predictor,
     solve,
+    solve_implicit,
     step_workspace,
 )
 from vdide.errors import IndexNotYetComputed, NonFiniteState
@@ -193,8 +194,9 @@ class TestSolve:
         assert lit.values == cor.values
 
     def test_kernel_evaluation_count_is_quadratic(self):
-        # literal mode at step j costs 4 corner + (j-1) + j interior evals;
-        # nothing is cached across steps
+        # step 0 costs 4 corner samples in literal mode and 2 in corrected
+        # mode; a later step j reuses the x_j samples and the previous row,
+        # so it costs the 2 new x_{j+1} corner samples plus a j-term row
         calls = 0
 
         def counting_kernel(x, t, v):
@@ -211,10 +213,42 @@ class TestSolve:
             x_end=1.0,
         )
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        solve(problem, grid, FirstStepMode.LITERAL)
         n = grid.steps
-        expected = sum(4 + max(j - 1, 0) + j for j in range(n))
-        assert calls == expected == 121
+        counts = []
+        for mode, first in ((FirstStepMode.LITERAL, 4), (FirstStepMode.CORRECTED, 2)):
+            calls = 0
+            solve(problem, grid, mode)
+            assert calls == first + 2 * (n - 1) + n * (n - 1) // 2
+            counts.append(calls)
+        assert counts == [67, 65]
+
+    @pytest.mark.parametrize("run", [solve, solve_implicit])
+    @pytest.mark.parametrize("mode", list(FirstStepMode))
+    @pytest.mark.parametrize("h", [0.125, 0.025])
+    def test_kernel_evaluation_count_is_linear_when_kernel_ignores_x(
+        self, run, mode, h
+    ):
+        # K(., x_0, u_{-M}) once, then one new diagonal sample
+        # K(x_{j+1}, x_{j+1}, u_{j+1-M}) per step: N + 1 in either mode
+        calls = 0
+
+        def counting_kernel(x, t, v):
+            nonlocal calls
+            calls += 1
+            return t * v + 1.0
+
+        problem = DelayProblem(
+            g=lambda x, u: -u,
+            kernel=counting_kernel,
+            history=lambda x: 1.0,
+            tau=0.25,
+            x0=0.0,
+            x_end=1.0,
+            kernel_ignores_x=True,
+        )
+        grid = build_grid(0.0, 1.0, 0.25, h)
+        run(problem, grid, mode)
+        assert calls == grid.steps + 1
 
     def test_each_forward_value_comes_from_one_step(self):
         problem = constant_kernel_problem()
