@@ -88,7 +88,11 @@ def _run(step_fn: Callable, *args, **kwargs):
     except NumericalError as exc:
         raise CliError(str(exc), NUMERICAL_EXIT) from exc
     except ExpressionError as exc:
-        raise CliError(f"evaluation failed during solve: {exc}", NUMERICAL_EXIT) from exc
+        step = getattr(exc, "step_index", None)
+        where = "" if step is None else f" at step {step}"
+        raise CliError(
+            f"evaluation failed during solve{where}: {exc}", NUMERICAL_EXIT
+        ) from exc
 
 
 def _single_h(args: argparse.Namespace) -> float:
@@ -154,11 +158,7 @@ def cmd_order(args: argparse.Namespace) -> str:
         raise CliError("order needs at least two --h values", USAGE_EXIT)
     mode = _mode(args)
     try:
-        estimate = order_study(problem, mode, args.h)
-    except NumericalError as exc:
-        raise CliError(str(exc), NUMERICAL_EXIT) from exc
-    except ExpressionError as exc:
-        raise CliError(f"evaluation failed during solve: {exc}", NUMERICAL_EXIT) from exc
+        estimate = _run(order_study, problem, mode, args.h)
     except (DegenerateError, ValueError, ProblemSetupError) as exc:
         raise CliError(str(exc), USAGE_EXIT) from exc
 

@@ -53,7 +53,13 @@ class UnboundVariable(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation left the real domain or produced a non-finite value."""
+    """Evaluation left the real domain or produced a non-finite value.
+
+    step_index is set when the error escapes a solve: the step j whose
+    advance from x_j evaluated the failing expression.
+    """
+
+    step_index: int | None = None
 
 
 VARIABLES = frozenset({"x", "t", "u", "v"})
@@ -252,6 +258,84 @@ def variables(expr: Expression) -> frozenset[str]:
     if isinstance(expr, Call):
         return variables(expr.arg)
     return frozenset()
+
+
+def x_rate(expr: Expression) -> float | None:
+    """The rate lam with K(x + d, t, v) = e^(lam d) K(x, t, v), or None.
+
+    0.0 when x does not appear.  Otherwise the tree must be a chain of "*",
+    "/" and unary minus in which every factor that mentions x is exp(E) in
+    numerator position, with E = c*x + (terms free of x), c a variable-free
+    constant and c <= 0; lam is the sum of those c.  Anything else gets
+    None: a growing exponential, an exp in a denominator, sin(x - t),
+    exp(t*x), a sum with a term in x.  With c <= 0 no exp argument grows
+    with x, so a sample at x > t fails only where the sample at x = t with
+    the same t and v fails too, unless a term inside E itself overflows.
+    The work is linear in the size of the tree.
+    """
+    if isinstance(expr, Neg):
+        return x_rate(expr.operand)
+    if isinstance(expr, BinOp) and expr.op in ("*", "/"):
+        left = x_rate(expr.left)
+        if expr.op == "*":
+            right = x_rate(expr.right)
+        else:
+            right = None if _x_slope(expr.right)[0] else 0.0
+        if left is None or right is None:
+            return None
+        rate = left + right
+        return rate if math.isfinite(rate) else None
+    if isinstance(expr, Call) and expr.func == "exp":
+        mentions_x, c = _x_slope(expr.arg)
+        if not mentions_x:
+            return 0.0
+        return c if c is not None and math.isfinite(c) and c <= 0 else None
+    return None if _x_slope(expr)[0] else 0.0
+
+
+def _x_slope(expr: Expression) -> tuple[bool, float | None]:
+    """(whether x appears, c) for a tree equal to c*x + (terms free of x).
+
+    c is 0.0 when x does not appear and None when the tree is not of that
+    form with a variable-free constant c.  A variable-free factor is
+    evaluated only when its sibling mentions x, so no ancestor evaluates it
+    again and the work stays linear in the size of the tree.
+    """
+    if isinstance(expr, Var):
+        return (True, 1.0) if expr.name == "x" else (False, 0.0)
+    if isinstance(expr, Neg):
+        mentions_x, c = _x_slope(expr.operand)
+        return mentions_x, None if c is None else -c
+    if isinstance(expr, Call):
+        return (True, None) if _x_slope(expr.arg)[0] else (False, 0.0)
+    if not isinstance(expr, BinOp):
+        return False, 0.0
+    left_x, left_c = _x_slope(expr.left)
+    right_x, right_c = _x_slope(expr.right)
+    if not (left_x or right_x):
+        return False, 0.0
+    if left_c is None or right_c is None:
+        return True, None
+    if expr.op == "+":
+        return True, left_c + right_c
+    if expr.op == "-":
+        return True, left_c - right_c
+    if expr.op == "*" and not (left_x and right_x):
+        c, factor = (left_c, expr.right) if left_x else (right_c, expr.left)
+        k = _constant(factor)
+        return True, None if k is None else c * k
+    if expr.op == "/" and not right_x:
+        k = _constant(expr.right)
+        return True, None if not k else left_c / k
+    return True, None
+
+
+def _constant(expr: Expression) -> float | None:
+    """The value of a variable-free tree; None if it has variables or fails."""
+    try:
+        return evaluate(expr, {})
+    except ExpressionError:
+        return None
 
 
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:

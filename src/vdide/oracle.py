@@ -11,12 +11,13 @@ NoConvergence on a sane problem is a sign h is far too large.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import NoConvergence, NonFiniteState
 from .problem import DelayProblem, FirstStepMode, GridSpec, Trajectory, init_trajectory
-from .stepper import kernel_rows, m1_from_terms, predictor
+from .stepper import predictor, run_steps
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,9 @@ def solve_implicit(
 ) -> Trajectory:
     """Run the implicit reference stepper over the whole grid.
 
-    Bit-identical to appending implicit_step(problem, traj, j, config) for
-    each j, with the kernel terms drawn from kernel_rows.
+    Equal to appending implicit_step(problem, traj, j, config) for each j,
+    with the kernel terms drawn from kernel_rows: bit for bit unless the
+    problem declares a nonzero kernel_x_rate.
     """
     traj = init_trajectory(problem, grid, mode)
-    rows = kernel_rows(problem, traj)
-    for j in range(grid.steps):
-        m1 = m1_from_terms(problem, grid, j, traj.value(j), next(rows))
-        traj.append(_iterate(problem, grid, j, m1, config))
-    return traj
+    return run_steps(problem, traj, functools.partial(_iterate, config=config))

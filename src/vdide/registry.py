@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .expressions import evaluate, parse, variables
+from .expressions import evaluate, parse, variables, x_rate
 from .problem import DelayProblem
 
 _REQUIRED_KEYS = ("name", "g", "K", "phi", "tau", "x0", "X")
@@ -104,7 +104,7 @@ class ProblemConfig:
             x0=self.x0,
             x_end=self.X,
             exact=exact,
-            kernel_ignores_x="x" not in used["K"],
+            kernel_x_rate=x_rate(k_tree),
         )
 
     def to_text(self) -> str:

@@ -23,21 +23,25 @@ closure never dominates.
 The interior sum s2 of step j is, term for term and in the same order, the
 sum s1 of step j + 1, and the two kernel samples at x_{j+1} recur in the next
 step's corner.  solve therefore draws its kernel terms from kernel_rows,
-which evaluates each row once: N^2/2 + O(N) kernel evaluations over a
-solve.  When the problem declares that its kernel ignores x, a row is the
-previous row plus one term, already evaluated as a corner sample, and a
-solve costs N + 1 kernel evaluations.  Either way the sums are formed with
-the same additions in the same order as the stateless kernel_terms, which
-stays as the reference, so the output is bit-identical.
+which evaluates each row once: N^2/2 + O(N) kernel evaluations over a solve,
+formed with the same additions in the same order as the stateless
+kernel_terms, which stays as the reference, so the output is bit-identical.
+When the problem declares a rate lam with K(x + d, t, v) = e^(lam d) K(x, t, v),
+a row is rho = e^(lam h) times the previous row plus one term, already
+evaluated as a corner sample, and a solve costs N + 1 kernel evaluations.
+For lam = 0, a kernel that ignores x, every product with rho = 1.0 is exact
+and the output stays bit-identical; for lam < 0 the recurrence rounds
+differently and agrees with kernel_terms to about 1e-12 relative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import NonFiniteState
+from .expressions import DomainError
 from .problem import (
     DelayProblem,
     FirstStepMode,
@@ -122,56 +126,69 @@ def kernel_rows(
 ) -> Iterator[tuple[float, float, float]]:
     """Yield kernel_terms(problem, traj, j, traj.mode) for j = 0 .. N-1.
 
-    Values are bit-identical to the stateless function, but each kernel
-    sample is evaluated once per solve: step j takes the previous step's s2
-    as its s1 and the previous step's two x_{j+1} samples as its x_j corner
-    samples, and only evaluates the new row.  With problem.kernel_ignores_x
-    the K(., x_0, u_{-M}) corner is a constant and the new row is the old one
-    plus K(., x_j, u_{j-M}), the previous step's diagonal corner sample.
+    Each kernel sample is evaluated once per solve: step j takes the
+    previous step's s2 as its s1 and the previous step's two x_{j+1} samples
+    as its x_j corner samples, and only evaluates the new row, with values
+    bit-identical to the stateless function.  When problem.kernel_x_rate is
+    a rate lam, the new row is not evaluated either: with rho = e^(lam h),
+
+        K(x_{j+1}, x_0, u_{-M}) = rho K(x_j, x_0, u_{-M})
+        s2                      = rho (s1 + K(x_j, x_j, u_{j-M}))
+
+    and a step evaluates only its diagonal sample K(x_{j+1}, x_{j+1},
+    u_{j+1-M}).  Bit-identical for lam = 0, within about 1e-12 relative
+    otherwise.  Either way every sample evaluated here is one the stateless
+    function evaluates at the same step.  For lam <= 0 (see
+    expressions.x_rate) a sample skipped here has the t and v of a diagonal
+    sample evaluated no later, so a failing kernel fails at the same step,
+    unless a term inside an exponent overflows, as 1e308*(t - x) does once
+    x - t > 1.8.
 
     Step j reads u_{j+1-M}, so advance the generator only once the
     trajectory holds u_j.
     """
     grid = traj.grid
     K = problem.kernel
-    x_free = problem.kernel_ignores_x
+    rate = problem.kernel_x_rate
+    recur = rate is not None
+    rho = math.exp(rate * grid.h) if recur else 1.0
     quarter_h2 = grid.h * grid.h / 4.0
     x_start = grid.point(0)
     u_oldest = delayed_value(traj, 0)
-    if x_free:
-        k_origin = K(x_start, x_start, u_oldest)
-    # grid points x_i and delayed values u_{i-M} of the row, i = 1 .. j
+    # grid points x_i and delayed values u_{i-M} of the row, i = 1 .. j,
+    # kept only when rows are evaluated
     row_x: list[float] = []
     row_v: list[float] = []
     s2 = 0.0
 
-    # the two samples at x_j: K(x_j, x_0, u_{-M}) and K(x_j, x_j, u_{j-M})
+    # the two samples at x_j: K(x_j, x_0, u_{-M}) and K(x_j, x_j, u_{j-M}),
+    # the same sample at j = 0
     literal = traj.mode is FirstStepMode.LITERAL
-    if literal and x_free:
-        k_start = k_diag = k_origin
-    elif literal:
+    if literal:
         k_start = K(x_start, x_start, u_oldest)
-        k_diag = K(x_start, x_start, u_oldest)
+        k_diag = k_start if recur else K(x_start, x_start, u_oldest)
 
     for j in range(grid.steps):
         x_next = grid.point(j + 1)
         v_next = delayed_value(traj, j + 1)
-        k_start_next = k_origin if x_free else K(x_next, x_start, u_oldest)
-        k_diag_next = K(x_next, x_next, v_next)
         if j == 0 and not literal:
-            yield quarter_h2 * (k_start_next + k_diag_next), 0.0, 0.0
+            k_start = K(x_next, x_start, u_oldest)
+            k_diag = K(x_next, x_next, v_next)
+            yield quarter_h2 * (k_start + k_diag), 0.0, 0.0
         else:
+            k_start_next = rho * k_start if recur else K(x_next, x_start, u_oldest)
+            k_diag_next = K(x_next, x_next, v_next)
             corner = quarter_h2 * (k_start + k_diag + k_start_next + k_diag_next)
             s1 = s2
-            if not x_free:
+            if not recur:
                 s2 = 0.0
                 for t, v in zip(row_x, row_v):
                     s2 += K(x_next, t, v)
             elif j > 0:
-                s2 = s1 + k_diag
+                s2 = rho * (s1 + k_diag)
             yield corner, s1, s2
-        k_start, k_diag = k_start_next, k_diag_next
-        if not x_free:
+            k_start, k_diag = k_start_next, k_diag_next
+        if not recur:
             row_x.append(x_next)
             row_v.append(v_next)
 
@@ -253,12 +270,32 @@ def solve(
 ) -> Trajectory:
     """Run the stepper over the whole grid and return the filled trajectory.
 
-    Bit-identical to appending nnm_step(problem, traj, j) for each j, with
-    the kernel terms drawn from kernel_rows.
+    Equal to appending nnm_step(problem, traj, j) for each j, with the
+    kernel terms drawn from kernel_rows: bit for bit unless the problem
+    declares a nonzero kernel_x_rate.
     """
     traj = init_trajectory(problem, grid, mode)
+    return run_steps(problem, traj, _close)
+
+
+def run_steps(
+    problem: DelayProblem,
+    traj: Trajectory,
+    close: Callable[[DelayProblem, GridSpec, int, float], float],
+) -> Trajectory:
+    """Fill traj from u_0 on: u_{j+1} = close(problem, grid, j, M1), with M1
+    formed from kernel_rows.
+
+    The loop both solvers share.  A DomainError raised while advancing from
+    step j leaves with step_index = j, as NonFiniteState does.
+    """
+    grid = traj.grid
     rows = kernel_rows(problem, traj)
     for j in range(grid.steps):
-        m1 = m1_from_terms(problem, grid, j, traj.value(j), next(rows))
-        traj.append(_close(problem, grid, j, m1))
+        try:
+            m1 = m1_from_terms(problem, grid, j, traj.value(j), next(rows))
+            traj.append(close(problem, grid, j, m1))
+        except DomainError as exc:
+            exc.step_index = j
+            raise
     return traj

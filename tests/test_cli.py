@@ -111,6 +111,8 @@ class TestSolve:
         )
         code, _, err = run(capsys, "solve", "--problem", str(cfg), "--h", "0.5")
         assert code == 3
+        # u^2 overflows in g(x_4, M1) while advancing from step 3
+        assert "evaluation failed during solve at step 3: " in err
 
     def test_bad_flag_value(self, capsys):
         code, _, _ = run(capsys, "solve", "--problem", "example1", "--h", "abc")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -101,6 +102,9 @@ class TestDelayProblem:
             make_problem(lambda x: 0.0, tau=-1.0)
         with pytest.raises(ValueError):
             make_problem(lambda x: 0.0, x0=1.0, x_end=1.0)
+        for rate in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                dataclasses.replace(make_problem(lambda x: 0.0), kernel_x_rate=rate)
 
     def test_initial_value_comes_from_history(self):
         problem = make_problem(lambda x: math.exp(x + 1.0))

@@ -36,21 +36,33 @@ class TestBuiltins:
         assert problem.x_end == 1.0
 
     @pytest.mark.parametrize(
-        "kernel, ignores_x",
+        "kernel, rate",
         [
-            ("v", True),
-            ("v^2", True),
-            ("t*v + exp(-t)", True),
-            ("x*v", False),
-            ("exp(-(x - t))*v", False),
-            ("cos(x - x) + v", False),
+            # ids keep the form kernel-"ignores x"
+            pytest.param(kernel, rate, id=f"{kernel}-{rate == 0.0}")
+            for kernel, rate in [
+                ("v", 0.0),
+                ("v^2", 0.0),
+                ("t*v + exp(-t)", 0.0),
+                ("0.3*exp(t - x)*v^2", -1.0),
+                ("exp(-(x - t))*v", -1.0),
+                ("exp(-2*(x - t))*v", -2.0),
+                ("exp(0.5*t - x/4)*cos(v)", -0.25),
+                ("x*v", None),
+                ("cos(x - x) + v", None),
+                ("exp(x - t)*v", None),
+                ("v/exp(x - t)", None),
+                ("sin(x - t)*v", None),
+                ("exp(t*x)*v", None),
+                ("exp(t - x)*v + 1", None),
+            ]
         ],
     )
-    def test_build_flags_kernels_that_do_not_mention_x(self, kernel, ignores_x):
+    def test_build_flags_kernels_that_do_not_mention_x(self, kernel, rate):
         config = parse_config_text(
             f"name = k\ng = -u\nK = {kernel}\nphi = 1\ntau = 0.5\nx0 = 0\nX = 1\n"
         )
-        assert config.build().kernel_ignores_x is ignores_x
+        assert config.build().kernel_x_rate == rate
 
     def test_example2_starts_at_e(self):
         problem = builtin_problem("example2").build()

@@ -222,20 +222,22 @@ class TestSolve:
             counts.append(calls)
         assert counts == [67, 65]
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
     @pytest.mark.parametrize("run", [solve, solve_implicit])
     @pytest.mark.parametrize("mode", list(FirstStepMode))
     @pytest.mark.parametrize("h", [0.125, 0.025])
     def test_kernel_evaluation_count_is_linear_when_kernel_ignores_x(
-        self, run, mode, h
+        self, run, mode, h, rate
     ):
         # K(., x_0, u_{-M}) once, then one new diagonal sample
-        # K(x_{j+1}, x_{j+1}, u_{j+1-M}) per step: N + 1 in either mode
+        # K(x_{j+1}, x_{j+1}, u_{j+1-M}) per step: N + 1 in either mode,
+        # whether the kernel ignores x or decays like e^(rate (x - t))
         calls = 0
 
         def counting_kernel(x, t, v):
             nonlocal calls
             calls += 1
-            return t * v + 1.0
+            return math.exp(rate * (x - t)) * (t * v + 1.0)
 
         problem = DelayProblem(
             g=lambda x, u: -u,
@@ -244,7 +246,7 @@ class TestSolve:
             tau=0.25,
             x0=0.0,
             x_end=1.0,
-            kernel_ignores_x=True,
+            kernel_x_rate=rate,
         )
         grid = build_grid(0.0, 1.0, 0.25, h)
         run(problem, grid, mode)
