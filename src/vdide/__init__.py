@@ -5,123 +5,35 @@ the inner kernel integral, closing the implicit half-step of g with a fixed
 three-term series (two corrector substitutions).  An iterated implicit
 reference solver, error tables against known solutions, and convergence
 order fits round out the toolkit.
+
+The package root holds the API the README documents; everything else is
+imported from its module (vdide.stepper, vdide.analysis, vdide.errors, ...).
 """
 
-from .analysis import (
-    ErrorTable,
-    OrderEstimate,
-    error_table,
-    grid_index,
-    max_abs_error,
-    observed_order,
-    order_study,
-    timed_solve,
-)
-from .dgj import FixedPointProblem, SeriesState, dgj_solve, dgj_terms
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    IndexNotYetComputed,
-    NoConvergence,
-    NonCommensurateDelay,
-    NonCommensurateInterval,
-    NonFiniteState,
-    NumericalError,
-    OffGridSample,
-    ProblemSetupError,
-    VdideError,
-    ZeroDelaySteps,
-)
-from .expressions import (
-    DomainError,
-    ExpressionError,
-    ExpressionSyntaxError,
-    UnboundVariable,
-    UnknownFunction,
-    UnknownVariable,
-    evaluate,
-    parse,
-    unparse,
-    variables,
-)
-from .oracle import OracleConfig, implicit_step, solve_implicit, step_residual
-from .problem import (
-    DelayProblem,
-    FirstStepMode,
-    GridSpec,
-    Trajectory,
-    build_grid,
-    delayed_value,
-    init_trajectory,
-)
-from .registry import (
-    ProblemConfig,
-    builtin_names,
-    builtin_problem,
-    load_config,
-    parse_config_text,
-    resolve_problem,
-)
-from .stepper import StepWorkspace, kernel_terms, nnm_step, predictor, solve, step_workspace
+from .analysis import error_table, order_study
+from .errors import NonFiniteState, VdideError
+from .expressions import DomainError
+from .oracle import solve_implicit, step_residual
+from .problem import DelayProblem, FirstStepMode, build_grid, delayed_value
+from .registry import builtin_problem, parse_config_text
+from .stepper import kernel_terms, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
-    "DegenerateError",
     "DelayProblem",
     "DomainError",
-    "ErrorTable",
-    "ExpressionError",
-    "ExpressionSyntaxError",
     "FirstStepMode",
-    "FixedPointProblem",
-    "GridSpec",
-    "IndexNotYetComputed",
-    "NoConvergence",
-    "NonCommensurateDelay",
-    "NonCommensurateInterval",
     "NonFiniteState",
-    "NumericalError",
-    "OffGridSample",
-    "OracleConfig",
-    "OrderEstimate",
-    "ProblemConfig",
-    "ProblemSetupError",
-    "SeriesState",
-    "StepWorkspace",
-    "Trajectory",
-    "UnboundVariable",
-    "UnknownFunction",
-    "UnknownVariable",
     "VdideError",
-    "ZeroDelaySteps",
     "build_grid",
-    "builtin_names",
     "builtin_problem",
     "delayed_value",
-    "dgj_solve",
-    "dgj_terms",
     "error_table",
-    "evaluate",
-    "grid_index",
-    "implicit_step",
-    "init_trajectory",
     "kernel_terms",
-    "load_config",
-    "max_abs_error",
-    "nnm_step",
-    "observed_order",
     "order_study",
-    "parse",
     "parse_config_text",
-    "predictor",
-    "resolve_problem",
     "solve",
     "solve_implicit",
     "step_residual",
-    "step_workspace",
-    "timed_solve",
-    "unparse",
-    "variables",
 ]

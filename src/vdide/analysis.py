@@ -9,25 +9,24 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateError, OffGridSample
-from .problem import DelayProblem, FirstStepMode, GridSpec, Trajectory, build_grid
+from .problem import (
+    COMMENSURABILITY_RTOL,
+    DelayProblem,
+    FirstStepMode,
+    GridSpec,
+    Trajectory,
+    build_grid,
+)
 from .stepper import solve
-
-# A sample point must sit this close to a grid point to count as on-grid.
-GRID_MATCH_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ErrorTable:
-    """Absolute errors |exact(x) - u| at chosen grid points, ascending in x.
-
-    elapsed records the wall-clock seconds of the solve that produced the
-    trajectory, when the caller timed one; it is informational only.
-    """
+    """Absolute errors |exact(x) - u| at chosen grid points, ascending in x."""
 
     rows: tuple[tuple[float, float], ...]
     h: float
     mode: FirstStepMode
-    elapsed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -39,9 +38,12 @@ class OrderEstimate:
 
 
 def grid_index(grid: GridSpec, x: float) -> int:
-    """The index j with grid.point(j) == x, or OffGridSample if none is close."""
+    """The index j with grid.point(j) == x, or OffGridSample if none is close.
+
+    Close means within 1e-9 relative, the slack build_grid allows.
+    """
     j = round((x - grid.x0) / grid.h)
-    if abs(grid.point(j) - x) > GRID_MATCH_ATOL:
+    if abs(grid.point(j) - x) > COMMENSURABILITY_RTOL * max(1.0, abs(x)):
         raise OffGridSample(f"x = {x!r} is not a grid point at h = {grid.h!r}")
     return j
 
@@ -50,14 +52,13 @@ def error_table(
     traj: Trajectory,
     exact: Callable[[float], float],
     sample_xs: Iterable[float],
-    elapsed: float = 0.0,
 ) -> ErrorTable:
     """Tabulate |exact(x) - u(x)| at each requested grid point."""
     rows = []
     for x in sorted(sample_xs):
         j = grid_index(traj.grid, x)
         rows.append((x, abs(exact(x) - traj.value(j))))
-    return ErrorTable(rows=tuple(rows), h=traj.grid.h, mode=traj.mode, elapsed=elapsed)
+    return ErrorTable(rows=tuple(rows), h=traj.grid.h, mode=traj.mode)
 
 
 def max_abs_error(traj: Trajectory, exact: Callable[[float], float]) -> float:
@@ -68,17 +69,16 @@ def max_abs_error(traj: Trajectory, exact: Callable[[float], float]) -> float:
     )
 
 
-def observed_order(e_h: float, e_h2: float) -> float:
-    """log2 of the error ratio under step halving.
+def observed_order(e1: float, e2: float, ratio: float) -> float:
+    """The order p with e1 / e2 = ratio^p, for errors at step sizes h1 and
+    h2 = h1 / ratio.
 
     Both errors must be finite and positive; an exactly-zero error means the
     scheme is exact on this problem and no order can be read off.
     """
-    if not (math.isfinite(e_h) and math.isfinite(e_h2)) or e_h <= 0 or e_h2 <= 0:
-        raise DegenerateError(
-            f"cannot estimate order from errors {e_h!r} and {e_h2!r}"
-        )
-    return math.log2(e_h / e_h2)
+    if not (math.isfinite(e1) and math.isfinite(e2)) or e1 <= 0 or e2 <= 0:
+        raise DegenerateError(f"cannot estimate order from errors {e1!r} and {e2!r}")
+    return math.log(e1 / e2) / math.log(ratio)
 
 
 def order_study(

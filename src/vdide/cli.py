@@ -20,12 +20,10 @@ preserves the exact float.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 from typing import Callable, Optional
 
-from .analysis import error_table, order_study
+from .analysis import error_table, observed_order, order_study, timed_solve
 from .errors import (
     DegenerateError,
     NumericalError,
@@ -131,13 +129,13 @@ def cmd_table(args: argparse.Namespace) -> str:
     mode = _mode(args)
 
     tables = []
+    elapsed = []
     for h in args.h:
         grid = _checked_grid(problem, h)
-        start = time.perf_counter()
-        traj = _run(solve, problem, grid, mode)
-        elapsed = time.perf_counter() - start
+        traj, seconds = _run(timed_solve, problem, grid, mode)
+        elapsed.append(seconds)
         try:
-            tables.append(error_table(traj, problem.exact, points, elapsed))
+            tables.append(error_table(traj, problem.exact, points))
         except ProblemSetupError as exc:
             raise CliError(str(exc), USAGE_EXIT) from exc
 
@@ -147,8 +145,8 @@ def cmd_table(args: argparse.Namespace) -> str:
         x = tables[0].rows[row_idx][0]
         errs = ",".join(_fmt(t.rows[row_idx][1]) for t in tables)
         lines.append(f"{_fmt(x)},{errs}")
-    for h, t in zip(args.h, tables):
-        lines.append(f"# elapsed_h={h:g}: {t.elapsed:.6f}")
+    for h, seconds in zip(args.h, elapsed):
+        lines.append(f"# elapsed_h={h:g}: {seconds:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -167,7 +165,7 @@ def cmd_order(args: argparse.Namespace) -> str:
         lines.append(f"  h = {h:<12g} max abs error = {_fmt(err)}")
     lines.append("pairwise observed order:")
     for (h1, e1), (h2, e2) in zip(estimate.pairs, estimate.pairs[1:]):
-        order = math.log(e1 / e2) / math.log(h1 / h2)
+        order = observed_order(e1, e2, h1 / h2)
         lines.append(f"  h {h1:g} -> {h2:g}: {order:.6f}")
     lines.append(f"fitted slope: {estimate.slope:.6f}")
     return "\n".join(lines) + "\n"

@@ -72,11 +72,6 @@ def implicit_step(
     NonFiniteState as soon as an iterate is NaN or infinite, and
     NoConvergence after max_iter sweeps without meeting the bound.
     """
-    if j >= traj.grid.steps:
-        raise ValueError(
-            f"step index {j} is out of range; the grid ends after step "
-            f"{traj.grid.steps - 1}"
-        )
     return _iterate(problem, traj.grid, j, predictor(problem, traj, j), config)
 
 

@@ -200,9 +200,6 @@ class Trajectory:
             raise ValueError("trajectory already holds all grid values")
         self._values.append(float(u))
 
-    def x(self, j: int) -> float:
-        return self.grid.point(j)
-
 
 def init_trajectory(
     problem: DelayProblem,

@@ -37,7 +37,6 @@ differently and agrees with kernel_terms to about 1e-12 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import NonFiniteState
@@ -50,22 +49,6 @@ from .problem import (
     delayed_value,
     init_trajectory,
 )
-
-
-@dataclass(frozen=True)
-class StepWorkspace:
-    """Intermediate quantities of one step, exposed for diagnosis and tests.
-
-    corner holds the (h^2/4)-weighted kernel values at the stencil's edge
-    points; s1 and s2 are the unweighted interior kernel sums seen from x_j
-    and x_{j+1}; m1 is the explicit predictor and m2 its single refinement.
-    """
-
-    corner: float
-    s1: float
-    s2: float
-    m1: float
-    m2: float
 
 
 def kernel_terms(
@@ -86,11 +69,15 @@ def kernel_terms(
     In CORRECTED mode the j = 0 stencil drops the two K(x_0, ...) corner
     values, honouring F(x_0) = 0; at j = 0 both sums are empty either way.
     The delayed index j + 1 - M never exceeds j because M >= 1, so every
-    kernel argument is already known.
+    kernel argument is already known.  A j outside the grid's steps
+    0 .. N-1 raises ValueError, for every single-step function built on this.
     """
-    if j < 0:
-        raise ValueError(f"step index must be nonnegative, got {j}")
     grid = traj.grid
+    if not 0 <= j < grid.steps:
+        raise ValueError(
+            f"step index {j} is out of range; the grid ends after step "
+            f"{grid.steps - 1}"
+        )
     h = grid.h
     K = problem.kernel
     x_j = grid.point(j)
@@ -221,19 +208,8 @@ def predictor(problem: DelayProblem, traj: Trajectory, j: int) -> float:
     trajectory's first-step mode.  What remains of the step update is the
     implicit half-weight of g at x_{j+1}.
     """
-    u_j = traj.value(j)
-    terms = kernel_terms(problem, traj, j, traj.mode)
-    return m1_from_terms(problem, traj.grid, j, u_j, terms)
-
-
-def step_workspace(problem: DelayProblem, traj: Trajectory, j: int) -> StepWorkspace:
-    """All intermediate step quantities at index j."""
-    grid = traj.grid
-    u_j = traj.value(j)
-    corner, s1, s2 = terms = kernel_terms(problem, traj, j, traj.mode)
-    m1 = m1_from_terms(problem, grid, j, u_j, terms)
-    m2 = m1 + 0.5 * grid.h * problem.g(grid.point(j + 1), m1)
-    return StepWorkspace(corner=corner, s1=s1, s2=s2, m1=m1, m2=m2)
+    terms = kernel_terms(problem, traj, j, traj.mode)  # checks j first
+    return m1_from_terms(problem, traj.grid, j, traj.value(j), terms)
 
 
 def _close(problem: DelayProblem, grid: GridSpec, j: int, m1: float) -> float:
@@ -255,11 +231,6 @@ def nnm_step(problem: DelayProblem, traj: Trajectory, j: int) -> float:
     Raises NonFiniteState as soon as any intermediate stops being finite, so
     a blow-up is reported at the step that caused it.
     """
-    if j >= traj.grid.steps:
-        raise ValueError(
-            f"step index {j} is out of range; the grid ends after step "
-            f"{traj.grid.steps - 1}"
-        )
     return _close(problem, traj.grid, j, predictor(problem, traj, j))
 
 

@@ -20,22 +20,19 @@ from helpers import (
 from vdide import (
     DelayProblem,
     FirstStepMode,
-    FixedPointProblem,
     build_grid,
     builtin_problem,
-    dgj_solve,
     error_table,
-    implicit_step,
-    init_trajectory,
-    nnm_step,
     order_study,
-    predictor,
     solve,
     solve_implicit,
     step_residual,
-    step_workspace,
 )
+from vdide.dgj import dgj_solve
 from vdide.expressions import DomainError, evaluate, parse, unparse
+from vdide.oracle import implicit_step
+from vdide.problem import init_trajectory
+from vdide.stepper import nnm_step, predictor
 
 TABLE_H_VALUES = (0.01, 0.02, 0.1)
 ORDER_H_VALUES = (0.1, 0.05, 0.025, 0.0125)
@@ -130,14 +127,12 @@ def test_dgj_step_equivalence():
         grid = build_grid(0.0, 1.0, 0.5, 0.1)
         traj = init_trajectory(problem, grid, mode)
         for j in range(grid.steps):
-            ws = step_workspace(problem, traj, j)
             x_next = grid.point(j + 1)
-            fp = FixedPointProblem(
-                g0=ws.m1,
-                linear=lambda w: 0.0,
-                nonlinear=lambda w, x=x_next: 0.5 * grid.h * problem.g(x, w),
+            series = dgj_solve(
+                predictor(problem, traj, j),
+                lambda w, x=x_next: 0.5 * grid.h * problem.g(x, w),
+                3,
             )
-            series = dgj_solve(fp, 3)
             stepped = nnm_step(problem, traj, j)
             gap = abs(series - stepped) / max(abs(stepped), 1e-1)
             worst = max(worst, gap)

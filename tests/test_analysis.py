@@ -6,18 +6,15 @@ import pytest
 from vdide import (
     DelayProblem,
     FirstStepMode,
-    Trajectory,
     build_grid,
     builtin_problem,
     error_table,
-    grid_index,
-    max_abs_error,
-    observed_order,
     order_study,
     solve,
-    timed_solve,
 )
+from vdide.analysis import grid_index, max_abs_error, observed_order, timed_solve
 from vdide.errors import DegenerateError, OffGridSample
+from vdide.problem import Trajectory
 
 
 def exp_ode_problem():
@@ -50,6 +47,10 @@ class TestGridIndex:
         assert grid_index(grid, 0.0) == 0
         assert grid_index(grid, 0.3) == 3
         assert grid_index(grid, 1.0) == 10
+        # build_grid accepts this grid within its relative slack; its last
+        # point is 999.99999999, and x_end must still match it
+        far = build_grid(0.0, 1000.0, 1.0, 0.33333333333)
+        assert grid_index(far, 1000.0) == far.steps == 3000
 
     def test_off_grid_point_raises(self):
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
@@ -85,12 +86,11 @@ class TestErrorTable:
         assert table.h == 0.1
         assert table.mode is FirstStepMode.LITERAL
 
-    def test_elapsed_is_carried(self):
+    def test_timed_solve_returns_the_solve_and_its_time(self):
         problem = exp_ode_problem()
         grid = build_grid(0.0, 1.0, 1.0, 0.2)
         traj, elapsed = timed_solve(problem, grid, FirstStepMode.LITERAL)
-        table = error_table(traj, problem.exact, [1.0], elapsed)
-        assert table.elapsed == elapsed
+        assert traj.values == solve(problem, grid, FirstStepMode.LITERAL).values
         assert elapsed >= 0.0
 
     def test_builtin_errors_grow_monotonically(self):
@@ -105,7 +105,7 @@ class TestErrorTable:
 
 class TestObservedOrder:
     def test_printed_ratio_example(self):
-        assert observed_order(1.83692e-4, 4.6129e-5) == pytest.approx(
+        assert observed_order(1.83692e-4, 4.6129e-5, 2.0) == pytest.approx(
             1.994, abs=1e-3
         )
 
@@ -113,21 +113,26 @@ class TestObservedOrder:
         rng = random.Random(3)
         for _ in range(10):
             e = rng.uniform(1e-8, 1e-2)
-            assert observed_order(8 * e, e) == 3.0
-            assert observed_order(e, e) == 0.0
+            assert observed_order(8 * e, e, 2.0) == 3.0
+            assert observed_order(e, e, 2.0) == 0.0
+
+    def test_any_step_ratio(self):
+        # a third-order error at h and h/5, a second-order one at h and h/2.5
+        assert observed_order(125.0, 1.0, 5.0) == pytest.approx(3.0, rel=1e-15)
+        assert observed_order(0.1 * 2.5**2, 0.1, 2.5) == pytest.approx(2.0, rel=1e-15)
 
     def test_scale_invariance(self):
         a, b = 3.7e-4, 8.9e-5
-        base = observed_order(a, b)
+        base = observed_order(a, b, 2.0)
         for s in (1e-6, 2.5, 1e5):
-            assert observed_order(s * a, s * b) == pytest.approx(base, rel=1e-12)
+            assert observed_order(s * a, s * b, 2.0) == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize(
         "pair", [(0.0, 1e-5), (1e-5, 0.0), (math.nan, 1e-5), (1e-5, math.inf), (-1e-5, 1e-5)]
     )
     def test_degenerate_inputs(self, pair):
         with pytest.raises(DegenerateError):
-            observed_order(*pair)
+            observed_order(*pair, 2.0)
 
 
 class TestOrderStudy:

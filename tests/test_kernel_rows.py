@@ -21,16 +21,15 @@ from vdide import (
     DelayProblem,
     FirstStepMode,
     build_grid,
-    implicit_step,
-    init_trajectory,
     kernel_terms,
-    nnm_step,
     parse_config_text,
     solve,
     solve_implicit,
 )
 from vdide.expressions import DomainError
-from vdide.stepper import kernel_rows
+from vdide.oracle import implicit_step
+from vdide.problem import init_trajectory
+from vdide.stepper import kernel_rows, nnm_step
 
 TAU = 0.5
 RTOL = 1e-12

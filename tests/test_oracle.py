@@ -7,18 +7,16 @@ from helpers import random_smooth_problem
 from vdide import (
     DelayProblem,
     FirstStepMode,
-    OracleConfig,
     build_grid,
     builtin_problem,
-    implicit_step,
-    init_trajectory,
-    nnm_step,
-    predictor,
     solve,
     solve_implicit,
     step_residual,
 )
 from vdide.errors import NoConvergence, NonFiniteState
+from vdide.oracle import OracleConfig, implicit_step
+from vdide.problem import init_trajectory
+from vdide.stepper import nnm_step, predictor
 
 
 def pure_ode_problem(g, u0=1.0, tau=1.0, x_end=1.0):

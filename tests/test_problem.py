@@ -4,21 +4,14 @@ import random
 
 import pytest
 
-from vdide import (
-    DelayProblem,
-    FirstStepMode,
-    GridSpec,
-    Trajectory,
-    build_grid,
-    delayed_value,
-    init_trajectory,
-)
+from vdide import DelayProblem, FirstStepMode, build_grid, delayed_value
 from vdide.errors import (
     IndexNotYetComputed,
     NonCommensurateDelay,
     NonCommensurateInterval,
     ZeroDelaySteps,
 )
+from vdide.problem import GridSpec, Trajectory, init_trajectory
 
 
 def make_problem(phi, tau=1.0, x0=0.0, x_end=1.0):

@@ -2,18 +2,10 @@ import math
 
 import pytest
 
-from vdide import (
-    FirstStepMode,
-    build_grid,
-    builtin_names,
-    builtin_problem,
-    load_config,
-    parse_config_text,
-    resolve_problem,
-    solve,
-)
+from vdide import FirstStepMode, build_grid, builtin_problem, parse_config_text, solve
 from vdide.errors import ConfigError
 from vdide.expressions import UnknownVariable
+from vdide.registry import builtin_names, load_config, resolve_problem
 
 
 class TestBuiltins:

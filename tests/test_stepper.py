@@ -7,18 +7,17 @@ from helpers import random_smooth_problem
 from vdide import (
     DelayProblem,
     FirstStepMode,
-    FixedPointProblem,
     build_grid,
-    dgj_solve,
-    init_trajectory,
+    builtin_problem,
     kernel_terms,
-    nnm_step,
-    predictor,
     solve,
     solve_implicit,
-    step_workspace,
+    step_residual,
 )
+from vdide.dgj import dgj_solve
 from vdide.errors import IndexNotYetComputed, NonFiniteState
+from vdide.problem import init_trajectory
+from vdide.stepper import nnm_step, predictor
 
 
 def constant_kernel_problem():
@@ -96,6 +95,21 @@ class TestKernelTerms:
         with pytest.raises(ValueError):
             kernel_terms(problem, traj, -1, traj.mode)
 
+    def test_step_index_past_the_grid_rejected(self):
+        # j = N would evaluate K beyond x_end; every single-step function
+        # refuses it through kernel_terms
+        problem = builtin_problem("example1").build()
+        grid = build_grid(0.0, 1.0, 1.0, 0.1)
+        traj = solve(problem, grid)
+        n = grid.steps
+        for step_fn in (
+            lambda: kernel_terms(problem, traj, n, traj.mode),
+            lambda: predictor(problem, traj, n),
+            lambda: step_residual(problem, traj, n),
+        ):
+            with pytest.raises(ValueError, match=f"step index {n} is out of range"):
+                step_fn()
+
 
 class TestQuadratureExactness:
     @pytest.mark.parametrize("h", [0.1, 0.05])
@@ -129,16 +143,25 @@ class TestStep:
         # third-order accurate against the true exponential
         assert abs(nnm_step(problem, traj, 0) - math.exp(h)) < h**3
 
-    def test_workspace_relations(self):
+    def test_predictor_and_step_relations(self):
         rng = random.Random(5)
         problem = random_smooth_problem(rng)
         grid = build_grid(0.0, 1.0, 0.5, 0.1)
         traj = solve(problem, grid, FirstStepMode.LITERAL)
+        h = grid.h
         for j in range(grid.steps):
-            ws = step_workspace(problem, traj, j)
-            assert ws.m1 == predictor(problem, traj, j)
+            corner, s1, s2 = kernel_terms(problem, traj, j, traj.mode)
+            u_j = traj.value(j)
+            m1 = predictor(problem, traj, j)
+            assert m1 == (
+                u_j
+                + 0.5 * h * problem.g(grid.point(j), u_j)
+                + corner
+                + 0.5 * h * h * (s1 + s2)
+            )
             x_next = grid.point(j + 1)
-            assert ws.m2 == ws.m1 + 0.5 * grid.h * problem.g(x_next, ws.m1)
+            m2 = m1 + 0.5 * h * problem.g(x_next, m1)
+            assert nnm_step(problem, traj, j) == m1 + 0.5 * h * problem.g(x_next, m2)
 
     def test_quiescent_problem_stays_put(self):
         problem = pure_ode_problem(lambda x, u: 0.0, u0=3.25)
@@ -274,14 +297,12 @@ class TestClosureEquivalence:
             grid = build_grid(0.0, 1.0, 0.5, 0.1)
             traj = init_trajectory(problem, grid, mode)
             for j in range(grid.steps):
-                ws = step_workspace(problem, traj, j)
                 x_next = grid.point(j + 1)
-                fp = FixedPointProblem(
-                    g0=ws.m1,
-                    linear=lambda w: 0.0,
-                    nonlinear=lambda w, x=x_next: 0.5 * grid.h * problem.g(x, w),
+                series = dgj_solve(
+                    predictor(problem, traj, j),
+                    lambda w, x=x_next: 0.5 * grid.h * problem.g(x, w),
+                    3,
                 )
-                series = dgj_solve(fp, 3)
                 stepped = nnm_step(problem, traj, j)
                 assert series == pytest.approx(stepped, rel=1e-12, abs=1e-13)
                 traj.append(stepped)
