@@ -38,11 +38,19 @@ class OrderEstimate:
 
 
 def grid_index(grid: GridSpec, x: float) -> int:
-    """The index j with grid.point(j) == x, or OffGridSample if none is close.
+    """The index j in 0 .. N with grid.point(j) == x, or OffGridSample.
 
-    Close means within 1e-9 relative, the slack build_grid allows.
+    x must lie on the solved interval [x0, X], so points in the history
+    segment and past the end are rejected too.  On the grid means within
+    1e-9 relative, the slack build_grid allows.
     """
-    j = round((x - grid.x0) / grid.h)
+    position = (x - grid.x0) / grid.h
+    if not -0.5 < position < grid.steps + 0.5:  # NaN too
+        raise OffGridSample(
+            f"x = {x!r} lies outside the solved interval "
+            f"[{grid.x0!r}, {grid.point(grid.steps)!r}]"
+        )
+    j = round(position)
     if abs(grid.point(j) - x) > COMMENSURABILITY_RTOL * max(1.0, abs(x)):
         raise OffGridSample(f"x = {x!r} is not a grid point at h = {grid.h!r}")
     return j

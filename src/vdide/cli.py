@@ -20,6 +20,7 @@ preserves the exact float.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Optional
 
@@ -48,10 +49,6 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -111,9 +108,10 @@ def cmd_solve(args: argparse.Namespace) -> str:
     h = _single_h(args)
     grid = _checked_grid(problem, h)
     traj = _run(solve, problem, grid, _mode(args))
+    x0 = grid.x0
+    forward = traj.values[grid.delay_steps :]
     lines = ["x,u"]
-    for j in range(grid.steps + 1):
-        lines.append(f"{_fmt(grid.point(j))},{_fmt(traj.value(j))}")
+    lines += [f"{x0 + j * h:.17g},{u:.17g}" for j, u in enumerate(forward)]
     return "\n".join(lines) + "\n"
 
 
@@ -143,8 +141,8 @@ def cmd_table(args: argparse.Namespace) -> str:
     lines = [header]
     for row_idx in range(len(tables[0].rows)):
         x = tables[0].rows[row_idx][0]
-        errs = ",".join(_fmt(t.rows[row_idx][1]) for t in tables)
-        lines.append(f"{_fmt(x)},{errs}")
+        errs = ",".join(f"{t.rows[row_idx][1]:.17g}" for t in tables)
+        lines.append(f"{x:.17g},{errs}")
     for h, seconds in zip(args.h, elapsed):
         lines.append(f"# elapsed_h={h:g}: {seconds:.6f}")
     return "\n".join(lines) + "\n"
@@ -162,7 +160,7 @@ def cmd_order(args: argparse.Namespace) -> str:
 
     lines = [f"order study for {config.name} (first step {mode.value})"]
     for h, err in estimate.pairs:
-        lines.append(f"  h = {h:<12g} max abs error = {_fmt(err)}")
+        lines.append(f"  h = {h:<12g} max abs error = {err:.17g}")
     lines.append("pairwise observed order:")
     for (h1, e1), (h2, e2) in zip(estimate.pairs, estimate.pairs[1:]):
         order = observed_order(e1, e2, h1 / h2)
@@ -183,15 +181,17 @@ def cmd_compare(args: argparse.Namespace) -> str:
     traj_nnm = _run(solve, problem, grid, mode)
     traj_ref = _run(solve_implicit, problem, grid, mode, oracle_config)
 
+    x0 = grid.x0
+    start = grid.delay_steps
     lines = ["x,u_nnm,u_implicit,diff"]
     max_abs_diff = 0.0
-    for j in range(grid.steps + 1):
-        a = traj_nnm.value(j)
-        b = traj_ref.value(j)
+    for j, (a, b) in enumerate(
+        zip(traj_nnm.values[start:], traj_ref.values[start:])
+    ):
         diff = a - b
         max_abs_diff = max(max_abs_diff, abs(diff))
-        lines.append(f"{_fmt(grid.point(j))},{_fmt(a)},{_fmt(b)},{_fmt(diff)}")
-    lines.append(f"# max_abs_diff: {_fmt(max_abs_diff)}")
+        lines.append(f"{x0 + j * h:.17g},{a:.17g},{b:.17g},{diff:.17g}")
+    lines.append(f"# max_abs_diff: {max_abs_diff:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -285,10 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main builds the parser on its first call and reuses it: parse_args keeps
+# no state between calls, and each call starts from a fresh namespace.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has already printed a usage message
         return int(exc.code) if exc.code is not None else 0

@@ -260,7 +260,7 @@ def variables(expr: Expression) -> frozenset[str]:
     return frozenset()
 
 
-def x_rate(expr: Expression) -> float | None:
+def x_rate(expr: Expression, span: float) -> float | None:
     """The rate lam with K(x + d, t, v) = e^(lam d) K(x, t, v), or None.
 
     0.0 when x does not appear.  Otherwise the tree must be a chain of "*",
@@ -270,48 +270,64 @@ def x_rate(expr: Expression) -> float | None:
     None: a growing exponential, an exp in a denominator, sin(x - t),
     exp(t*x), a sum with a term in x.  With c <= 0 no exp argument grows
     with x, so a sample at x > t fails only where the sample at x = t with
-    the same t and v fails too, unless a term inside E itself overflows.
-    The work is linear in the size of the tree.
+    the same t and v fails too, unless a term inside E overflows in
+    between.  Against that, every subtree of E that mentions x must have a
+    slope c' in x with |c'| * span finite, span being the length X - x0 of
+    the solved interval: 1e308*(t - x) is finite at x = t and overflows at
+    x - t = 2, and so does the inner product of (1e308*(t - x))/10, whose
+    own slope is finite.  The work is linear in the size of the tree.
     """
     if isinstance(expr, Neg):
-        return x_rate(expr.operand)
+        return x_rate(expr.operand, span)
     if isinstance(expr, BinOp) and expr.op in ("*", "/"):
-        left = x_rate(expr.left)
+        left = x_rate(expr.left, span)
         if expr.op == "*":
-            right = x_rate(expr.right)
+            right = x_rate(expr.right, span)
         else:
-            right = None if _x_slope(expr.right)[0] else 0.0
+            right = None if _x_slope(expr.right, span)[0] else 0.0
         if left is None or right is None:
             return None
         rate = left + right
         return rate if math.isfinite(rate) else None
     if isinstance(expr, Call) and expr.func == "exp":
-        mentions_x, c = _x_slope(expr.arg)
+        mentions_x, c = _x_slope(expr.arg, span)
         if not mentions_x:
             return 0.0
-        return c if c is not None and math.isfinite(c) and c <= 0 else None
-    return None if _x_slope(expr)[0] else 0.0
+        return c if c is not None and c <= 0 else None
+    return None if _x_slope(expr, span)[0] else 0.0
 
 
-def _x_slope(expr: Expression) -> tuple[bool, float | None]:
+def _x_slope(expr: Expression, span: float) -> tuple[bool, float | None]:
     """(whether x appears, c) for a tree equal to c*x + (terms free of x).
 
     c is 0.0 when x does not appear and None when the tree is not of that
-    form with a variable-free constant c.  A variable-free factor is
-    evaluated only when its sibling mentions x, so no ancestor evaluates it
-    again and the work stays linear in the size of the tree.
+    form with a variable-free constant c, or when c * span, or the same
+    product for any subtree, is not finite.
+    """
+    mentions_x, c = _linear_in_x(expr, span)
+    if mentions_x and c is not None and not math.isfinite(abs(c) * span):
+        return True, None
+    return mentions_x, c
+
+
+def _linear_in_x(expr: Expression, span: float) -> tuple[bool, float | None]:
+    """_x_slope without the span check on the tree itself.
+
+    A variable-free factor is evaluated only when its sibling mentions x,
+    so no ancestor evaluates it again and the work stays linear in the size
+    of the tree.
     """
     if isinstance(expr, Var):
         return (True, 1.0) if expr.name == "x" else (False, 0.0)
     if isinstance(expr, Neg):
-        mentions_x, c = _x_slope(expr.operand)
+        mentions_x, c = _x_slope(expr.operand, span)
         return mentions_x, None if c is None else -c
     if isinstance(expr, Call):
-        return (True, None) if _x_slope(expr.arg)[0] else (False, 0.0)
+        return (True, None) if _x_slope(expr.arg, span)[0] else (False, 0.0)
     if not isinstance(expr, BinOp):
         return False, 0.0
-    left_x, left_c = _x_slope(expr.left)
-    right_x, right_c = _x_slope(expr.right)
+    left_x, left_c = _x_slope(expr.left, span)
+    right_x, right_c = _x_slope(expr.right, span)
     if not (left_x or right_x):
         return False, 0.0
     if left_c is None or right_c is None:

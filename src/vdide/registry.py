@@ -104,7 +104,7 @@ class ProblemConfig:
             x0=self.x0,
             x_end=self.X,
             exact=exact,
-            kernel_x_rate=x_rate(k_tree),
+            kernel_x_rate=x_rate(k_tree, self.X - self.x0),
         )
 
     def to_text(self) -> str:

@@ -10,8 +10,9 @@ where F(x) is the inner kernel integral.  Discretizing F by the trapezium
 rule as well, every kernel argument u(x_i - tau) is the already-known grid
 value u_{i-M}, so everything except the g(x_{j+1}, u_{j+1}) term is explicit.
 Collecting the known part into a predictor M1, the step is the scalar fixed
-point u = M1 + (h/2) g(x_{j+1}, u), closed here by a fixed three-term series
-expansion (see the dgj module) that collapses to two corrector substitutions:
+point u = M1 + (h/2) g(x_{j+1}, u), closed here by the three-term series of
+Daftardar-Gejji and Jafari (J. Math. Anal. Appl. 316, 2006), which
+telescopes to two corrector substitutions:
 
     M2      = M1 + (h/2) g(x_{j+1}, M1)
     u_{j+1} = M1 + (h/2) g(x_{j+1}, M2)
@@ -32,6 +33,14 @@ evaluated as a corner sample, and a solve costs N + 1 kernel evaluations.
 For lam = 0, a kernel that ignores x, every product with rho = 1.0 is exact
 and the output stays bit-identical; for lam < 0 the recurrence rounds
 differently and agrees with kernel_terms to about 1e-12 relative.
+
+The solve loop, run_steps, and kernel_rows read and extend the list a
+Trajectory wraps, in which index i holds u_{i-M}, and form x_j = x0 + j h
+inline: the loop range already keeps every index in bounds, so the per-step
+accessors (Trajectory.value, delayed_value, Trajectory.append, GridSpec.point)
+would only repeat checks.  The arithmetic and its order are those of the
+stateless functions kernel_terms, predictor and nnm_step, which go through
+the accessors and stay the reference.
 """
 
 from __future__ import annotations
@@ -127,21 +136,26 @@ def kernel_rows(
     otherwise.  Either way every sample evaluated here is one the stateless
     function evaluates at the same step.  For lam <= 0 (see
     expressions.x_rate) a sample skipped here has the t and v of a diagonal
-    sample evaluated no later, so a failing kernel fails at the same step,
-    unless a term inside an exponent overflows, as 1e308*(t - x) does once
-    x - t > 1.8.
+    sample evaluated no later, and no x-term inside an exponent moves by a
+    non-finite amount over [x0, X], so a failing kernel fails at the same
+    step, unless such a term is already within that amount of overflowing
+    on the diagonal, as 1e308 + 1e308*(x - t) is.
 
-    Step j reads u_{j+1-M}, so advance the generator only once the
-    trajectory holds u_j.
+    The delayed value u_{i-M} is read as index i of the trajectory's list
+    and x_i is formed as x0 + i h.  Step j reads u_{j+1-M}, so advance the
+    generator only once the trajectory holds u_j.
     """
     grid = traj.grid
+    h = grid.h
+    x0 = grid.x0
+    u = traj._values  # index i holds u_{i-M}
     K = problem.kernel
     rate = problem.kernel_x_rate
     recur = rate is not None
-    rho = math.exp(rate * grid.h) if recur else 1.0
-    quarter_h2 = grid.h * grid.h / 4.0
+    rho = math.exp(rate * h) if recur else 1.0
+    quarter_h2 = h * h / 4.0
     x_start = grid.point(0)
-    u_oldest = delayed_value(traj, 0)
+    u_oldest = u[0]
     # grid points x_i and delayed values u_{i-M} of the row, i = 1 .. j,
     # kept only when rows are evaluated
     row_x: list[float] = []
@@ -156,8 +170,8 @@ def kernel_rows(
         k_diag = k_start if recur else K(x_start, x_start, u_oldest)
 
     for j in range(grid.steps):
-        x_next = grid.point(j + 1)
-        v_next = delayed_value(traj, j + 1)
+        x_next = x0 + (j + 1) * h
+        v_next = u[j + 1]
         if j == 0 and not literal:
             k_start = K(x_next, x_start, u_oldest)
             k_diag = K(x_next, x_next, v_next)
@@ -181,9 +195,9 @@ def kernel_rows(
 
 
 def m1_from_terms(
-    problem: DelayProblem,
-    grid: GridSpec,
-    j: int,
+    g: Callable[[float, float], float],
+    h: float,
+    x_j: float,
     u_j: float,
     terms: tuple[float, float, float],
 ) -> float:
@@ -193,12 +207,7 @@ def m1_from_terms(
     M1 here, so all of them round it the same way.
     """
     corner, s1, s2 = terms
-    return (
-        u_j
-        + 0.5 * grid.h * problem.g(grid.point(j), u_j)
-        + corner
-        + 0.5 * grid.h * grid.h * (s1 + s2)
-    )
+    return u_j + 0.5 * h * g(x_j, u_j) + corner + 0.5 * h * h * (s1 + s2)
 
 
 def predictor(problem: DelayProblem, traj: Trajectory, j: int) -> float:
@@ -209,7 +218,8 @@ def predictor(problem: DelayProblem, traj: Trajectory, j: int) -> float:
     implicit half-weight of g at x_{j+1}.
     """
     terms = kernel_terms(problem, traj, j, traj.mode)  # checks j first
-    return m1_from_terms(problem, traj.grid, j, traj.value(j), terms)
+    grid = traj.grid
+    return m1_from_terms(problem.g, grid.h, grid.point(j), traj.value(j), terms)
 
 
 def _close(problem: DelayProblem, grid: GridSpec, j: int, m1: float) -> float:
@@ -257,15 +267,24 @@ def run_steps(
     """Fill traj from u_0 on: u_{j+1} = close(problem, grid, j, M1), with M1
     formed from kernel_rows.
 
-    The loop both solvers share.  A DomainError raised while advancing from
-    step j leaves with step_index = j, as NonFiniteState does.
+    The loop both solvers share; traj holds u_{-M} .. u_0, as
+    init_trajectory leaves it.  u_j is read as index j + M of the
+    trajectory's list, u_{j+1} appended to it, and x_j formed as x0 + j h,
+    with the values predictor would give.  A DomainError raised while
+    advancing from step j leaves with step_index = j, as NonFiniteState
+    does.
     """
     grid = traj.grid
+    g = problem.g
+    h = grid.h
+    x0 = grid.x0
+    u = traj._values  # index i holds u_{i-M}
+    offset = grid.delay_steps
     rows = kernel_rows(problem, traj)
     for j in range(grid.steps):
         try:
-            m1 = m1_from_terms(problem, grid, j, traj.value(j), next(rows))
-            traj.append(close(problem, grid, j, m1))
+            m1 = m1_from_terms(g, h, x0 + j * h, u[j + offset], next(rows))
+            u.append(close(problem, grid, j, m1))
         except DomainError as exc:
             exc.step_index = j
             raise

@@ -15,6 +15,7 @@ from helpers import (
     REFERENCE_ERRORS,
     ROUND_TRIP_ONLY,
     SAMPLE_XS,
+    dgj_solve,
     random_smooth_problem,
 )
 from vdide import (
@@ -28,7 +29,6 @@ from vdide import (
     solve_implicit,
     step_residual,
 )
-from vdide.dgj import dgj_solve
 from vdide.expressions import DomainError, evaluate, parse, unparse
 from vdide.oracle import implicit_step
 from vdide.problem import init_trajectory

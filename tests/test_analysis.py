@@ -58,6 +58,13 @@ class TestGridIndex:
             grid_index(grid, 0.15)
         assert "0.15" in str(info.value)
 
+    @pytest.mark.parametrize("x", [-0.5, -0.1, 1.1, 2.0, math.inf, math.nan])
+    def test_points_outside_the_solved_interval_raise(self, x):
+        # the history segment [-1, 0) and points past X are not tabulated
+        grid = build_grid(0.0, 1.0, 1.0, 0.1)
+        with pytest.raises(OffGridSample, match=r"outside .*\[0\.0, 1\.0\]"):
+            grid_index(grid, x)
+
     def test_points_survive_decimal_to_binary_drift(self):
         # 0.3 is not representable, yet must land on index 15 of an h=0.02 grid
         grid = build_grid(0.0, 1.0, 1.0, 0.02)
@@ -85,6 +92,13 @@ class TestErrorTable:
         assert all(err >= 0.0 for _, err in table.rows)
         assert table.h == 0.1
         assert table.mode is FirstStepMode.LITERAL
+
+    @pytest.mark.parametrize("x", [-0.5, 2.0])
+    def test_points_outside_the_solved_interval_raise(self, x):
+        grid = build_grid(0.0, 1.0, 1.0, 0.1)
+        traj = solve(exp_ode_problem(), grid)
+        with pytest.raises(OffGridSample):
+            error_table(traj, math.exp, [0.5, x])
 
     def test_timed_solve_returns_the_solve_and_its_time(self):
         problem = exp_ode_problem()
@@ -156,6 +170,13 @@ class TestOrderStudy:
             at_x=1.0,
         )
         assert 1.8 <= est.slope <= 2.2
+
+    @pytest.mark.parametrize("at_x", [-0.5, 2.0])
+    def test_point_outside_the_solved_interval_raises(self, at_x):
+        with pytest.raises(OffGridSample):
+            order_study(
+                exp_ode_problem(), FirstStepMode.LITERAL, [0.1, 0.05], at_x=at_x
+            )
 
     def test_exactness_is_degenerate(self):
         # dyadic step sizes make the accumulated sums exact, so every error

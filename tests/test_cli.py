@@ -1,8 +1,16 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
-from vdide import FirstStepMode, build_grid, builtin_problem, solve
+import pytest
+
+import vdide
+from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
 from vdide.cli import main
+from vdide.registry import resolve_problem
 
 
 def run(capsys, *argv):
@@ -163,6 +171,16 @@ class TestTable:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("point", ["2.0", "-0.5"])
+    def test_point_outside_the_interval_is_a_usage_error(self, capsys, point):
+        # 2.0 lies past X = 1, -0.5 in the history segment
+        code, out, err = run(
+            capsys,
+            "table", "--problem", "example1", "--h", "0.1", "--points", point,
+        )
+        assert code == 2 and out == ""
+        assert "[0.0, 1.0]" in err
+
     def test_problem_without_exact_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "noexact.cfg"
         cfg.write_text(
@@ -288,3 +306,111 @@ class TestListProblems:
         _, by_name, _ = run(capsys, "solve", "--problem", "example1", "--h", "0.1")
         _, by_file, _ = run(capsys, "solve", "--problem", str(cfg), "--h", "0.1")
         assert by_name == by_file
+
+
+# X = 4 tau and an x-dependent kernel, so rows past the first delay read
+# computed values through the O(N^2) row path
+FOUR_DELAYS = (
+    "name = four_delays\ng = -u + sin(x)\nK = sin(x - t)*v\nphi = 1 + x/2\n"
+    "tau = 0.25\nx0 = 0\nX = 1\n"
+)
+
+
+def g17(value):
+    return format(value, ".17g")
+
+
+def expected_solve_csv(traj):
+    grid = traj.grid
+    lines = ["x,u"]
+    for j in range(grid.steps + 1):
+        lines.append(f"{g17(grid.point(j))},{g17(traj.value(j))}")
+    return "\n".join(lines) + "\n"
+
+
+def expected_compare_csv(traj_nnm, traj_ref):
+    grid = traj_nnm.grid
+    lines = ["x,u_nnm,u_implicit,diff"]
+    max_abs_diff = 0.0
+    for j in range(grid.steps + 1):
+        a, b = traj_nnm.value(j), traj_ref.value(j)
+        max_abs_diff = max(max_abs_diff, abs(a - b))
+        lines.append(",".join(g17(v) for v in (grid.point(j), a, b, a - b)))
+    lines.append(f"# max_abs_diff: {g17(max_abs_diff)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestOutputBytes:
+    """solve and compare print format(v, ".17g") of every grid point and
+    value, byte for byte; a round trip of the values alone would also
+    accept repr()."""
+
+    @pytest.fixture(params=["example1", "example2", "four_delays"])
+    def ref(self, request, tmp_path):
+        if request.param != "four_delays":
+            return request.param
+        cfg = tmp_path / "four_delays.cfg"
+        cfg.write_text(FOUR_DELAYS)
+        return str(cfg)
+
+    @pytest.mark.parametrize("mode", list(FirstStepMode))
+    def test_solve(self, capsys, ref, mode):
+        problem = resolve_problem(ref).build()
+        grid = build_grid(problem.x0, problem.x_end, problem.tau, 0.05)
+        code, out, err = run(
+            capsys,
+            "solve", "--problem", ref, "--h", "0.05", "--first-step", mode.value,
+        )
+        assert code == 0 and err == ""
+        assert out == expected_solve_csv(solve(problem, grid, mode))
+
+    @pytest.mark.parametrize("mode", list(FirstStepMode))
+    def test_compare(self, capsys, ref, mode):
+        problem = resolve_problem(ref).build()
+        grid = build_grid(problem.x0, problem.x_end, problem.tau, 0.05)
+        code, out, err = run(
+            capsys,
+            "compare", "--problem", ref, "--h", "0.05", "--first-step", mode.value,
+        )
+        assert code == 0 and err == ""
+        want = expected_compare_csv(
+            solve(problem, grid, mode), solve_implicit(problem, grid, mode)
+        )
+        assert out == want
+
+
+def fresh_process_output(*argv):
+    """stdout of `python -m vdide ARGV` in a new interpreter."""
+    src = str(Path(vdide.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "vdide", *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return done.stdout
+
+
+class TestRepeatedMain:
+    """main reuses one parser per process; no flag of one call may reach
+    the next."""
+
+    @pytest.mark.parametrize(
+        "base, flags",
+        [
+            (["solve", "--problem", "example1", "--h", "0.1"],
+             ["--first-step", "corrected"]),
+            (["compare", "--problem", "example1", "--h", "0.01"],
+             ["--tol", "1e-10", "--max-iter", "5"]),
+        ],
+        ids=["solve", "compare"],
+    )
+    def test_flags_do_not_carry_over(self, capsys, base, flags):
+        code, flagged, _ = run(capsys, *base, *flags)
+        assert code == 0
+        code, plain, _ = run(capsys, *base)
+        assert code == 0
+        assert plain != flagged
+        assert plain == fresh_process_output(*base)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vdide.dgj import dgj_solve, dgj_terms
+from helpers import dgj_solve, dgj_terms
 
 
 def zero(_: float) -> float:

@@ -170,3 +170,28 @@ def test_failing_kernel_fails_at_the_same_step_on_both_row_paths(
         failures.append((str(info.value), info.value.step_index))
     assert failures[0] == failures[1]
     assert failures[0][1] == step
+
+
+@pytest.mark.parametrize("run", [solve, solve_implicit])
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+@pytest.mark.parametrize(
+    "kernel", ["exp(1e308*(t - x))*v", "exp((1e308*(t - x))/10)*v"]
+)
+def test_overflow_inside_an_exponent_fails_at_the_same_step_on_both_row_paths(
+    run, mode, kernel
+):
+    # 1e308*(t - x) is finite on the diagonal and overflows once x - t = 2,
+    # first at the corner sample K(x_4, x_0, u_{-M}) of step 3, which the
+    # recurrence would skip
+    problem = parse_config_text(
+        f"name = k\ng = -u\nK = {kernel}\nphi = 1\ntau = 0.5\nx0 = 0\nX = 3\n"
+    ).build()
+    grid = build_grid(0.0, 3.0, 0.5, 0.5)
+    failures = []
+    for variant in (problem, dataclasses.replace(problem, kernel_x_rate=None)):
+        with pytest.raises(DomainError) as info:
+            run(variant, grid, mode)
+        failures.append((str(info.value), info.value.step_index))
+    assert failures[0] == failures[1]
+    assert failures[0][1] == 3
+    assert "1e+308 * (t - x)" in failures[0][0]

@@ -56,6 +56,28 @@ class TestBuiltins:
         )
         assert config.build().kernel_x_rate == rate
 
+    @pytest.mark.parametrize(
+        "kernel, x_end, rate",
+        [
+            ("exp(1e308*(t - x))*v", 1.0, -1e308),
+            ("exp(1e308*(t - x))*v", 2.0, None),
+            # the final slope -1e307 is finite, the inner product's is not
+            ("exp((1e308*(t - x))/10)*v", 1.0, -1e308 / 10),
+            ("exp((1e308*(t - x))/10)*v", 2.0, None),
+        ],
+    )
+    def test_no_rate_when_an_x_term_can_overflow_on_the_interval(
+        self, kernel, x_end, rate
+    ):
+        # |slope| * (X - x0) must be finite for every subtree in x of an exp
+        # argument, so that no skipped sample overflows where the diagonal
+        # does not
+        config = parse_config_text(
+            f"name = k\ng = -u\nK = {kernel}\nphi = 1\ntau = 0.5\nx0 = 0\n"
+            f"X = {x_end}\n"
+        )
+        assert config.build().kernel_x_rate == rate
+
     def test_example2_starts_at_e(self):
         problem = builtin_problem("example2").build()
         # the initial value comes from the shifted exponential history

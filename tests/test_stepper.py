@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_smooth_problem
+from helpers import dgj_solve, random_smooth_problem
 from vdide import (
     DelayProblem,
     FirstStepMode,
@@ -14,7 +14,6 @@ from vdide import (
     solve_implicit,
     step_residual,
 )
-from vdide.dgj import dgj_solve
 from vdide.errors import IndexNotYetComputed, NonFiniteState
 from vdide.problem import init_trajectory
 from vdide.stepper import nnm_step, predictor
