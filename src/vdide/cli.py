@@ -20,7 +20,6 @@ preserves the exact float.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Callable, Optional
 
@@ -285,14 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main builds the parser on its first call and reuses it: parse_args keeps
-# no state between calls, and each call starts from a fresh namespace.
-_shared_parser = functools.cache(build_parser)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
+    parser = build_parser()
     try:
-        args = _shared_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse has already printed a usage message
         return int(exc.code) if exc.code is not None else 0

@@ -162,9 +162,10 @@ class Trajectory:
     instance is safe to share once filled.
 
     The values live in the list _values, where index i holds u_{i-M}: the
-    history u_{-M} .. u_0 first, then u_1, u_2, ...  The solve loop
-    (stepper.run_steps and stepper.kernel_rows) reads and appends to that
-    list directly, without the bounds checks of value and append.
+    history u_{-M} .. u_0 first, then u_1, u_2, ...; values is a snapshot of
+    it.  The solve loop (stepper.run_steps and stepper.kernel_rows) reads and
+    appends to that list directly, without the bounds checks of value and
+    append.
     """
 
     def __init__(self, grid: GridSpec, mode: FirstStepMode, history: list[float]):

@@ -34,13 +34,10 @@ For lam = 0, a kernel that ignores x, every product with rho = 1.0 is exact
 and the output stays bit-identical; for lam < 0 the recurrence rounds
 differently and agrees with kernel_terms to about 1e-12 relative.
 
-The solve loop, run_steps, and kernel_rows read and extend the list a
-Trajectory wraps, in which index i holds u_{i-M}, and form x_j = x0 + j h
-inline: the loop range already keeps every index in bounds, so the per-step
-accessors (Trajectory.value, delayed_value, Trajectory.append, GridSpec.point)
-would only repeat checks.  The arithmetic and its order are those of the
-stateless functions kernel_terms, predictor and nnm_step, which go through
-the accessors and stay the reference.
+run_steps and kernel_rows index the Trajectory's list directly (its layout
+is in the Trajectory docstring) and form x_j = x0 + j h inline, since the
+loop range already keeps every index in bounds; the arithmetic and its order
+are those of kernel_terms, predictor and nnm_step, which stay the reference.
 """
 
 from __future__ import annotations
@@ -141,14 +138,13 @@ def kernel_rows(
     step, unless such a term is already within that amount of overflowing
     on the diagonal, as 1e308 + 1e308*(x - t) is.
 
-    The delayed value u_{i-M} is read as index i of the trajectory's list
-    and x_i is formed as x0 + i h.  Step j reads u_{j+1-M}, so advance the
-    generator only once the trajectory holds u_j.
+    Step j reads u_{j+1-M}, so advance the generator only once the
+    trajectory holds u_j.
     """
     grid = traj.grid
     h = grid.h
     x0 = grid.x0
-    u = traj._values  # index i holds u_{i-M}
+    u = traj._values
     K = problem.kernel
     rate = problem.kernel_x_rate
     recur = rate is not None
@@ -268,17 +264,14 @@ def run_steps(
     formed from kernel_rows.
 
     The loop both solvers share; traj holds u_{-M} .. u_0, as
-    init_trajectory leaves it.  u_j is read as index j + M of the
-    trajectory's list, u_{j+1} appended to it, and x_j formed as x0 + j h,
-    with the values predictor would give.  A DomainError raised while
-    advancing from step j leaves with step_index = j, as NonFiniteState
-    does.
+    init_trajectory leaves it.  A DomainError raised while advancing from
+    step j leaves with step_index = j, as NonFiniteState does.
     """
     grid = traj.grid
     g = problem.g
     h = grid.h
     x0 = grid.x0
-    u = traj._values  # index i holds u_{i-M}
+    u = traj._values
     offset = grid.delay_steps
     rows = kernel_rows(problem, traj)
     for j in range(grid.steps):

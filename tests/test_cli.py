@@ -1,13 +1,8 @@
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import vdide
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
 from vdide.cli import main
 from vdide.registry import resolve_problem
@@ -378,39 +373,3 @@ class TestOutputBytes:
         )
         assert out == want
 
-
-def fresh_process_output(*argv):
-    """stdout of `python -m vdide ARGV` in a new interpreter."""
-    src = str(Path(vdide.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    done = subprocess.run(
-        [sys.executable, "-m", "vdide", *argv],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return done.stdout
-
-
-class TestRepeatedMain:
-    """main reuses one parser per process; no flag of one call may reach
-    the next."""
-
-    @pytest.mark.parametrize(
-        "base, flags",
-        [
-            (["solve", "--problem", "example1", "--h", "0.1"],
-             ["--first-step", "corrected"]),
-            (["compare", "--problem", "example1", "--h", "0.01"],
-             ["--tol", "1e-10", "--max-iter", "5"]),
-        ],
-        ids=["solve", "compare"],
-    )
-    def test_flags_do_not_carry_over(self, capsys, base, flags):
-        code, flagged, _ = run(capsys, *base, *flags)
-        assert code == 0
-        code, plain, _ = run(capsys, *base)
-        assert code == 0
-        assert plain != flagged
-        assert plain == fresh_process_output(*base)
