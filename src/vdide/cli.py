@@ -76,14 +76,20 @@ def _checked_grid(problem: DelayProblem, h: float) -> GridSpec:
 
 
 def _run(step_fn: Callable, *args, **kwargs):
-    """Run a solve-phase callable, mapping failures to exit code 3."""
+    """Run a solve-phase callable, mapping failures to exit code 3.
+
+    A failure that carries the step j and grid point x_j it happened at
+    names both.
+    """
     try:
         return step_fn(*args, **kwargs)
     except NumericalError as exc:
-        raise CliError(str(exc), NUMERICAL_EXIT) from exc
+        x = getattr(exc, "x", None)
+        where = "" if x is None else f" (x = {x:.17g})"
+        raise CliError(f"{exc}{where}", NUMERICAL_EXIT) from exc
     except ExpressionError as exc:
         step = getattr(exc, "step_index", None)
-        where = "" if step is None else f" at step {step}"
+        where = "" if step is None else f" at step {step} (x = {exc.x:.17g})"
         raise CliError(
             f"evaluation failed during solve{where}: {exc}", NUMERICAL_EXIT
         ) from exc

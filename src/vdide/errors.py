@@ -48,11 +48,18 @@ class NumericalError(VdideError):
 
 
 class NonFiniteState(NumericalError):
-    """A step produced NaN or infinity."""
+    """A step produced NaN or infinity.
 
-    def __init__(self, message: str, step_index: int | None = None):
+    step_index is the step j whose advance from x_j failed; a solve sets it
+    and x, the grid point x_j, when the error escapes it.
+    """
+
+    def __init__(
+        self, message: str, step_index: int | None = None, x: float | None = None
+    ):
         super().__init__(message)
         self.step_index = step_index
+        self.x = x
 
 
 class NoConvergence(NumericalError):

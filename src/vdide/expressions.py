@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import VdideError
 
@@ -55,11 +55,12 @@ class UnboundVariable(ExpressionError):
 class DomainError(ExpressionError):
     """Evaluation left the real domain or produced a non-finite value.
 
-    step_index is set when the error escapes a solve: the step j whose
-    advance from x_j evaluated the failing expression.
+    step_index and x are set when the error escapes a solve: the step j
+    whose advance from x_j evaluated the failing expression, and x_j.
     """
 
     step_index: int | None = None
+    x: float | None = None
 
 
 VARIABLES = frozenset({"x", "t", "u", "v"})
@@ -408,6 +409,162 @@ def _require_finite(value: float, expr: Expression) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{unparse(expr)!r} evaluated to a non-finite value")
     return value
+
+
+def _check_params(expr: Expression, params: tuple[str, ...]) -> None:
+    if not set(params) <= VARIABLES or len(set(params)) != len(params):
+        raise ValueError(f"params must be distinct names of VARIABLES, got {params!r}")
+    unbound = variables(expr) - set(params)
+    if unbound:
+        raise UnboundVariable(
+            f"variable(s) {', '.join(sorted(unbound))} are not among the "
+            f"parameters {', '.join(params)}"
+        )
+
+
+# Functions that map a non-finite argument to a finite value: exp(-inf) = 0
+# and tanh(+-inf) = +-1.  Every other function here returns inf or nan for
+# one, or raises ValueError.
+_HIDING_FUNCTIONS = frozenset({"exp", "tanh"})
+
+
+def compile_expression(
+    expr: Expression, params: tuple[str, ...]
+) -> Callable[..., float]:
+    """A Python function f with f(*args) == evaluate(expr, dict(zip(params, args))).
+
+    The function is generated source run through compile and exec.  It
+    makes the same math.* calls and float operations in the same order as
+    evaluate, so its values are bit-identical, but it checks isfinite only
+    where a later node could hide a non-finite value: the right operand of
+    "/" (a / inf = 0), both operands of "^" (1^inf = inf^0 = 1), the
+    arguments of exp and tanh, and the result.  Everywhere else inf and nan
+    carry through +, -, *, unary minus, the left operand of "/" and the
+    other functions, or make them raise.  Operands that are numbers,
+    constants or variables are not checked, as evaluate does not check
+    them.  On any failure, a check or a ValueError, ZeroDivisionError or
+    OverflowError, f returns evaluate(expr, bindings) on the same bindings,
+    which raises the reference DomainError, so the message is identical by
+    construction.
+
+    Numbers, constants and functions enter the source only as generated
+    names (_c0, _f1, ...) bound in the function's globals, so no text of
+    the tree reaches the source and the bytecode compiler folds nothing.
+    params are names from VARIABLES and must cover every variable of expr.
+    """
+    _check_params(expr, params)
+    bound: dict = {}
+    body: list[str] = []
+    bindings = ", ".join(f"{p!r}: {p}" for p in params)
+    fallback = f"return _evaluate(_tree, {{{bindings}}})"
+
+    def bind(prefix: str, value) -> str:
+        name = f"{prefix}{len(bound)}"
+        bound[name] = value
+        return name
+
+    def checked(node: Expression) -> str:
+        source = emit(node)
+        if isinstance(node, (Num, Const, Var)):
+            return source
+        name = f"_v{len(body)}"
+        body.append(f"{name} = {source}")
+        body.append(f"if not _isfinite({name}): {fallback}")
+        return name
+
+    def emit(node: Expression) -> str:
+        if isinstance(node, Num):
+            return bind("_c", node.value)
+        if isinstance(node, Const):
+            return bind("_c", CONSTANTS[node.name])
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Neg):
+            return f"(-{emit(node.operand)})"
+        if isinstance(node, Call):
+            hides = node.func in _HIDING_FUNCTIONS
+            arg = checked(node.arg) if hides else emit(node.arg)
+            return f"{bind('_f', FUNCTIONS[node.func])}({arg})"
+        if node.op == "^":
+            base = checked(node.left)
+            return f"{bind('_f', math.pow)}({base}, {checked(node.right)})"
+        if node.op == "/":
+            left = emit(node.left)
+            return f"({left} / {checked(node.right)})"
+        return f"({emit(node.left)} {node.op} {emit(node.right)})"
+
+    result = emit(expr)
+    lines = [f"def _compiled({', '.join(params)}):", "    try:"]
+    lines += [f"        {line}" for line in body]
+    lines += [
+        f"        _r = {result}",
+        "    except (ValueError, ZeroDivisionError, OverflowError):",
+        f"        {fallback}",
+        "    if _isfinite(_r):",
+        "        return _r",
+        f"    {fallback}",
+    ]
+    namespace = {"_evaluate": evaluate, "_isfinite": math.isfinite, "_tree": expr}
+    namespace.update(bound)
+    exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace)
+    return namespace["_compiled"]
+
+
+# Calls a tiered function walks the tree before it compiles.  Compiling costs
+# about as much as a hundred tree walks, so a problem used for a few hundred
+# calls or fewer, as set-up and short solves are, never pays for it.
+COMPILE_AFTER = 128
+
+# The tier for one number of parameters.  Both of its functions take their
+# arguments by position, as *args would, but without building a tuple, and
+# the bindings dict is a display, not dict(zip(...)): on the warm path those
+# two cost about a third of a short tree walk.
+_TIER_SOURCE = """\
+def tier(expr, params, remaining):
+    [{keys}] = params
+
+    def warm({args}):
+        nonlocal remaining, target
+        remaining -= 1
+        if remaining <= 0:
+            target = compile_expression(expr, params)
+        return evaluate(expr, {{{bindings}}})
+
+    target = warm
+
+    def call({args}):
+        return target({args})
+
+    return call
+"""
+
+
+def _tier_factory(arity: int):
+    args = [f"a{i}" for i in range(arity)]
+    keys = [f"k{i}" for i in range(arity)]
+    source = _TIER_SOURCE.format(
+        keys="".join(f"{k}, " for k in keys),
+        args=", ".join(args),
+        bindings=", ".join(f"{k}: {a}" for k, a in zip(keys, args)),
+    )
+    namespace = {"compile_expression": compile_expression, "evaluate": evaluate}
+    exec(compile(source, "<vdide tier>", "exec"), namespace)
+    return namespace["tier"]
+
+
+_TIERS = [_tier_factory(arity) for arity in range(len(VARIABLES) + 1)]
+
+
+def tiered(expr: Expression, params: tuple[str, ...]) -> Callable[..., float]:
+    """A function f with f(*args) == evaluate(expr, dict(zip(params, args))).
+
+    Its first COMPILE_AFTER calls run evaluate; the last of them compiles
+    expr with compile_expression, and every later call runs the compiled
+    function.  Values and DomainError text are the same on every call.
+    Arguments are positional.
+    """
+    _check_params(expr, params)
+    return _TIERS[len(params)](expr, params, COMPILE_AFTER)
 
 
 # Binding strength used when deciding where unparse needs parentheses.

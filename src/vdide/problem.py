@@ -184,7 +184,7 @@ class Trajectory:
         return tuple(self._values)
 
     @property
-    def last(self) -> int:
+    def last_index(self) -> int:
         """Largest grid index j whose value is present."""
         return len(self._values) - 1 - self.grid.delay_steps
 
@@ -194,15 +194,15 @@ class Trajectory:
             raise IndexError(
                 f"index {j} precedes the history start -{self.grid.delay_steps}"
             )
-        if j > self.last:
+        if j > self.last_index:
             raise IndexNotYetComputed(
-                f"u_{j} requested but values stop at u_{self.last}"
+                f"u_{j} requested but values stop at u_{self.last_index}"
             )
         return self._values[j + self.grid.delay_steps]
 
     def append(self, u: float) -> None:
         """Store the next forward value."""
-        if self.last >= self.grid.steps:
+        if self.last_index >= self.grid.steps:
             raise ValueError("trajectory already holds all grid values")
         self._values.append(float(u))
 

@@ -28,19 +28,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .expressions import evaluate, parse, variables, x_rate
+from .expressions import parse, tiered, variables, x_rate
 from .problem import DelayProblem
 
 _REQUIRED_KEYS = ("name", "g", "K", "phi", "tau", "x0", "X")
 _OPTIONAL_KEYS = ("exact",)
 _FLOAT_KEYS = ("tau", "x0", "X")
 
-# Variables each expression slot is allowed to mention.
+# Variables each expression slot is allowed to mention, in the order the
+# slot's function takes them.
 SLOT_VARIABLES = {
-    "g": frozenset({"x", "u"}),
-    "K": frozenset({"x", "t", "v"}),
-    "phi": frozenset({"x"}),
-    "exact": frozenset({"x"}),
+    "g": ("x", "u"),
+    "K": ("x", "t", "v"),
+    "phi": ("x",),
+    "exact": ("x",),
 }
 
 
@@ -58,16 +59,19 @@ class ProblemConfig:
     exact: Optional[str] = None
 
     def build(self) -> DelayProblem:
-        """Parse, validate, and compile the expressions into a DelayProblem."""
+        """Parse and validate the expressions and wrap them in a DelayProblem.
+
+        g, kernel, history and exact are expressions.tiered functions: they
+        walk the tree for their first COMPILE_AFTER calls and run compiled
+        Python after that, with the same values and DomainError text.
+        """
         trees = {}
-        used = {}
         for slot in ("g", "K", "phi", "exact"):
             text = getattr(self, slot)
             if text is None:
                 continue
             tree = parse(text)
-            used[slot] = variables(tree)
-            stray = used[slot] - SLOT_VARIABLES[slot]
+            stray = variables(tree).difference(SLOT_VARIABLES[slot])
             if stray:
                 names = ", ".join(sorted(stray))
                 allowed = ", ".join(sorted(SLOT_VARIABLES[slot]))
@@ -77,34 +81,16 @@ class ProblemConfig:
                 )
             trees[slot] = tree
 
-        g_tree = trees["g"]
-        k_tree = trees["K"]
-        phi_tree = trees["phi"]
-        exact_tree = trees.get("exact")
-
-        def g(x: float, u: float) -> float:
-            return evaluate(g_tree, {"x": x, "u": u})
-
-        def kernel(x: float, t: float, v: float) -> float:
-            return evaluate(k_tree, {"x": x, "t": t, "v": v})
-
-        def history(x: float) -> float:
-            return evaluate(phi_tree, {"x": x})
-
-        exact = None
-        if exact_tree is not None:
-            def exact(x: float) -> float:
-                return evaluate(exact_tree, {"x": x})
-
+        funcs = {s: tiered(tree, SLOT_VARIABLES[s]) for s, tree in trees.items()}
         return DelayProblem(
-            g=g,
-            kernel=kernel,
-            history=history,
+            g=funcs["g"],
+            kernel=funcs["K"],
+            history=funcs["phi"],
             tau=self.tau,
             x0=self.x0,
             x_end=self.X,
-            exact=exact,
-            kernel_x_rate=x_rate(k_tree, self.X - self.x0),
+            exact=funcs.get("exact"),
+            kernel_x_rate=x_rate(trees["K"], self.X - self.x0),
         )
 
     def to_text(self) -> str:

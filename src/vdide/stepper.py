@@ -264,8 +264,8 @@ def run_steps(
     formed from kernel_rows.
 
     The loop both solvers share; traj holds u_{-M} .. u_0, as
-    init_trajectory leaves it.  A DomainError raised while advancing from
-    step j leaves with step_index = j, as NonFiniteState does.
+    init_trajectory leaves it.  A DomainError or NonFiniteState raised while
+    advancing from step j leaves with step_index = j and x = x_j.
     """
     grid = traj.grid
     g = problem.g
@@ -275,10 +275,12 @@ def run_steps(
     offset = grid.delay_steps
     rows = kernel_rows(problem, traj)
     for j in range(grid.steps):
+        x_j = x0 + j * h
         try:
-            m1 = m1_from_terms(g, h, x0 + j * h, u[j + offset], next(rows))
+            m1 = m1_from_terms(g, h, x_j, u[j + offset], next(rows))
             u.append(close(problem, grid, j, m1))
-        except DomainError as exc:
+        except (DomainError, NonFiniteState) as exc:
             exc.step_index = j
+            exc.x = x_j
             raise
     return traj

@@ -115,7 +115,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--problem", str(cfg), "--h", "0.5")
         assert code == 3
         # u^2 overflows in g(x_4, M1) while advancing from step 3
-        assert "evaluation failed during solve at step 3: " in err
+        assert "evaluation failed during solve at step 3 (x = 1.5): " in err
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_non_finite_state_names_step_and_x(self, capsys, tmp_path, command):
+        # g = u is a leaf, so no expression fails: u_3 = M1 + (h/2) M2 of
+        # step 2 overflows in the closure itself
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(
+            "name = overflow\ng = u\nK = 0\nphi = 1e307\ntau = 1\nx0 = 0\nX = 5\n"
+        )
+        code, _, err = run(capsys, command, "--problem", str(cfg), "--h", "1")
+        assert code == 3
+        assert err == "vdide: non-finite value while advancing from step 2 (x = 2)\n"
 
     def test_bad_flag_value(self, capsys):
         code, _, _ = run(capsys, "solve", "--problem", "example1", "--h", "abc")

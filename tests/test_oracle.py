@@ -99,6 +99,15 @@ class TestImplicitStep:
             steps.append(info.value.step_index)
         assert steps == [4, 4]
 
+    def test_both_solvers_report_where_a_solve_failed(self):
+        # the same NaN as above, as the solve loop reports it: step 4, x_4
+        problem = pure_ode_problem(lambda x, u: math.nan if x > 0.45 else u)
+        grid = build_grid(0.0, 1.0, 1.0, 0.1)
+        for run in (solve, solve_implicit):
+            with pytest.raises(NonFiniteState) as info:
+                run(problem, grid)
+            assert (info.value.step_index, info.value.x) == (4, 0.4)
+
     def test_step_index_out_of_range(self):
         problem = pure_ode_problem(lambda x, u: u)
         grid = build_grid(0.0, 1.0, 1.0, 0.5)

@@ -113,7 +113,7 @@ class TestTrajectory:
             assert traj.value(j) == math.exp(grid.point(j))
         assert traj.value(-10) == math.exp(-1.0)
         assert traj.value(0) == 1.0
-        assert traj.last == 0
+        assert traj.last_index == 0
 
     def test_shifted_exponential_history_starts_at_e(self):
         problem = make_problem(lambda x: math.exp(x + 1.0))
@@ -142,7 +142,7 @@ class TestTrajectory:
         traj = init_trajectory(make_problem(math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
         traj.append(1.25)
         traj.append(1.5)
-        assert traj.last == 2
+        assert traj.last_index == 2
         assert traj.value(1) == 1.25
         assert traj.value(2) == 1.5
 
