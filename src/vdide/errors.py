@@ -54,12 +54,10 @@ class NonFiniteState(NumericalError):
     and x, the grid point x_j, when the error escapes it.
     """
 
-    def __init__(
-        self, message: str, step_index: int | None = None, x: float | None = None
-    ):
+    def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
-        self.x = x
+        self.x: float | None = None
 
 
 class NoConvergence(NumericalError):

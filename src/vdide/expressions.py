@@ -411,17 +411,6 @@ def _require_finite(value: float, expr: Expression) -> float:
     return value
 
 
-def _check_params(expr: Expression, params: tuple[str, ...]) -> None:
-    if not set(params) <= VARIABLES or len(set(params)) != len(params):
-        raise ValueError(f"params must be distinct names of VARIABLES, got {params!r}")
-    unbound = variables(expr) - set(params)
-    if unbound:
-        raise UnboundVariable(
-            f"variable(s) {', '.join(sorted(unbound))} are not among the "
-            f"parameters {', '.join(params)}"
-        )
-
-
 # Functions that map a non-finite argument to a finite value: exp(-inf) = 0
 # and tanh(+-inf) = +-1.  Every other function here returns inf or nan for
 # one, or raises ValueError.
@@ -452,7 +441,14 @@ def compile_expression(
     the tree reaches the source and the bytecode compiler folds nothing.
     params are names from VARIABLES and must cover every variable of expr.
     """
-    _check_params(expr, params)
+    if not set(params) <= VARIABLES or len(set(params)) != len(params):
+        raise ValueError(f"params must be distinct names of VARIABLES, got {params!r}")
+    unbound = variables(expr) - set(params)
+    if unbound:
+        raise UnboundVariable(
+            f"variable(s) {', '.join(sorted(unbound))} are not among the "
+            f"parameters {', '.join(params)}"
+        )
     bound: dict = {}
     body: list[str] = []
     bindings = ", ".join(f"{p!r}: {p}" for p in params)
@@ -561,9 +557,10 @@ def tiered(expr: Expression, params: tuple[str, ...]) -> Callable[..., float]:
     Its first COMPILE_AFTER calls run evaluate; the last of them compiles
     expr with compile_expression, and every later call runs the compiled
     function.  Values and DomainError text are the same on every call.
-    Arguments are positional.
+    Arguments are positional.  params are not checked here, since the
+    config they come from checks every slot's variables; compile_expression
+    checks them again before any source is built.
     """
-    _check_params(expr, params)
     return _TIERS[len(params)](expr, params, COMPILE_AFTER)
 
 

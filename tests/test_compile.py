@@ -95,10 +95,12 @@ def test_no_tree_text_reaches_the_source():
 
 
 # Leaves hold ordinary values and the values that make operations leave the
-# domain or overflow; bindings add inf and nan, which evaluate passes through
-# a leaf unchecked.
+# domain or overflow, HUGE ones drawn more often; bindings add inf and nan,
+# which evaluate passes through a leaf unchecked.
 NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.5, 1e-300, 1e200, -1e200, 1e308]
+HUGE = [1e200, -1e200, 1e308]
 BINDING_VALUES = st.one_of(
+    st.sampled_from(HUGE),
     st.sampled_from(NUMBERS + [math.inf, -math.inf, math.nan]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
@@ -106,6 +108,7 @@ PARAMS = ("x", "t", "u", "v")
 
 leaves = st.one_of(
     st.sampled_from(NUMBERS).map(Num),
+    st.sampled_from(HUGE).map(Num),
     st.sampled_from(["e", "pi"]).map(Const),
     st.sampled_from(PARAMS).map(Var),
 )
@@ -116,12 +119,28 @@ trees = st.recursive(
         st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
         st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
     ),
-    max_leaves=12,
+    max_leaves=5,
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(trees, st.tuples(*[BINDING_VALUES] * len(PARAMS)))
+# A node that can hide a non-finite operand, over an operand that can
+# overflow to inf without raising, so that each check compile_expression
+# places is exercised often.
+overflowing = st.builds(BinOp, st.sampled_from("*+-/"), trees, trees)
+hiding_trees = st.one_of(
+    st.builds(BinOp, st.just("/"), trees, overflowing),
+    st.builds(BinOp, st.just("^"), overflowing, trees),
+    st.builds(BinOp, st.just("^"), trees, overflowing),
+    st.builds(Call, st.sampled_from(["exp", "tanh"]), overflowing),
+    st.builds(Call, st.sampled_from(["exp", "tanh"]), overflowing.map(Neg)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(trees, overflowing, hiding_trees),
+    st.tuples(*[BINDING_VALUES] * len(PARAMS)),
+)
 def test_generated_trees_compile_like_evaluate(tree, values):
     assert_compiles_like_evaluate(tree, dict(zip(PARAMS, values)))
 
