@@ -502,8 +502,10 @@ def compile_expression(
     ]
     namespace = {"_evaluate": evaluate, "_isfinite": math.isfinite, "_tree": expr}
     namespace.update(bound)
-    exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace)
-    return namespace["_compiled"]
+    # defined into its own dict, so its globals do not hold it in a cycle
+    defined: dict = {}
+    exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace, defined)
+    return defined["_compiled"]
 
 
 # Calls a tiered function walks the tree before it compiles.  Compiling costs
@@ -511,25 +513,25 @@ def compile_expression(
 # calls or fewer, as set-up and short solves are, never pays for it.
 COMPILE_AFTER = 128
 
-# The tier for one number of parameters.  Both of its functions take their
-# arguments by position, as *args would, but without building a tuple, and
-# the bindings dict is a display, not dict(zip(...)): on the warm path those
-# two cost about a third of a short tree walk.
+# The tier for one number of parameters.  Its function takes the arguments
+# by position, as *args would, but without building a tuple, and the
+# bindings dict is a display, not dict(zip(...)): on the warm path those two
+# cost about a third of a short tree walk.  No object of a tier refers back
+# to itself, so a dropped problem is freed at once, not by the cycle
+# collector.
 _TIER_SOURCE = """\
 def tier(expr, params, remaining):
     [{keys}] = params
-
-    def warm({args}):
-        nonlocal remaining, target
-        remaining -= 1
-        if remaining <= 0:
-            target = compile_expression(expr, params)
-        return evaluate(expr, {{{bindings}}})
-
-    target = warm
+    compiled = None
 
     def call({args}):
-        return target({args})
+        nonlocal remaining, compiled
+        if compiled is not None:
+            return compiled({args})
+        remaining -= 1
+        if remaining <= 0:
+            compiled = compile_expression(expr, params)
+        return evaluate(expr, {{{bindings}}})
 
     return call
 """
