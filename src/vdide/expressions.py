@@ -502,10 +502,8 @@ def compile_expression(
     ]
     namespace = {"_evaluate": evaluate, "_isfinite": math.isfinite, "_tree": expr}
     namespace.update(bound)
-    # defined into its own dict, so its globals do not hold it in a cycle
-    defined: dict = {}
-    exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace, defined)
-    return defined["_compiled"]
+    exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace)
+    return namespace["_compiled"]
 
 
 # Calls a tiered function walks the tree before it compiles.  Compiling costs
@@ -516,9 +514,9 @@ COMPILE_AFTER = 128
 # The tier for one number of parameters.  Its function takes the arguments
 # by position, as *args would, but without building a tuple, and the
 # bindings dict is a display, not dict(zip(...)): on the warm path those two
-# cost about a third of a short tree walk.  No object of a tier refers back
-# to itself, so a dropped problem is freed at once, not by the cycle
-# collector.
+# cost about a third of a short tree walk.  A tier that has not compiled
+# holds no reference cycle, so a problem dropped during set-up is freed at
+# once, not by the cycle collector.
 _TIER_SOURCE = """\
 def tier(expr, params, remaining):
     [{keys}] = params
