@@ -557,9 +557,9 @@ def tiered(expr: Expression, params: tuple[str, ...]) -> Callable[..., float]:
     Its first COMPILE_AFTER calls run evaluate; the last of them compiles
     expr with compile_expression, and every later call runs the compiled
     function.  Values and DomainError text are the same on every call.
-    Arguments are positional.  params are not checked here, since the
-    config they come from checks every slot's variables; compile_expression
-    checks them again before any source is built.
+    Arguments are positional.  params are not checked here: a config has
+    already checked each slot's variables, and compile_expression checks
+    params before it builds any source.
     """
     return _TIERS[len(params)](expr, params, COMPILE_AFTER)
 
