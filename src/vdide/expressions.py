@@ -436,10 +436,12 @@ def compile_expression(
     which raises the reference DomainError, so the message is identical by
     construction.
 
-    Numbers, constants and functions enter the source only as generated
-    names (_c0, _f1, ...) bound in the function's globals, so no text of
-    the tree reaches the source and the bytecode compiler folds nothing.
-    params are names from VARIABLES and must cover every variable of expr.
+    Each operation gets its own line and local, so the source never nests
+    however deep the tree is.  Numbers, constants and functions enter the
+    source only as generated names (_c0, _f1, ...) bound in the function's
+    globals, so no text of the tree reaches the source and the bytecode
+    compiler folds nothing.  params are names from VARIABLES and must cover
+    every variable of expr.
     """
     if not set(params) <= VARIABLES or len(set(params)) != len(params):
         raise ValueError(f"params must be distinct names of VARIABLES, got {params!r}")
@@ -460,15 +462,13 @@ def compile_expression(
         return name
 
     def checked(node: Expression) -> str:
-        source = emit(node)
-        if isinstance(node, (Num, Const, Var)):
-            return source
-        name = f"_v{len(body)}"
-        body.append(f"{name} = {source}")
-        body.append(f"if not _isfinite({name}): {fallback}")
+        name = emit(node)
+        if not isinstance(node, (Num, Const, Var)):
+            body.append(f"if not _isfinite({name}): {fallback}")
         return name
 
     def emit(node: Expression) -> str:
+        """The name holding node's value, after the lines that compute it."""
         if isinstance(node, Num):
             return bind("_c", node.value)
         if isinstance(node, Const):
@@ -476,18 +476,22 @@ def compile_expression(
         if isinstance(node, Var):
             return node.name
         if isinstance(node, Neg):
-            return f"(-{emit(node.operand)})"
-        if isinstance(node, Call):
+            source = f"-{emit(node.operand)}"
+        elif isinstance(node, Call):
             hides = node.func in _HIDING_FUNCTIONS
             arg = checked(node.arg) if hides else emit(node.arg)
-            return f"{bind('_f', FUNCTIONS[node.func])}({arg})"
-        if node.op == "^":
+            source = f"{bind('_f', FUNCTIONS[node.func])}({arg})"
+        elif node.op == "^":
             base = checked(node.left)
-            return f"{bind('_f', math.pow)}({base}, {checked(node.right)})"
-        if node.op == "/":
+            source = f"{bind('_f', math.pow)}({base}, {checked(node.right)})"
+        elif node.op == "/":
             left = emit(node.left)
-            return f"({left} / {checked(node.right)})"
-        return f"({emit(node.left)} {node.op} {emit(node.right)})"
+            source = f"{left} / {checked(node.right)}"
+        else:
+            source = f"{emit(node.left)} {node.op} {emit(node.right)}"
+        name = f"_v{len(body)}"
+        body.append(f"{name} = {source}")
+        return name
 
     result = emit(expr)
     lines = [f"def _compiled({', '.join(params)}):", "    try:"]
@@ -504,64 +508,6 @@ def compile_expression(
     namespace.update(bound)
     exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace)
     return namespace["_compiled"]
-
-
-# Calls a tiered function walks the tree before it compiles.  Compiling costs
-# about as much as a hundred tree walks, so a problem used for a few hundred
-# calls or fewer, as set-up and short solves are, never pays for it.
-COMPILE_AFTER = 128
-
-# The tier for one number of parameters.  Its function takes the arguments
-# by position, as *args would, but without building a tuple, and the
-# bindings dict is a display, not dict(zip(...)): on the warm path those two
-# cost about a third of a short tree walk.  A tier that has not compiled
-# holds no reference cycle, so a problem dropped during set-up is freed at
-# once, not by the cycle collector.
-_TIER_SOURCE = """\
-def tier(expr, params, remaining):
-    [{keys}] = params
-    compiled = None
-
-    def call({args}):
-        nonlocal remaining, compiled
-        if compiled is not None:
-            return compiled({args})
-        remaining -= 1
-        if remaining <= 0:
-            compiled = compile_expression(expr, params)
-        return evaluate(expr, {{{bindings}}})
-
-    return call
-"""
-
-
-def _tier_factory(arity: int):
-    args = [f"a{i}" for i in range(arity)]
-    keys = [f"k{i}" for i in range(arity)]
-    source = _TIER_SOURCE.format(
-        keys="".join(f"{k}, " for k in keys),
-        args=", ".join(args),
-        bindings=", ".join(f"{k}: {a}" for k, a in zip(keys, args)),
-    )
-    namespace = {"compile_expression": compile_expression, "evaluate": evaluate}
-    exec(compile(source, "<vdide tier>", "exec"), namespace)
-    return namespace["tier"]
-
-
-_TIERS = [_tier_factory(arity) for arity in range(len(VARIABLES) + 1)]
-
-
-def tiered(expr: Expression, params: tuple[str, ...]) -> Callable[..., float]:
-    """A function f with f(*args) == evaluate(expr, dict(zip(params, args))).
-
-    Its first COMPILE_AFTER calls run evaluate; the last of them compiles
-    expr with compile_expression, and every later call runs the compiled
-    function.  Values and DomainError text are the same on every call.
-    Arguments are positional.  params are not checked here: a config has
-    already checked each slot's variables, and compile_expression checks
-    params before it builds any source.
-    """
-    return _TIERS[len(params)](expr, params, COMPILE_AFTER)
 
 
 # Binding strength used when deciding where unparse needs parentheses.

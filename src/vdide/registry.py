@@ -28,21 +28,94 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
-from .expressions import parse, tiered, variables, x_rate
+from .expressions import compile_expression, evaluate, parse, variables, x_rate
 from .problem import DelayProblem
 
 _REQUIRED_KEYS = ("name", "g", "K", "phi", "tau", "x0", "X")
 _OPTIONAL_KEYS = ("exact",)
 _FLOAT_KEYS = ("tau", "x0", "X")
 
-# Variables each expression slot is allowed to mention, in the order the
-# slot's function takes them.
+# Variables each expression slot is allowed to mention.
 SLOT_VARIABLES = {
-    "g": ("x", "u"),
-    "K": ("x", "t", "v"),
-    "phi": ("x",),
-    "exact": ("x",),
+    "g": frozenset({"x", "u"}),
+    "K": frozenset({"x", "t", "v"}),
+    "phi": frozenset({"x"}),
+    "exact": frozenset({"x"}),
 }
+
+
+# Calls a built expression walks its tree before it compiles.  Compiling
+# costs about as much as a hundred tree walks, so a problem used for a few
+# hundred calls or fewer, as set-up and short solves are, never pays for it.
+COMPILE_AFTER = 128
+
+
+def _compile(tree, params: tuple[str, ...]):
+    """compile_expression(tree, params), or None for a tree too deep to
+    compile from this call's stack; its slot function then keeps walking it.
+
+    compile_expression recurses a few frames deeper than evaluate, two per
+    level under exp, tanh and "^", so a long sum that evaluate can still
+    walk from inside a solve can exceed the recursion limit here.
+    """
+    try:
+        return compile_expression(tree, params)
+    except RecursionError:
+        return None
+
+
+# The slot functions of a built problem.  Each walks its tree with evaluate
+# for its first COMPILE_AFTER calls, the last of which compiles the tree once,
+# and runs the compiled function from then on, so values and DomainError text
+# are the same on every call.  They take their slot's variables by position
+# and build the bindings dict as a display: a *args function building it
+# with dict(zip(...)) measured about 25% slower on an example2 solve.
+def _tiered_g(tree):
+    compiled = None
+    calls = 0
+
+    def g(x: float, u: float) -> float:
+        nonlocal compiled, calls
+        if compiled is not None:
+            return compiled(x, u)
+        calls += 1
+        if calls == COMPILE_AFTER:
+            compiled = _compile(tree, ("x", "u"))
+        return evaluate(tree, {"x": x, "u": u})
+
+    return g
+
+
+def _tiered_kernel(tree):
+    compiled = None
+    calls = 0
+
+    def kernel(x: float, t: float, v: float) -> float:
+        nonlocal compiled, calls
+        if compiled is not None:
+            return compiled(x, t, v)
+        calls += 1
+        if calls == COMPILE_AFTER:
+            compiled = _compile(tree, ("x", "t", "v"))
+        return evaluate(tree, {"x": x, "t": t, "v": v})
+
+    return kernel
+
+
+def _tiered_x(tree):
+    compiled = None
+    calls = 0
+
+    def of_x(x: float) -> float:
+        nonlocal compiled, calls
+        if compiled is not None:
+            return compiled(x)
+        calls += 1
+        if calls == COMPILE_AFTER:
+            compiled = _compile(tree, ("x",))
+        return evaluate(tree, {"x": x})
+
+    return of_x
 
 
 @dataclass(frozen=True)
@@ -61,9 +134,9 @@ class ProblemConfig:
     def build(self) -> DelayProblem:
         """Parse and validate the expressions and wrap them in a DelayProblem.
 
-        g, kernel, history and exact are expressions.tiered functions: they
-        walk the tree for their first COMPILE_AFTER calls and run compiled
-        Python after that, with the same values and DomainError text.
+        g, kernel, history and exact walk their trees for their first
+        COMPILE_AFTER calls and run compiled Python after that, with the
+        same values and DomainError text.
         """
         trees = {}
         for slot in ("g", "K", "phi", "exact"):
@@ -71,7 +144,7 @@ class ProblemConfig:
             if text is None:
                 continue
             tree = parse(text)
-            stray = variables(tree).difference(SLOT_VARIABLES[slot])
+            stray = variables(tree) - SLOT_VARIABLES[slot]
             if stray:
                 names = ", ".join(sorted(stray))
                 allowed = ", ".join(sorted(SLOT_VARIABLES[slot]))
@@ -81,15 +154,15 @@ class ProblemConfig:
                 )
             trees[slot] = tree
 
-        funcs = {s: tiered(tree, SLOT_VARIABLES[s]) for s, tree in trees.items()}
+        exact_tree = trees.get("exact")
         return DelayProblem(
-            g=funcs["g"],
-            kernel=funcs["K"],
-            history=funcs["phi"],
+            g=_tiered_g(trees["g"]),
+            kernel=_tiered_kernel(trees["K"]),
+            history=_tiered_x(trees["phi"]),
             tau=self.tau,
             x0=self.x0,
             x_end=self.X,
-            exact=funcs.get("exact"),
+            exact=None if exact_tree is None else _tiered_x(exact_tree),
             kernel_x_rate=x_rate(trees["K"], self.X - self.x0),
         )
 

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DOMAIN_ERROR_CASES, EVAL_CASES
+from vdide import registry
+from vdide.cli import main
 from vdide.expressions import (
-    COMPILE_AFTER,
     FUNCTIONS,
     BinOp,
     Call,
@@ -29,7 +30,7 @@ from vdide.expressions import (
     parse,
 )
 from vdide.problem import build_grid
-from vdide.registry import parse_config_text
+from vdide.registry import COMPILE_AFTER, parse_config_text
 from vdide.oracle import solve_implicit
 from vdide.stepper import solve
 
@@ -85,6 +86,17 @@ def test_params_must_cover_the_tree():
         compile_expression(parse("x"), ("x", "x"))
     with pytest.raises(ValueError):
         compile_expression(parse("x"), ("x", "y"))
+
+
+# A left-associative sum is a tree as deep as it is long; its compiled
+# source must not nest with it, or CPython refuses more than 200 levels of
+# parentheses.
+LONG_SUM = " + ".join(["x"] * 299 + ["u"])
+
+
+def test_a_long_sum_compiles_like_evaluate():
+    assert_compiles_like_evaluate(parse(LONG_SUM), {"x": 0.25, "u": -3.0})
+    assert_compiles_like_evaluate(parse(LONG_SUM), {"x": 1e306, "u": 0.0})
 
 
 def test_no_tree_text_reaches_the_source():
@@ -188,3 +200,47 @@ def test_a_solve_failing_on_compiled_code_reports_what_evaluate_would(run):
     assert failures[0] == failures[1]
     assert failures[0][1:] == (199, 1.99)
     assert "log(2.0 - x)" in failures[0][0]
+
+
+def test_tier_matches_evaluate_on_a_long_sum():
+    g = tier_problem(LONG_SUM).g
+    tree = parse(LONG_SUM)
+    for call in range(1, COMPILE_AFTER + 6):
+        # every third call the sum overflows part way, at about 180 terms
+        x, u = (1e306, 0.0) if call % 3 == 0 else (call * 0.125, -call * 0.5)
+        assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
+
+
+def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
+    capsys, tmp_path, monkeypatch
+):
+    # 80 steps call g 240 times, so g compiles part way; a solve whose g
+    # never compiles prints the reference output
+    config = tmp_path / "long.cfg"
+    config.write_text(
+        f"name = long\ng = {LONG_SUM}\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 0.5\n"
+    )
+    outputs = []
+    for compile_after in (COMPILE_AFTER, 10**9):
+        monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
+        code = main(["solve", "--problem", str(config), "--h", "0.00625"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_tree_too_deep_to_compile_keeps_walking(monkeypatch):
+    attempts = []
+
+    def too_deep(tree, params):
+        attempts.append(params)
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(registry, "compile_expression", too_deep)
+    g = tier_problem().g
+    tree = parse("log(u) + x")
+    for call in range(1, COMPILE_AFTER + 6):
+        x, u = call * 0.125, (-1.0 if call % 3 == 0 else call * 0.5)
+        assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
+    assert attempts == [("x", "u")]
