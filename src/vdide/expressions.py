@@ -116,34 +116,29 @@ class Call:
 Expression = Union[Num, Const, Var, Neg, BinOp, Call]
 
 
+# Every token starts with a non-whitespace character, and every such
+# character starts a match: a number, a name, an operator, or else "bad",
+# the one character that starts no token.  finditer therefore steps over
+# exactly the characters str.isspace accepts, which \S excludes.
 _TOKEN_RE = re.compile(
     r"""(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/^()])""",
+      | (?P<op>[-+*/^()])
+      | (?P<bad>\S)""",
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "name", "op", or "end"
-    text: str
-    offset: int
+# A token is a plain (kind, text, offset) tuple: kind is "number", "name",
+# "op" or, last in every token list, "end" with empty text.
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, token_text, offset in tokens:
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {token_text!r}", offset)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -152,39 +147,35 @@ class _Parser:
         self._tokens = tokens
         self._i = 0
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._i]
-
     def _advance(self) -> _Token:
         tok = self._tokens[self._i]
         self._i += 1
         return tok
 
     def _at_op(self, *ops: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "op" and tok.text in ops
+        kind, text, _ = self._tokens[self._i]
+        return kind == "op" and text in ops
 
     def parse(self) -> Expression:
         node = self._expr()
-        tok = self._peek()
-        if tok.kind != "end":
+        kind, text, offset = self._tokens[self._i]
+        if kind != "end":
             raise ExpressionSyntaxError(
-                f"expected an operator or end of input, found {tok.text!r}",
-                tok.offset,
+                f"expected an operator or end of input, found {text!r}", offset
             )
         return node
 
     def _expr(self) -> Expression:
         node = self._term()
         while self._at_op("+", "-"):
-            op = self._advance().text
+            op = self._advance()[1]
             node = BinOp(op, node, self._term())
         return node
 
     def _term(self) -> Expression:
         node = self._unary()
         while self._at_op("*", "/"):
-            op = self._advance().text
+            op = self._advance()[1]
             node = BinOp(op, node, self._unary())
         return node
 
@@ -203,43 +194,42 @@ class _Parser:
         return base
 
     def _expect_closing_paren(self) -> None:
-        tok = self._advance()
-        if not (tok.kind == "op" and tok.text == ")"):
-            found = tok.text if tok.kind != "end" else "end of input"
-            raise ExpressionSyntaxError(f"expected ')', found {found!r}", tok.offset)
+        kind, text, offset = self._advance()
+        if not (kind == "op" and text == ")"):
+            found = text if kind != "end" else "end of input"
+            raise ExpressionSyntaxError(f"expected ')', found {found!r}", offset)
 
     def _atom(self) -> Expression:
-        tok = self._advance()
-        if tok.kind == "number":
-            return Num(float(tok.text))
-        if tok.kind == "op" and tok.text == "(":
+        kind, text, offset = self._advance()
+        if kind == "number":
+            return Num(float(text))
+        if kind == "op" and text == "(":
             node = self._expr()
             self._expect_closing_paren()
             return node
-        if tok.kind == "name":
+        if kind == "name":
             if self._at_op("("):
-                if tok.text not in FUNCTIONS:
+                if text not in FUNCTIONS:
                     known = ", ".join(sorted(FUNCTIONS))
                     raise UnknownFunction(
-                        f"unknown function {tok.text!r}; available: {known}",
-                        tok.offset,
+                        f"unknown function {text!r}; available: {known}", offset
                     )
                 self._advance()
                 arg = self._expr()
                 self._expect_closing_paren()
-                return Call(tok.text, arg)
-            if tok.text in VARIABLES:
-                return Var(tok.text)
-            if tok.text in CONSTANTS:
-                return Const(tok.text)
+                return Call(text, arg)
+            if text in VARIABLES:
+                return Var(text)
+            if text in CONSTANTS:
+                return Const(text)
             raise UnknownVariable(
-                f"unknown variable {tok.text!r}; variables are x, t, u, v "
+                f"unknown variable {text!r}; variables are x, t, u, v "
                 "and constants e, pi",
-                tok.offset,
+                offset,
             )
-        found = tok.text if tok.kind != "end" else "end of input"
+        found = text if kind != "end" else "end of input"
         raise ExpressionSyntaxError(
-            f"expected a number, name, '-', or '(', found {found!r}", tok.offset
+            f"expected a number, name, '-', or '(', found {found!r}", offset
         )
 
 

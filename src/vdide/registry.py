@@ -8,12 +8,13 @@ hatches: blank lines and lines starting with # are ignored.  Keys:
     K      expression in x, t, v for the kernel; v is the delayed state
     phi    expression in x for the history segment
     exact  expression in x for the known solution (optional)
-    tau    positive float, the delay
-    x0     float, left end of the integration interval
-    X      float, right end; X > x0
+    tau    positive finite float, the delay
+    x0     finite float, left end of the integration interval
+    X      finite float, right end; X > x0
 
 Each expression slot admits only its own variables, checked at load time so
-a misplaced name fails before any solve starts.
+a misplaced name fails before any solve starts.  A config parses each
+expression once: loading parses and checks it, and build reuses the tree.
 
 Two problems ship built in.  Both live on [0, 1] with tau = 1, so the whole
 solve runs inside the first delay interval and every delayed lookup reads
@@ -23,8 +24,10 @@ the delayed state, with solution e^(x+1).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import ConfigError
@@ -131,20 +134,26 @@ class ProblemConfig:
     X: float
     exact: Optional[str] = None
 
-    def build(self) -> DelayProblem:
-        """Parse and validate the expressions and wrap them in a DelayProblem.
+    @cached_property
+    def _trees(self) -> dict:
+        """Slot name -> parsed tree of each expression slot given.
 
-        g, kernel, history and exact walk their trees for their first
-        COMPILE_AFTER calls and run compiled Python after that, with the
-        same values and DomainError text.
+        Each expression is parsed and checked against its slot's variables
+        on the first use and never again for this config.
         """
         trees = {}
         for slot in ("g", "K", "phi", "exact"):
             text = getattr(self, slot)
             if text is None:
                 continue
-            tree = parse(text)
-            stray = variables(tree) - SLOT_VARIABLES[slot]
+            try:
+                tree = parse(text)
+                stray = variables(tree) - SLOT_VARIABLES[slot]
+            except RecursionError:
+                raise ConfigError(
+                    f"{slot}: the expression nests too deeply to load "
+                    f"({len(text)} characters)"
+                ) from None
             if stray:
                 names = ", ".join(sorted(stray))
                 allowed = ", ".join(sorted(SLOT_VARIABLES[slot]))
@@ -153,7 +162,24 @@ class ProblemConfig:
                     f"slot only admits {allowed}"
                 )
             trees[slot] = tree
+        return trees
 
+    def build(self) -> DelayProblem:
+        """Wrap the expressions in a DelayProblem.
+
+        The expressions are parsed and slot-checked once per config: a
+        config from parse_config_text was checked at load, and later builds
+        of the same config reuse its trees.  g, kernel, history and exact
+        walk their trees for their first COMPILE_AFTER calls and run
+        compiled Python after that, with the same values and DomainError
+        text.  A kernel too deep for x_rate to inspect gets
+        kernel_x_rate None, the direct row path.
+        """
+        trees = self._trees
+        try:
+            rate = x_rate(trees["K"], self.X - self.x0)
+        except RecursionError:
+            rate = None
         exact_tree = trees.get("exact")
         return DelayProblem(
             g=_tiered_g(trees["g"]),
@@ -163,7 +189,7 @@ class ProblemConfig:
             x0=self.x0,
             x_end=self.X,
             exact=None if exact_tree is None else _tiered_x(exact_tree),
-            kernel_x_rate=x_rate(trees["K"], self.X - self.x0),
+            kernel_x_rate=rate,
         )
 
     def to_text(self) -> str:
@@ -183,11 +209,14 @@ class ProblemConfig:
 
 
 def parse_config_text(text: str) -> ProblemConfig:
-    """Parse config file contents into a ProblemConfig.
+    """Parse config file contents into a ProblemConfig, checked in full.
 
-    Unknown, duplicate, or missing keys are ConfigErrors; expression slots
-    are parsed and slot-checked immediately via build, so a bad config never
-    survives loading.
+    Each of these is a ConfigError at load: an unknown, duplicate or missing
+    key; a tau, x0 or X that is not a finite number; tau <= 0, X <= x0 or
+    an X - x0 too large to be finite; an expression that uses a variable
+    its slot does not admit or nests too deeply for Python's recursion
+    limit.  A malformed expression raises its own ExpressionError.  The
+    expressions are parsed here, once, and build() reuses the trees.
     """
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,14 +245,27 @@ def parse_config_text(text: str) -> ProblemConfig:
         fields[key] = seen[key]
     for key in _FLOAT_KEYS:
         try:
-            fields[key] = float(seen[key])
+            number = float(seen[key])
         except ValueError:
             raise ConfigError(
                 f"key {key!r} must be a number, got {seen[key]!r}"
             ) from None
+        if not math.isfinite(number):
+            raise ConfigError(f"key {key!r} must be finite, got {seen[key]!r}")
+        fields[key] = number
+    if not fields["tau"] > 0:
+        raise ConfigError(f"tau must be positive, got {fields['tau']!r}")
+    if not fields["X"] > fields["x0"]:
+        raise ConfigError(
+            f"X must exceed x0, got x0 = {fields['x0']!r}, X = {fields['X']!r}"
+        )
+    if not math.isfinite(fields["X"] - fields["x0"]):
+        raise ConfigError(
+            f"X - x0 must be finite, got x0 = {fields['x0']!r}, X = {fields['X']!r}"
+        )
 
     config = ProblemConfig(**fields)
-    config.build()  # validates expressions and slot variables
+    config._trees  # parses and slot-checks the expressions
     return config
 
 

@@ -6,11 +6,20 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from hypothesis import strategies as st
+
 from vdide import DelayProblem
 from vdide.expressions import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Const,
     ExpressionSyntaxError,
+    Neg,
+    Num,
     UnknownFunction,
     UnknownVariable,
+    Var,
 )
 
 # ---------------------------------------------------------------------------
@@ -187,6 +196,57 @@ PARSE_ERROR_CASES = [
     ("exp()", ExpressionSyntaxError),
     ("exp(x, t)", ExpressionSyntaxError),
     ("x + (t))", ExpressionSyntaxError),
+    ("x +\t@", ExpressionSyntaxError),
+    ("x\xa0\xa0?", ExpressionSyntaxError),
+    ("x\n+\n", ExpressionSyntaxError),
+    ("\t\u3000$", ExpressionSyntaxError),
+    ("2 .", ExpressionSyntaxError),
+    ("1e", ExpressionSyntaxError),
+    ("exp (x) ~", ExpressionSyntaxError),
+]
+
+_KNOWN_NAMES = "variables are x, t, u, v and constants e, pi"
+_KNOWN_FUNCTIONS = "available: abs, cos, cosh, exp, log, sin, sinh, sqrt, tanh"
+_OPERAND = "expected a number, name, '-', or '('"
+_OPERATOR = "expected an operator or end of input"
+
+# The full message, offset included, of each PARSE_ERROR_CASES failure.
+PARSE_ERROR_MESSAGES = {
+    "(a)": f"unknown variable 'a'; {_KNOWN_NAMES} (at offset 1)",
+    "w^2": f"unknown variable 'w'; {_KNOWN_NAMES} (at offset 0)",
+    "x + y": f"unknown variable 'y'; {_KNOWN_NAMES} (at offset 4)",
+    "foo(x)": f"unknown function 'foo'; {_KNOWN_FUNCTIONS} (at offset 0)",
+    "sine(x)": f"unknown function 'sine'; {_KNOWN_FUNCTIONS} (at offset 0)",
+    "2x": f"{_OPERATOR}, found 'x' (at offset 1)",
+    "x 2": f"{_OPERATOR}, found '2' (at offset 2)",
+    "1 +": f"{_OPERAND}, found 'end of input' (at offset 3)",
+    "(1": "expected ')', found 'end of input' (at offset 2)",
+    ")": f"{_OPERAND}, found ')' (at offset 0)",
+    "": f"{_OPERAND}, found 'end of input' (at offset 0)",
+    "   ": f"{_OPERAND}, found 'end of input' (at offset 3)",
+    "*x": f"{_OPERAND}, found '*' (at offset 0)",
+    "1 ? 2": "unexpected character '?' (at offset 2)",
+    "exp()": f"{_OPERAND}, found ')' (at offset 4)",
+    "exp(x, t)": "unexpected character ',' (at offset 5)",
+    "x + (t))": f"{_OPERATOR}, found ')' (at offset 7)",
+    "x +\t@": "unexpected character '@' (at offset 4)",
+    "x\xa0\xa0?": "unexpected character '?' (at offset 3)",
+    "x\n+\n": f"{_OPERAND}, found 'end of input' (at offset 4)",
+    "\t\u3000$": "unexpected character '$' (at offset 2)",
+    "2 .": "unexpected character '.' (at offset 2)",
+    "1e": f"{_OPERATOR}, found 'e' (at offset 1)",
+    "exp (x) ~": "unexpected character '~' (at offset 8)",
+}
+
+# (text, the same expression without unusual whitespace) pairs: tab,
+# non-breaking and other Unicode spaces, and newlines separate tokens and
+# may lead or trail.
+WHITESPACE_CASES = [
+    ("x\t+\tu", "x + u"),
+    ("x\xa0*\xa02", "x*2"),
+    ("exp(x)\n", "exp(x)"),
+    (" \tx + 1\n\n", "x + 1"),
+    ("\u3000x\u2003-\u2009t\r\n", "x - t"),
 ]
 
 # (text, bindings) pairs that must raise DomainError when evaluated.
@@ -201,6 +261,28 @@ DOMAIN_ERROR_CASES = [
     ("x*x", {"x": 1e200}),
 ]
 
+
+# Random expression trees.  Leaves hold ordinary values and the values that
+# make operations leave the domain or overflow, HUGE ones drawn more often.
+NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.5, 1e-300, 1e200, -1e200, 1e308]
+HUGE = [1e200, -1e200, 1e308]
+PARAMS = ("x", "t", "u", "v")
+
+leaves = st.one_of(
+    st.sampled_from(NUMBERS).map(Num),
+    st.sampled_from(HUGE).map(Num),
+    st.sampled_from(["e", "pi"]).map(Const),
+    st.sampled_from(PARAMS).map(Var),
+)
+trees = st.recursive(
+    leaves,
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+    ),
+    max_leaves=5,
+)
 
 # ---------------------------------------------------------------------------
 # The iterative series of Daftardar-Gejji and Jafari (J. Math. Anal. Appl.

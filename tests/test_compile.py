@@ -12,19 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DOMAIN_ERROR_CASES, EVAL_CASES
+from helpers import DOMAIN_ERROR_CASES, EVAL_CASES, HUGE, NUMBERS, PARAMS, trees
 from vdide import registry
 from vdide.cli import main
 from vdide.expressions import (
-    FUNCTIONS,
     BinOp,
     Call,
-    Const,
     DomainError,
     Neg,
-    Num,
     UnboundVariable,
-    Var,
     compile_expression,
     evaluate,
     parse,
@@ -106,32 +102,12 @@ def test_no_tree_text_reaches_the_source():
     assert not any(isinstance(c, float) for c in compiled.__code__.co_consts)
 
 
-# Leaves hold ordinary values and the values that make operations leave the
-# domain or overflow, HUGE ones drawn more often; bindings add inf and nan,
-# which evaluate passes through a leaf unchecked.
-NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.5, 1e-300, 1e200, -1e200, 1e308]
-HUGE = [1e200, -1e200, 1e308]
+# Bindings add inf and nan to the leaf values, which evaluate passes through
+# a leaf unchecked.
 BINDING_VALUES = st.one_of(
     st.sampled_from(HUGE),
     st.sampled_from(NUMBERS + [math.inf, -math.inf, math.nan]),
     st.floats(allow_nan=True, allow_infinity=True),
-)
-PARAMS = ("x", "t", "u", "v")
-
-leaves = st.one_of(
-    st.sampled_from(NUMBERS).map(Num),
-    st.sampled_from(HUGE).map(Num),
-    st.sampled_from(["e", "pi"]).map(Const),
-    st.sampled_from(PARAMS).map(Var),
-)
-trees = st.recursive(
-    leaves,
-    lambda sub: st.one_of(
-        sub.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
-        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
-    ),
-    max_leaves=5,
 )
 
 

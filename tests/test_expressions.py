@@ -1,12 +1,17 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     DOMAIN_ERROR_CASES,
     EVAL_CASES,
     PARSE_ERROR_CASES,
+    PARSE_ERROR_MESSAGES,
     ROUND_TRIP_ONLY,
+    WHITESPACE_CASES,
+    trees,
 )
 from vdide.expressions import (
     BinOp,
@@ -47,10 +52,42 @@ def test_round_trip_preserves_value(text, bindings, expected):
     assert evaluate(parse(rendered), bindings) == expected
 
 
+def as_parsed(tree):
+    """The tree parse builds for unparse(tree).
+
+    The grammar has no negative literals, so a number with its sign bit set
+    comes back as the negation of its magnitude; everything else is kept.
+    """
+    if isinstance(tree, Num):
+        if math.copysign(1.0, tree.value) < 0:
+            return Neg(Num(-tree.value))
+        return tree
+    if isinstance(tree, Neg):
+        return Neg(as_parsed(tree.operand))
+    if isinstance(tree, BinOp):
+        return BinOp(tree.op, as_parsed(tree.left), as_parsed(tree.right))
+    if isinstance(tree, Call):
+        return Call(tree.func, as_parsed(tree.arg))
+    return tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(trees.map(as_parsed))
+def test_generated_trees_round_trip(tree):
+    assert parse(unparse(tree)) == tree
+
+
 @pytest.mark.parametrize("text,exc_type", PARSE_ERROR_CASES)
 def test_parse_errors(text, exc_type):
-    with pytest.raises(exc_type):
+    with pytest.raises(exc_type) as info:
         parse(text)
+    assert str(info.value) == PARSE_ERROR_MESSAGES[text]
+    assert str(info.value).endswith(f"(at offset {info.value.offset})")
+
+
+@pytest.mark.parametrize("text,plain", WHITESPACE_CASES)
+def test_any_whitespace_separates_tokens(text, plain):
+    assert parse(text) == parse(plain)
 
 
 @pytest.mark.parametrize("text,bindings", DOMAIN_ERROR_CASES)

@@ -3,9 +3,26 @@ import math
 import pytest
 
 from vdide import FirstStepMode, build_grid, builtin_problem, parse_config_text, solve
+from vdide import registry
+from vdide.cli import main
 from vdide.errors import ConfigError
 from vdide.expressions import UnknownVariable
-from vdide.registry import builtin_names, load_config, resolve_problem
+from vdide.registry import ProblemConfig, builtin_names, load_config, resolve_problem
+
+
+def config_text(**changes):
+    fields = {
+        "name": "a",
+        "g": "-u",
+        "K": "v",
+        "phi": "1",
+        "exact": "1",
+        "tau": "1",
+        "x0": "0",
+        "X": "1",
+    }
+    fields.update(changes)
+    return "".join(f"{k} = {v}\n" for k, v in fields.items())
 
 
 class TestBuiltins:
@@ -213,3 +230,124 @@ class TestConfigText:
         assert resolve_problem(str(path)) == builtin_problem("example2")
         with pytest.raises(ConfigError):
             resolve_problem("no-such-problem")
+
+
+# (config changes, the ConfigError message) for numbers rejected at load.
+BAD_NUMBERS = [
+    ({"tau": "0"}, "tau must be positive, got 0.0"),
+    ({"tau": "-0.5"}, "tau must be positive, got -0.5"),
+    ({"tau": "nan"}, "key 'tau' must be finite, got 'nan'"),
+    ({"tau": "inf"}, "key 'tau' must be finite, got 'inf'"),
+    ({"x0": "nan"}, "key 'x0' must be finite, got 'nan'"),
+    ({"x0": "-inf"}, "key 'x0' must be finite, got '-inf'"),
+    ({"X": "inf"}, "key 'X' must be finite, got 'inf'"),
+    ({"X": "NaN"}, "key 'X' must be finite, got 'NaN'"),
+    ({"x0": "1"}, "X must exceed x0, got x0 = 1.0, X = 1.0"),
+    ({"x0": "2"}, "X must exceed x0, got x0 = 2.0, X = 1.0"),
+    (
+        {"x0": "-1e308", "X": "1e308"},
+        "X - x0 must be finite, got x0 = -1e+308, X = 1e+308",
+    ),
+]
+
+NUMBER_IDS = [",".join(f"{k}={v}" for k, v in c.items()) for c, _ in BAD_NUMBERS]
+
+
+# A left-associative sum is a tree as deep as it is long.
+DEEP_G = " + ".join(["u"] * 1500)
+
+
+class TestLoadTimeChecks:
+    @pytest.mark.parametrize("changes, message", BAD_NUMBERS, ids=NUMBER_IDS)
+    def test_bad_numbers_are_config_errors(self, changes, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(config_text(**changes))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("changes, message", BAD_NUMBERS, ids=NUMBER_IDS)
+    def test_solve_rejects_bad_numbers_with_exit_2(
+        self, capsys, tmp_path, changes, message
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config_text(**changes))
+        code = main(["solve", "--problem", str(path), "--h", "0.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"vdide: {message}\n")
+
+    @pytest.mark.parametrize(
+        "slot, text",
+        [("g", DEEP_G), ("phi", "(" * 300 + "x" + ")" * 300)],
+        ids=["g-long-sum", "phi-nested-parentheses"],
+    )
+    def test_an_expression_too_deep_to_load_is_a_config_error(self, slot, text):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(config_text(**{slot: text}))
+        assert str(info.value) == (
+            f"{slot}: the expression nests too deeply to load "
+            f"({len(text)} characters)"
+        )
+
+    def test_solve_rejects_an_expression_too_deep_to_load_with_exit_2(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "deep.cfg"
+        path.write_text(config_text(g=DEEP_G))
+        code = main(["solve", "--problem", str(path), "--h", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("vdide: g: the expression nests too deeply")
+
+    def test_a_kernel_too_deep_for_x_rate_takes_the_direct_row_path(self):
+        # x_rate recurses two frames per level of a sum, variables and
+        # evaluate one, so this kernel loads and solves but gets no rate
+        kernel = " + ".join(["v"] * 600)
+        problem = parse_config_text(config_text(K=kernel)).build()
+        assert problem.kernel_x_rate is None
+        assert problem.kernel(0.5, 0.25, 2.0) == 1200.0
+
+
+class TestParsedOnce:
+    def counted(self, monkeypatch):
+        """Count ProblemConfig.build calls and registry.parse calls per text."""
+        builds, parses = [], []
+        parse, build = registry.parse, ProblemConfig.build
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        def counting_build(config):
+            builds.append(config.name)
+            return build(config)
+
+        monkeypatch.setattr(registry, "parse", counting_parse)
+        monkeypatch.setattr(ProblemConfig, "build", counting_build)
+        return builds, parses
+
+    def test_load_and_build_parse_each_slot_once(self, monkeypatch):
+        builds, parses = self.counted(monkeypatch)
+        problem = parse_config_text(config_text(g="-u + x", K="v^2")).build()
+        assert problem.g(1.0, 2.0) == -1.0
+        assert builds == ["a"]
+        assert parses == ["-u + x", "v^2", "1", "1"]
+
+    def test_solve_from_a_file_parses_each_slot_once(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "toy.cfg"
+        path.write_text(config_text(g="-u + x", K="v^2", exact="exp(x)"))
+        builds, parses = self.counted(monkeypatch)
+        assert main(["solve", "--problem", str(path), "--h", "0.5"]) == 0
+        assert capsys.readouterr().err == ""
+        assert builds == ["a"]
+        assert parses == ["-u + x", "v^2", "1", "exp(x)"]
+
+    def test_a_config_built_twice_parses_once(self, monkeypatch):
+        config = ProblemConfig(
+            name="b", g="-u", K="v", phi="x", tau=1.0, x0=0.0, X=1.0
+        )
+        builds, parses = self.counted(monkeypatch)
+        config.build()
+        config.build()
+        assert builds == ["b", "b"]
+        assert parses == ["-u", "v", "x"]
