@@ -9,9 +9,14 @@ Subcommands:
     compare        explicit stepper next to the iterated implicit reference
     list-problems  show the built-in problem names
 
-Exit codes: 0 on success, 2 for usage and config problems (bad flags, bad
-config files, incommensurate grids), 3 for numerical failures (blow-up,
-stalled implicit iteration, evaluation leaving the real domain mid-solve).
+Exit codes, decided in main alone: 0 on success; 2 for usage and config
+problems (bad flags, bad config files, incommensurate grids, off-grid sample
+points, no order to fit), every ProblemSetupError, DegenerateError,
+ValueError, OSError and ExpressionError other than DomainError; 3 for
+numerical failures, a NumericalError (blow-up, stalled implicit iteration)
+or a DomainError (an expression leaving the real domain during a solve, or
+an exact solution doing so in table or order).  Any other exception is a bug
+and propagates.
 
 Numbers are printed with 17 significant digits so a round trip through text
 preserves the exact float.
@@ -21,19 +26,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .analysis import error_table, observed_order, order_study, timed_solve
-from .errors import (
-    DegenerateError,
-    NumericalError,
-    ProblemSetupError,
-    VdideError,
-)
-from .expressions import ExpressionError
+from .errors import DegenerateError, NumericalError, ProblemSetupError
+from .expressions import DomainError, ExpressionError
 from .oracle import OracleConfig, solve_implicit
-from .problem import DelayProblem, FirstStepMode, GridSpec, build_grid
-from .registry import ProblemConfig, builtin_names, builtin_problem, resolve_problem
+from .problem import FirstStepMode, build_grid
+from .registry import builtin_names, builtin_problem, resolve_problem
 from .stepper import solve
 
 USAGE_EXIT = 2
@@ -42,12 +42,6 @@ NUMERICAL_EXIT = 3
 # Default sample points for error tables; i/10 keeps them exactly the
 # doubles nearest 0.1 .. 1.0, which grid_index then matches.
 DEFAULT_TABLE_POINTS = [i / 10 for i in range(1, 11)]
-
-
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -60,46 +54,10 @@ def _parse_float_list(text: str) -> list[float]:
     return values
 
 
-def _load_problem(ref: str) -> tuple[ProblemConfig, DelayProblem]:
-    try:
-        config = resolve_problem(ref)
-        return config, config.build()
-    except (VdideError, OSError) as exc:
-        raise CliError(str(exc), USAGE_EXIT) from exc
-
-
-def _checked_grid(problem: DelayProblem, h: float) -> GridSpec:
-    try:
-        return build_grid(problem.x0, problem.x_end, problem.tau, h)
-    except (ProblemSetupError, ValueError) as exc:
-        raise CliError(str(exc), USAGE_EXIT) from exc
-
-
-def _run(step_fn: Callable, *args, **kwargs):
-    """Run a solve-phase callable, mapping failures to exit code 3.
-
-    A failure that carries the step j and grid point x_j it happened at
-    names both.
-    """
-    try:
-        return step_fn(*args, **kwargs)
-    except NumericalError as exc:
-        x = getattr(exc, "x", None)
-        where = "" if x is None else f" (x = {x:.17g})"
-        raise CliError(f"{exc}{where}", NUMERICAL_EXIT) from exc
-    except ExpressionError as exc:
-        step = getattr(exc, "step_index", None)
-        where = "" if step is None else f" at step {step} (x = {exc.x:.17g})"
-        raise CliError(
-            f"evaluation failed during solve{where}: {exc}", NUMERICAL_EXIT
-        ) from exc
-
-
 def _single_h(args: argparse.Namespace) -> float:
     if len(args.h) != 1:
-        raise CliError(
-            f"this command expects exactly one --h value, got {len(args.h)}",
-            USAGE_EXIT,
+        raise ValueError(
+            f"this command expects exactly one --h value, got {len(args.h)}"
         )
     return args.h[0]
 
@@ -109,10 +67,10 @@ def _mode(args: argparse.Namespace) -> FirstStepMode:
 
 
 def cmd_solve(args: argparse.Namespace) -> str:
-    _, problem = _load_problem(args.problem)
+    problem = resolve_problem(args.problem).build()
     h = _single_h(args)
-    grid = _checked_grid(problem, h)
-    traj = _run(solve, problem, grid, _mode(args))
+    grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
+    traj = solve(problem, grid, _mode(args))
     x0 = grid.x0
     forward = traj.values[grid.delay_steps :]
     lines = ["x,u"]
@@ -121,12 +79,12 @@ def cmd_solve(args: argparse.Namespace) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> str:
-    config, problem = _load_problem(args.problem)
+    config = resolve_problem(args.problem)
+    problem = config.build()
     if problem.exact is None:
-        raise CliError(
+        raise ValueError(
             f"problem {config.name!r} has no exact solution; an error table "
-            "needs one",
-            USAGE_EXIT,
+            "needs one"
         )
     points = args.points if args.points is not None else DEFAULT_TABLE_POINTS
     mode = _mode(args)
@@ -134,13 +92,10 @@ def cmd_table(args: argparse.Namespace) -> str:
     tables = []
     elapsed = []
     for h in args.h:
-        grid = _checked_grid(problem, h)
-        traj, seconds = _run(timed_solve, problem, grid, mode)
+        grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
+        traj, seconds = timed_solve(problem, grid, mode)
         elapsed.append(seconds)
-        try:
-            tables.append(error_table(traj, problem.exact, points))
-        except ProblemSetupError as exc:
-            raise CliError(str(exc), USAGE_EXIT) from exc
+        tables.append(error_table(traj, problem.exact, points))
 
     header = "x," + ",".join(f"abs_error_h={h:g}" for h in args.h)
     lines = [header]
@@ -154,14 +109,12 @@ def cmd_table(args: argparse.Namespace) -> str:
 
 
 def cmd_order(args: argparse.Namespace) -> str:
-    config, problem = _load_problem(args.problem)
+    config = resolve_problem(args.problem)
+    problem = config.build()
     if len(args.h) < 2:
-        raise CliError("order needs at least two --h values", USAGE_EXIT)
+        raise ValueError("order needs at least two --h values")
     mode = _mode(args)
-    try:
-        estimate = _run(order_study, problem, mode, args.h)
-    except (DegenerateError, ValueError, ProblemSetupError) as exc:
-        raise CliError(str(exc), USAGE_EXIT) from exc
+    estimate = order_study(problem, mode, args.h)
 
     lines = [f"order study for {config.name} (first step {mode.value})"]
     for h, err in estimate.pairs:
@@ -175,16 +128,13 @@ def cmd_order(args: argparse.Namespace) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> str:
-    _, problem = _load_problem(args.problem)
+    problem = resolve_problem(args.problem).build()
     h = _single_h(args)
-    grid = _checked_grid(problem, h)
+    grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
     mode = _mode(args)
-    try:
-        oracle_config = OracleConfig(tol=args.tol, max_iter=args.max_iter)
-    except ValueError as exc:
-        raise CliError(str(exc), USAGE_EXIT) from exc
-    traj_nnm = _run(solve, problem, grid, mode)
-    traj_ref = _run(solve_implicit, problem, grid, mode, oracle_config)
+    oracle_config = OracleConfig(tol=args.tol, max_iter=args.max_iter)
+    traj_nnm = solve(problem, grid, mode)
+    traj_ref = solve_implicit(problem, grid, mode, oracle_config)
 
     x0 = grid.x0
     start = grid.delay_steps
@@ -298,11 +248,25 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse has already printed a usage message
         return int(exc.code) if exc.code is not None else 0
 
+    # the one place an exception becomes an exit code; any other exception
+    # is a bug and propagates
     try:
         output = args.handler(args)
-    except CliError as err:
-        print(f"vdide: {err}", file=sys.stderr)
-        return err.exit_code
+    except NumericalError as exc:
+        where = "" if exc.x is None else f" (x = {exc.x:.17g})"
+        print(f"vdide: {exc}{where}", file=sys.stderr)
+        return NUMERICAL_EXIT
+    except DomainError as exc:
+        where = ""
+        if exc.step_index is not None:
+            where = f" at step {exc.step_index} (x = {exc.x:.17g})"
+        print(f"vdide: evaluation failed during solve{where}: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT
+    except (
+        ProblemSetupError, DegenerateError, ExpressionError, ValueError, OSError
+    ) as exc:
+        print(f"vdide: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
     out_path = getattr(args, "out", None)
     if out_path:

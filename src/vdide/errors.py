@@ -43,21 +43,26 @@ class DegenerateError(VdideError):
     """Observed errors are zero or non-finite, so no order can be fitted."""
 
 
-class NumericalError(VdideError):
-    """A solve failed for numerical reasons."""
+class _Located(VdideError):
+    """A failure a solve can locate.
 
-
-class NonFiniteState(NumericalError):
-    """A step produced NaN or infinity.
-
-    step_index is the step j whose advance from x_j failed; a solve sets it
-    and x, the grid point x_j, when the error escapes it.
+    step_index is the step j whose advance from x_j failed and x the grid
+    point x_j; a solve sets both when the error escapes it.
     """
+
+    x: float | None = None
 
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
-        self.x: float | None = None
+
+
+class NumericalError(_Located):
+    """A solve failed for numerical reasons."""
+
+
+class NonFiniteState(NumericalError):
+    """A step produced NaN or infinity."""
 
 
 class NoConvergence(NumericalError):

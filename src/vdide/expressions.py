@@ -23,44 +23,39 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .errors import VdideError
+from .errors import VdideError, _Located
 
 
 class ExpressionError(VdideError):
     """Base class for expression parse and evaluation errors."""
 
 
-class ExpressionSyntaxError(ExpressionError):
+class _OffsetError(ExpressionError):
+    """A parse error at a character offset of the source text."""
+
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
-class UnknownFunction(ExpressionError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+class ExpressionSyntaxError(_OffsetError):
+    """The text does not follow the grammar."""
 
 
-class UnknownVariable(ExpressionError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
+class UnknownFunction(_OffsetError):
+    """A call names a function outside FUNCTIONS."""
+
+
+class UnknownVariable(_OffsetError):
+    """A name is neither a variable nor a constant."""
 
 
 class UnboundVariable(ExpressionError):
     """A variable in the tree has no value in the bindings."""
 
 
-class DomainError(ExpressionError):
-    """Evaluation left the real domain or produced a non-finite value.
-
-    step_index and x are set when the error escapes a solve: the step j
-    whose advance from x_j evaluated the failing expression, and x_j.
-    """
-
-    step_index: int | None = None
-    x: float | None = None
+class DomainError(ExpressionError, _Located):
+    """Evaluation left the real domain or produced a non-finite value."""
 
 
 VARIABLES = frozenset({"x", "t", "u", "v"})
@@ -240,15 +235,41 @@ def parse(text: str) -> Expression:
 
 def variables(expr: Expression) -> frozenset[str]:
     """The set of variable names appearing in the tree."""
+    return _variables_within(expr, math.inf)
+
+
+class _TooDeep(Exception):
+    """A tree is deeper than _variables_within was allowed to walk."""
+
+
+_NO_VARIABLES: frozenset[str] = frozenset()
+
+
+def _variables_within(expr: Expression, levels: float) -> frozenset[str]:
+    """variables(expr) for a tree at most `levels` nodes deep on every
+    root-to-leaf path; for a deeper one, _TooDeep, raised before the walk
+    goes past that depth.
+
+    Every config load runs this walk.  Only inner nodes test the bound, as
+    a leaf has no level below it, and leaves without variables share one
+    empty set, which keeps the walk as fast as a walk without a bound.
+    """
+    if isinstance(expr, BinOp):
+        if levels == 1:
+            raise _TooDeep
+        left = _variables_within(expr.left, levels - 1)
+        return left | _variables_within(expr.right, levels - 1)
     if isinstance(expr, Var):
         return frozenset({expr.name})
     if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
+        if levels == 1:
+            raise _TooDeep
+        return _variables_within(expr.operand, levels - 1)
     if isinstance(expr, Call):
-        return variables(expr.arg)
-    return frozenset()
+        if levels == 1:
+            raise _TooDeep
+        return _variables_within(expr.arg, levels - 1)
+    return _NO_VARIABLES
 
 
 def x_rate(expr: Expression, span: float) -> float | None:

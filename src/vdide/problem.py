@@ -126,26 +126,28 @@ def build_grid(x0: float, x_end: float, tau: float, h: float) -> GridSpec:
 
     (x_end - x0)/h and tau/h must both be integers to within 1e-9 relative.
     The second condition is what lets delayed lookups stay on-grid; violating
-    either is a hard error rather than a silent rounding.
+    either, or a ratio that overflows, is a hard error rather than a silent
+    rounding.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"h must be positive, got {h!r}")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau!r}")
     if x_end <= x0:
         raise ValueError(f"x_end must exceed x0, got x0={x0!r}, x_end={x_end!r}")
 
     span = x_end - x0
-    n = round(span / h)
-    if n < 1 or abs(n * h - span) > COMMENSURABILITY_RTOL * max(1.0, abs(span)):
+    slack = COMMENSURABILITY_RTOL * max(1.0, abs(span))
+    ratio = span / h
+    n = round(ratio) if math.isfinite(ratio) else None
+    if n is None or n < 1 or abs(n * h - span) > slack:
         raise NonCommensurateInterval(
-            f"(x_end - x0)/h = {span / h!r} is not a whole number of steps"
+            f"(x_end - x0)/h = {ratio!r} is not a whole number of steps"
         )
-    m = round(tau / h)
-    if abs(m * h - tau) > COMMENSURABILITY_RTOL * max(1.0, tau):
-        raise NonCommensurateDelay(
-            f"tau/h = {tau / h!r} is not a whole number of steps"
-        )
+    ratio = tau / h
+    m = round(ratio) if math.isfinite(ratio) else None
+    if m is None or abs(m * h - tau) > COMMENSURABILITY_RTOL * max(1.0, tau):
+        raise NonCommensurateDelay(f"tau/h = {ratio!r} is not a whole number of steps")
     if m == 0:
         raise ZeroDelaySteps(
             f"tau = {tau!r} spans zero steps of h = {h!r}; delayed lookups "

@@ -31,7 +31,14 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ConfigError
-from .expressions import compile_expression, evaluate, parse, variables, x_rate
+from .expressions import (
+    _TooDeep,
+    _variables_within,
+    compile_expression,
+    evaluate,
+    parse,
+    x_rate,
+)
 from .problem import DelayProblem
 
 _REQUIRED_KEYS = ("name", "g", "K", "phi", "tau", "x0", "X")
@@ -53,18 +60,12 @@ SLOT_VARIABLES = {
 COMPILE_AFTER = 128
 
 
-def _compile(tree, params: tuple[str, ...]):
-    """compile_expression(tree, params), or None for a tree too deep to
-    compile from this call's stack; its slot function then keeps walking it.
-
-    compile_expression recurses a few frames deeper than evaluate, two per
-    level under exp, tanh and "^", so a long sum that evaluate can still
-    walk from inside a solve can exceed the recursion limit here.
-    """
-    try:
-        return compile_expression(tree, params)
-    except RecursionError:
-        return None
+# The deepest expression tree a config may hold, in nodes on a root-to-leaf
+# path.  The deepest walkers, x_rate on a sum and compile_expression (and
+# the parser) on a "^" chain, take two frames per level, so a tree at the
+# bound costs them 800 of Python's default limit of 1000 frames and leaves
+# 200 for the caller's stack; evaluate, unparse and the load walk take one.
+_MAX_DEPTH = 400
 
 
 # The slot functions of a built problem.  Each walks its tree with evaluate
@@ -83,7 +84,7 @@ def _tiered_g(tree):
             return compiled(x, u)
         calls += 1
         if calls == COMPILE_AFTER:
-            compiled = _compile(tree, ("x", "u"))
+            compiled = compile_expression(tree, ("x", "u"))
         return evaluate(tree, {"x": x, "u": u})
 
     return g
@@ -99,7 +100,7 @@ def _tiered_kernel(tree):
             return compiled(x, t, v)
         calls += 1
         if calls == COMPILE_AFTER:
-            compiled = _compile(tree, ("x", "t", "v"))
+            compiled = compile_expression(tree, ("x", "t", "v"))
         return evaluate(tree, {"x": x, "t": t, "v": v})
 
     return kernel
@@ -115,7 +116,7 @@ def _tiered_x(tree):
             return compiled(x)
         calls += 1
         if calls == COMPILE_AFTER:
-            compiled = _compile(tree, ("x",))
+            compiled = compile_expression(tree, ("x",))
         return evaluate(tree, {"x": x})
 
     return of_x
@@ -139,7 +140,8 @@ class ProblemConfig:
         """Slot name -> parsed tree of each expression slot given.
 
         Each expression is parsed and checked against its slot's variables
-        on the first use and never again for this config.
+        and the depth bound on the first use and never again for this
+        config.
         """
         trees = {}
         for slot in ("g", "K", "phi", "exact"):
@@ -148,8 +150,10 @@ class ProblemConfig:
                 continue
             try:
                 tree = parse(text)
-                stray = variables(tree) - SLOT_VARIABLES[slot]
-            except RecursionError:
+                stray = _variables_within(tree, _MAX_DEPTH) - SLOT_VARIABLES[slot]
+            except (RecursionError, _TooDeep):
+                # the parser spends about 5 frames on a level of parentheses,
+                # which the depth bound cannot see
                 raise ConfigError(
                     f"{slot}: the expression nests too deeply to load "
                     f"({len(text)} characters)"
@@ -172,14 +176,9 @@ class ProblemConfig:
         of the same config reuse its trees.  g, kernel, history and exact
         walk their trees for their first COMPILE_AFTER calls and run
         compiled Python after that, with the same values and DomainError
-        text.  A kernel too deep for x_rate to inspect gets
-        kernel_x_rate None, the direct row path.
+        text.
         """
         trees = self._trees
-        try:
-            rate = x_rate(trees["K"], self.X - self.x0)
-        except RecursionError:
-            rate = None
         exact_tree = trees.get("exact")
         return DelayProblem(
             g=_tiered_g(trees["g"]),
@@ -189,7 +188,7 @@ class ProblemConfig:
             x0=self.x0,
             x_end=self.X,
             exact=None if exact_tree is None else _tiered_x(exact_tree),
-            kernel_x_rate=rate,
+            kernel_x_rate=x_rate(trees["K"], self.X - self.x0),
         )
 
     def to_text(self) -> str:
@@ -214,9 +213,9 @@ def parse_config_text(text: str) -> ProblemConfig:
     Each of these is a ConfigError at load: an unknown, duplicate or missing
     key; a tau, x0 or X that is not a finite number; tau <= 0, X <= x0 or
     an X - x0 too large to be finite; an expression that uses a variable
-    its slot does not admit or nests too deeply for Python's recursion
-    limit.  A malformed expression raises its own ExpressionError.  The
-    expressions are parsed here, once, and build() reuses the trees.
+    its slot does not admit or nests more than 400 levels deep.  A
+    malformed expression raises its own ExpressionError.  The expressions
+    are parsed here, once, and build() reuses the trees.
     """
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

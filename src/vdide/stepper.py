@@ -45,8 +45,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator
 
-from .errors import NonFiniteState
-from .expressions import DomainError
+from .errors import NonFiniteState, _Located
 from .problem import (
     DelayProblem,
     FirstStepMode,
@@ -264,8 +263,8 @@ def run_steps(
     formed from kernel_rows.
 
     The loop both solvers share; traj holds u_{-M} .. u_0, as
-    init_trajectory leaves it.  A DomainError or NonFiniteState raised while
-    advancing from step j leaves with step_index = j and x = x_j.
+    init_trajectory leaves it.  A NumericalError or DomainError raised
+    while advancing from step j leaves with step_index = j and x = x_j.
     """
     grid = traj.grid
     g = problem.g
@@ -279,7 +278,7 @@ def run_steps(
         try:
             m1 = m1_from_terms(g, h, x_j, u[j + offset], next(rows))
             u.append(close(problem, grid, j, m1))
-        except (DomainError, NonFiniteState) as exc:
+        except _Located as exc:
             exc.step_index = j
             exc.x = x_j
             raise

@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import vdide
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
+from vdide import registry
 from vdide.cli import main
 from vdide.registry import resolve_problem
 
@@ -385,3 +390,253 @@ class TestOutputBytes:
         )
         assert out == want
 
+
+# Configs for the failure table below, written to files named after the key.
+FAILING_CONFIGS = {
+    "huge": "name = huge\ng = -u\nK = v\nphi = 1\ntau = 1e300\nx0 = 0\nX = 1e300\n",
+    "delay": "name = delay\ng = -u\nK = v\nphi = 1\ntau = 0.25\nx0 = 0\nX = 1\n",
+    "tiny_delay": "name = tiny\ng = -u\nK = v\nphi = 1\ntau = 1e-12\nx0 = 0\nX = 1\n",
+    "bad_name": "name = bad\ng = u\nK = w^2\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
+    "bad_syntax": "name = bad\ng = u +\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
+    "bad_call": "name = bad\ng = foo(u)\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
+    "sum988": (
+        f"name = sum988\ng = {' + '.join(['u'] * 988)}\nK = v\nphi = exp(x)\n"
+        "exact = exp(x)\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
+    "noexact": "name = noexact\ng = -u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
+    "exactcase": (
+        "name = exactcase\ng = 0\nK = 1\nphi = 0\n"
+        "exact = x^2/2\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
+    "overflow": "name = overflow\ng = u\nK = 0\nphi = 1e307\ntau = 1\nx0 = 0\nX = 5\n",
+    "stiff": "name = stiff\ng = u\nK = 0\nphi = 1\ntau = 2.5\nx0 = 0\nX = 2.5\n",
+    "blowup": "name = blowup\ng = u^2\nK = 0\nphi = 10\ntau = 0.5\nx0 = 0\nX = 5\n",
+    "log_exact": (
+        "name = logexact\ng = u\nK = 0\nphi = exp(x)\nexact = log(x - 0.5)\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
+    ),
+}
+
+LOG_EXACT_FAILS = (
+    "evaluation failed during solve: cannot evaluate 'log(x - 0.5)' at "
+    "argument -0.4: math domain error"
+)
+NOT_CONVERGED = (
+    "implicit step 0 did not reach tol=1e-13 in {iterations} iterations; "
+    "h may be too large for this g (x = 0)"
+)
+TOO_DEEP = "g: the expression nests too deeply to load (3949 characters)"
+
+def row(command, code, message, id, process=False):
+    """A failure case: the command line, its exit code and its stderr after
+    "vdide: ".  In both, {name} stands for the path of FAILING_CONFIGS[name]
+    and {dir} for the directory holding them.  With process=True the command
+    runs as `python -m vdide`, from the stack depth a user's command starts
+    at, rather than through main from inside the test.
+    """
+    return pytest.param(command, code, message, process, id=id)
+
+
+# One or more rows per failure class.  The 988-term sum runs as a process:
+# before the depth bound it loaded there and then exhausted the recursion
+# limit in the implicit solve and the order study, while the deeper stack
+# under a test tripped the limit at load already.
+FAILURES = [
+    row(
+        "solve --problem example1 --h 0.3", 2,
+        "(x_end - x0)/h = 3.3333333333333335 is not a whole number of steps",
+        id="NonCommensurateInterval",
+    ),
+    row(
+        "solve --problem example1 --h 1e-320", 2,
+        "(x_end - x0)/h = inf is not a whole number of steps",
+        id="NonCommensurateInterval-overflow-solve",
+    ),
+    row(
+        "order --problem example1 --h 0.1,1e-320", 2,
+        "(x_end - x0)/h = inf is not a whole number of steps",
+        id="NonCommensurateInterval-overflow-order",
+    ),
+    row(
+        "solve --problem {huge} --h 1e-10", 2,
+        "(x_end - x0)/h = inf is not a whole number of steps",
+        id="NonCommensurateInterval-overflow-config",
+    ),
+    row(
+        "solve --problem {delay} --h 0.1", 2,
+        "tau/h = 2.5 is not a whole number of steps",
+        id="NonCommensurateDelay",
+    ),
+    row(
+        "solve --problem {tiny_delay} --h 0.5", 2,
+        "tau = 1e-12 spans zero steps of h = 0.5; delayed lookups would "
+        "reference the future",
+        id="ZeroDelaySteps",
+    ),
+    row(
+        "table --problem example1 --h 0.1 --points 0.15", 2,
+        "x = 0.15 is not a grid point at h = 0.1",
+        id="OffGridSample",
+    ),
+    row(
+        "solve --problem nope --h 0.1", 2,
+        "problem 'nope' is neither a built-in name (example1, example2) nor "
+        "a config file",
+        id="ConfigError",
+    ),
+    row(
+        "compare --problem {sum988} --h 0.5", 2, TOO_DEEP,
+        id="ConfigError-too-deep-compare", process=True,
+    ),
+    row(
+        "order --problem {sum988} --h 0.5,0.25", 2, TOO_DEEP,
+        id="ConfigError-too-deep-order", process=True,
+    ),
+    row(
+        "table --problem {sum988} --h 0.5", 2, TOO_DEEP,
+        id="ConfigError-too-deep-table", process=True,
+    ),
+    row(
+        "solve --problem {bad_name} --h 0.1", 2,
+        "unknown variable 'w'; variables are x, t, u, v and constants e, pi "
+        "(at offset 0)",
+        id="UnknownVariable",
+    ),
+    row(
+        "solve --problem {bad_syntax} --h 0.1", 2,
+        "expected a number, name, '-', or '(', found 'end of input' "
+        "(at offset 3)",
+        id="ExpressionSyntaxError",
+    ),
+    row(
+        "solve --problem {bad_call} --h 0.1", 2,
+        "unknown function 'foo'; available: abs, cos, cosh, exp, log, sin, "
+        "sinh, sqrt, tanh (at offset 0)",
+        id="UnknownFunction",
+    ),
+    row(
+        "order --problem {exactcase} --h 0.25,0.125 --first-step corrected", 2,
+        "error 0.0 at h = 0.25 cannot anchor a log-log fit (the scheme may be "
+        "exact on this problem)",
+        id="DegenerateError",
+    ),
+    row(
+        "solve --problem example1 --h 0.1,0.05", 2,
+        "this command expects exactly one --h value, got 2",
+        id="ValueError-one-h",
+    ),
+    row(
+        "order --problem example1 --h 0.1", 2,
+        "order needs at least two --h values",
+        id="ValueError-two-h",
+    ),
+    row(
+        "table --problem {noexact} --h 0.1", 2,
+        "problem 'noexact' has no exact solution; an error table needs one",
+        id="ValueError-table-no-exact",
+    ),
+    row(
+        "order --problem {noexact} --h 0.1,0.05", 2,
+        "order study needs a problem with an exact solution",
+        id="ValueError-order-no-exact",
+    ),
+    row(
+        "compare --problem example1 --h 0.1 --max-iter 0", 2,
+        "max_iter must be at least 1, got 0",
+        id="ValueError-oracle-config",
+    ),
+    row(
+        "solve --problem {dir} --h 0.1", 2,
+        "[Errno 21] Is a directory: '{dir}'",
+        id="OSError",
+    ),
+    row(
+        "compare --problem {overflow} --h 1", 3,
+        "non-finite value while advancing from step 2 (x = 2)",
+        id="NonFiniteState",
+    ),
+    row(
+        "compare --problem {stiff} --h 2.5", 3,
+        NOT_CONVERGED.format(iterations=100),
+        id="NoConvergence",
+    ),
+    row(
+        "compare --problem example1 --h 0.1 --max-iter 1", 3,
+        NOT_CONVERGED.format(iterations=1),
+        id="NoConvergence-iteration-cap",
+    ),
+    row(
+        "solve --problem {blowup} --h 0.5", 3,
+        "evaluation failed during solve at step 3 (x = 1.5): cannot evaluate "
+        "'u^2.0': math range error",
+        id="DomainError-solve",
+    ),
+    row(
+        "table --problem {log_exact} --h 0.1", 3, LOG_EXACT_FAILS,
+        id="DomainError-exact-table",
+    ),
+    row(
+        "order --problem {log_exact} --h 0.1,0.05", 3, LOG_EXACT_FAILS,
+        id="DomainError-exact-order",
+    ),
+]
+
+
+def run_process(*argv):
+    """(exit code, stdout, stderr) of `python -m vdide argv...`, importing
+    the vdide this suite imports."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vdide.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "vdide", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("command, code, message, process", FAILURES)
+def test_each_failure_class_has_one_exit_code_and_message(
+    capsys, tmp_path, command, code, message, process
+):
+    paths = {"dir": str(tmp_path)}
+    for name, text in FAILING_CONFIGS.items():
+        paths[name] = str(tmp_path / f"{name}.cfg")
+        (tmp_path / f"{name}.cfg").write_text(text)
+    argv = [arg.format(**paths) for arg in command.split()]
+    got = run_process(*argv) if process else run(capsys, *argv)
+    assert got == (code, "", f"vdide: {message.format(**paths)}\n")
+
+
+def at_depth(frames, fn):
+    """fn() called from `frames` more stack frames down."""
+    return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+
+# Trees at the depth bound in the two shapes whose walkers take two frames a
+# level: x_rate walks the kernel sum at build, and compile_expression the
+# "^" chain of g once g has been called COMPILE_AFTER times in a solve.
+# Each maps to (g, K); "0*v" is two levels deep.
+DEEPEST = registry._MAX_DEPTH
+AT_THE_BOUND = {
+    "kernel-sum": ("u", " + ".join(["0*v"] * (DEEPEST - 1))),
+    "power-chain": ("^".join(["u"] + ["1"] * (DEEPEST - 1)), "0"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AT_THE_BOUND))
+@pytest.mark.parametrize(
+    "command, h", [("compare", "0.01"), ("order", "0.02,0.01"), ("table", "0.01")]
+)
+def test_trees_at_the_depth_bound_run_from_100_frames_down(
+    capsys, tmp_path, shape, command, h
+):
+    g, K = AT_THE_BOUND[shape]
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(
+        f"name = deep\ng = {g}\nK = {K}\nphi = exp(x)\nexact = exp(x)\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
+    )
+    code, out, err = at_depth(
+        100, lambda: run(capsys, command, "--problem", str(cfg), "--h", h)
+    )
+    assert (code, err) == (0, "")
+    assert out

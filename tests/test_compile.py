@@ -205,18 +205,3 @@ def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
 
-
-def test_a_tree_too_deep_to_compile_keeps_walking(monkeypatch):
-    attempts = []
-
-    def too_deep(tree, params):
-        attempts.append(params)
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(registry, "compile_expression", too_deep)
-    g = tier_problem().g
-    tree = parse("log(u) + x")
-    for call in range(1, COMPILE_AFTER + 6):
-        x, u = call * 0.125, (-1.0 if call % 3 == 0 else call * 0.5)
-        assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
-    assert attempts == [("x", "u")]

@@ -51,6 +51,25 @@ class TestBuildGrid:
         with pytest.raises(NonCommensurateInterval):
             build_grid(0.0, 0.95, 0.5, 0.1)
 
+    @pytest.mark.parametrize(
+        "x0,x_end,tau,h,error",
+        [
+            (0.0, 1.0, 1.0, 1e-320, NonCommensurateInterval),
+            (0.0, 1e300, 1e300, 1e-10, NonCommensurateInterval),
+            (-1e308, 1e308, 1.0, 1.0, NonCommensurateInterval),
+            (0.0, 1.0, 1e300, 1e-10, NonCommensurateDelay),
+            # a delay under the 1e-9 slack that spans no whole step either
+            (0.0, 1e-12, 1e-10, 1e-320, NonCommensurateDelay),
+        ],
+    )
+    def test_a_ratio_that_overflows_is_not_a_whole_number_of_steps(
+        self, x0, x_end, tau, h, error
+    ):
+        # round() raises OverflowError on the infinite ratio
+        with pytest.raises(error) as info:
+            build_grid(x0, x_end, tau, h)
+        assert str(info.value).endswith("/h = inf is not a whole number of steps")
+
     def test_delay_spanning_zero_steps(self):
         # tau tiny enough to round to zero steps yet pass the relative check
         with pytest.raises(ZeroDelaySteps):
@@ -65,6 +84,8 @@ class TestBuildGrid:
             (0.0, 1.0, -1.0, 0.1),
             (0.0, 0.0, 1.0, 0.1),
             (1.0, 0.5, 1.0, 0.1),
+            (0.0, 1.0, 1.0, math.nan),
+            (0.0, 1.0, math.nan, 0.1),
         ],
     )
     def test_invalid_scalars(self, x0, x_end, tau, h):

@@ -297,13 +297,41 @@ class TestLoadTimeChecks:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("vdide: g: the expression nests too deeply")
 
-    def test_a_kernel_too_deep_for_x_rate_takes_the_direct_row_path(self):
-        # x_rate recurses two frames per level of a sum, variables and
-        # evaluate one, so this kernel loads and solves but gets no rate
+    @pytest.mark.parametrize(
+        "slot, head, head_levels, leaf, join",
+        [
+            ("g", "u", 1, "u", " + "),
+            ("K", "v", 1, "v", "^"),
+            ("phi", "x", 1, "x", "*"),
+            ("exact", "-x", 2, "-x", " - "),
+            ("g", "abs(u)", 2, "u", " + "),
+        ],
+        ids=["sum", "power-chain", "product", "negations", "call-at-the-bottom"],
+    )
+    def test_the_depth_bound_admits_trees_up_to_its_depth(
+        self, slot, head, head_levels, leaf, join
+    ):
+        # head then n - 1 leaves is n - 1 + head_levels levels deep, the
+        # deepest path ending in the head; 400 is the documented bound
+        n = 400 + 1 - head_levels
+        parse_config_text(config_text(**{slot: join.join([head] + [leaf] * (n - 1))}))
+        deeper = join.join([head] + [leaf] * n)
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(config_text(**{slot: deeper}))
+        assert str(info.value) == (
+            f"{slot}: the expression nests too deeply to load "
+            f"({len(deeper)} characters)"
+        )
+
+    def test_a_600_term_kernel_is_a_config_error_at_load(self):
+        # x_rate walks a sum two frames per level; the depth bound keeps
+        # every walker after load inside the recursion limit
         kernel = " + ".join(["v"] * 600)
-        problem = parse_config_text(config_text(K=kernel)).build()
-        assert problem.kernel_x_rate is None
-        assert problem.kernel(0.5, 0.25, 2.0) == 1200.0
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(config_text(K=kernel))
+        assert str(info.value) == (
+            f"K: the expression nests too deeply to load ({len(kernel)} characters)"
+        )
 
 
 class TestParsedOnce:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import dgj_solve, random_smooth_problem
 from vdide import (
@@ -16,6 +18,7 @@ from vdide import (
 )
 from vdide.errors import IndexNotYetComputed, NonFiniteState
 from vdide.problem import init_trajectory
+from vdide.registry import ProblemConfig
 from vdide.stepper import nnm_step, predictor
 
 
@@ -42,6 +45,18 @@ def pure_ode_problem(g, u0=1.0, x_end=1.0, exact=None):
         x_end=x_end,
         exact=exact,
     )
+
+
+# Kernels with K(0, 0, v) = 0 for every v, so with x0 = 0 both first-step
+# modes agree; each maps to the kernel_x_rate it builds with: None for the
+# direct row path, 0.0 for the recurrence of a kernel that ignores x.
+ORIGIN_ZERO_KERNELS = {
+    "sin({a}*(x - t))*{f}": None,
+    "({a})*(x - t)*{f}": None,
+    "x*t*{f}": None,
+    "t*{f}": 0.0,
+    "({a})*t^2*{f}": 0.0,
+}
 
 
 class TestKernelTerms:
@@ -132,15 +147,34 @@ class TestQuadratureExactness:
 
 
 class TestStep:
-    def test_pure_ode_step_matches_closed_form(self):
-        problem = pure_ode_problem(lambda x, u: u)
-        grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        traj = init_trajectory(problem, grid)
-        h = grid.h
-        expected = 1.0 + h + h * h / 2 + h**3 / 8
-        assert nnm_step(problem, traj, 0) == pytest.approx(expected, rel=1e-14)
-        # third-order accurate against the true exponential
-        assert abs(nnm_step(problem, traj, 0) - math.exp(h)) < h**3
+    @settings(max_examples=60)
+    @given(
+        # |a| >= 0.01 keeps expm1(a h) / a, the exact flow's b factor, accurate
+        a=st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01)),
+        b=st.floats(-2.0, 2.0),
+        u0=st.floats(-2.0, 2.0),
+        h=st.sampled_from([0.1, 0.05, 0.025]),
+    )
+    @example(a=1.0, b=0.0, u0=1.0, h=0.1)
+    def test_pure_ode_step_matches_closed_form(self, a, b, u0, h):
+        # with K = 0 and g = a u + b, c = a h / 2, each step is exactly
+        # u_{j+1} = (1 + 2c + 2c^2 + c^3) u_j + (h b / 2)(2 + 2c + c^2)
+        problem = pure_ode_problem(lambda x, u: a * u + b, u0=u0)
+        traj = solve(problem, build_grid(0.0, 1.0, 1.0, h))
+        c = a * h / 2
+        flow = h if a == 0 else math.expm1(a * h) / a
+        for j in range(traj.grid.steps):
+            u_j, u_next = traj.value(j), traj.value(j + 1)
+            scale = abs(u_j) + h * abs(b)
+            closed = (1 + 2 * c + 2 * c * c + c**3) * u_j + h * b / 2 * (
+                2 + 2 * c + c * c
+            )
+            assert abs(u_next - closed) <= 1e-12 * scale
+            # third-order accurate against the exact flow of u' = a u + b,
+            # whose leading error is (a^3 u_j + a^2 b) h^3 / 24
+            exact = u_j * math.exp(a * h) + b * flow
+            bound = h**3 * (abs(a) ** 3 * abs(u_j) + a * a * abs(b)) / 12
+            assert abs(u_next - exact) <= bound + 1e-12 * scale
 
     def test_predictor_and_step_relations(self):
         rng = random.Random(5)
@@ -200,17 +234,32 @@ class TestSolve:
         b = solve(problem, grid, FirstStepMode.LITERAL)
         assert a.values == b.values
 
-    def test_modes_identical_when_origin_kernel_vanishes(self):
-        # K(x_0, x_0, .) = 0 makes the literal corner equal the corrected one
-        problem = DelayProblem(
-            g=lambda x, u: 0.3 * u,
-            kernel=lambda x, t, v: x * t * (1.0 + v),
-            history=math.cos,
+    @settings(max_examples=60)
+    @given(
+        kernel=st.sampled_from(sorted(ORIGIN_ZERO_KERNELS)),
+        factor=st.sampled_from(["v", "v^2", "cos(v)", "(1 + v)"]),
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-1.0, 1.0),
+        x_end=st.sampled_from([1.0, 2.0]),
+        h=st.sampled_from([0.1, 0.05]),
+    )
+    @example(kernel="x*t*{f}", factor="(1 + v)", a=0.0, b=0.3, x_end=1.0, h=0.1)
+    def test_modes_identical_when_origin_kernel_vanishes(
+        self, kernel, factor, a, b, x_end, h
+    ):
+        # K(x_0, x_0, .) = 0 makes the literal corner equal the corrected
+        # one, on the direct row path and on the recurrence
+        problem = ProblemConfig(
+            name="origin_zero",
+            g=f"{b!r}*u",
+            K=kernel.format(a=repr(a), f=factor),
+            phi="cos(x)",
             tau=0.5,
             x0=0.0,
-            x_end=1.0,
-        )
-        grid = build_grid(0.0, 1.0, 0.5, 0.1)
+            X=x_end,
+        ).build()
+        assert problem.kernel_x_rate == ORIGIN_ZERO_KERNELS[kernel]
+        grid = build_grid(0.0, x_end, 0.5, h)
         lit = solve(problem, grid, FirstStepMode.LITERAL)
         cor = solve(problem, grid, FirstStepMode.CORRECTED)
         assert lit.values == cor.values
