@@ -15,8 +15,8 @@ points, no order to fit), every ProblemSetupError, DegenerateError,
 ValueError, OSError and ExpressionError other than DomainError; 3 for
 numerical failures, a NumericalError (blow-up, stalled implicit iteration)
 or a DomainError (an expression leaving the real domain during a solve, or
-an exact solution doing so in table or order).  Any other exception is a bug
-and propagates.
+phi or an exact solution doing so at a named x).  Any other exception is a
+bug and propagates.
 
 Numbers are printed with 17 significant digits so a round trip through text
 preserves the exact float.
@@ -72,9 +72,9 @@ def cmd_solve(args: argparse.Namespace) -> str:
     grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
     traj = solve(problem, grid, _mode(args))
     x0 = grid.x0
-    forward = traj.values[grid.delay_steps :]
+    forward = traj._values[grid.delay_steps :]
     lines = ["x,u"]
-    lines += [f"{x0 + j * h:.17g},{u:.17g}" for j, u in enumerate(forward)]
+    lines += ["%.17g,%.17g" % (x0 + j * h, u) for j, u in enumerate(forward)]
     return "\n".join(lines) + "\n"
 
 
@@ -141,11 +141,11 @@ def cmd_compare(args: argparse.Namespace) -> str:
     lines = ["x,u_nnm,u_implicit,diff"]
     max_abs_diff = 0.0
     for j, (a, b) in enumerate(
-        zip(traj_nnm.values[start:], traj_ref.values[start:])
+        zip(traj_nnm._values[start:], traj_ref._values[start:])
     ):
         diff = a - b
         max_abs_diff = max(max_abs_diff, abs(diff))
-        lines.append(f"{x0 + j * h:.17g},{a:.17g},{b:.17g},{diff:.17g}")
+        lines.append("%.17g,%.17g,%.17g,%.17g" % (x0 + j * h, a, b, diff))
     lines.append(f"# max_abs_diff: {max_abs_diff:.17g}")
     return "\n".join(lines) + "\n"
 
@@ -257,10 +257,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"vdide: {exc}{where}", file=sys.stderr)
         return NUMERICAL_EXIT
     except DomainError as exc:
-        where = ""
+        what = "failed during solve"
         if exc.step_index is not None:
-            where = f" at step {exc.step_index} (x = {exc.x:.17g})"
-        print(f"vdide: evaluation failed during solve{where}: {exc}", file=sys.stderr)
+            what += f" at step {exc.step_index} (x = {exc.x:.17g})"
+        elif exc.slot is not None:
+            what = f"of {exc.slot} failed at x = {exc.x:.17g}"
+        print(f"vdide: evaluation {what}: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     except (
         ProblemSetupError, DegenerateError, ExpressionError, ValueError, OSError

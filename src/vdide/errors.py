@@ -47,10 +47,13 @@ class _Located(VdideError):
     """A failure a solve can locate.
 
     step_index is the step j whose advance from x_j failed and x the grid
-    point x_j; a solve sets both when the error escapes it.
+    point x_j; a solve sets both when the error escapes it.  A failure of a
+    built problem's phi or exact names it in slot instead, with x the point
+    it was evaluated at.
     """
 
     x: float | None = None
+    slot: str | None = None
 
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)

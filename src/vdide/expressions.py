@@ -19,8 +19,10 @@ than a generic syntax error, since a typo in a name is the common mistake.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Mapping, Union
 
 from .errors import VdideError, _Located
@@ -366,60 +368,58 @@ def _constant(expr: Expression) -> float | None:
         return None
 
 
+# The binary operators, as evaluate applies them.  math.pow stays real and
+# raises on (-8)^(1/3) instead of returning a complex number like ** would.
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     """Evaluate the tree at the given variable values.
 
     Pure and deterministic.  Any excursion out of the real domain (log of a
     nonpositive number, a fractional power of a negative base, division by
     zero, overflow to infinity) raises DomainError naming the offending
-    sub-expression; results are guaranteed finite.
+    sub-expression; results are guaranteed finite.  Node types are tested
+    by identity, most frequent first: every uncompiled call walks here.
     """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Const):
-        return CONSTANTS[expr.name]
-    if isinstance(expr, Var):
+    kind = type(expr)
+    if kind is BinOp:
+        left = evaluate(expr.left, bindings)
+        right = evaluate(expr.right, bindings)
+        try:
+            out = _BINARY[expr.op](left, right)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"cannot evaluate {unparse(expr)!r}: {exc}") from None
+    elif kind is Var:
         try:
             return bindings[expr.name]
         except KeyError:
             raise UnboundVariable(
                 f"variable {expr.name!r} has no value in this context"
             ) from None
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, bindings)
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, bindings)
-        right = evaluate(expr.right, bindings)
+    elif kind is Num:
+        return expr.value
+    elif kind is Call:
+        arg = evaluate(expr.arg, bindings)
         try:
-            if expr.op == "+":
-                out = left + right
-            elif expr.op == "-":
-                out = left - right
-            elif expr.op == "*":
-                out = left * right
-            elif expr.op == "/":
-                out = left / right
-            else:
-                # math.pow stays real and raises on (-8)^(1/3) instead of
-                # returning a complex number like the ** operator would
-                out = math.pow(left, right)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"cannot evaluate {unparse(expr)!r}: {exc}") from None
-        return _require_finite(out, expr)
-    arg = evaluate(expr.arg, bindings)
-    try:
-        out = FUNCTIONS[expr.func](arg)
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(
-            f"cannot evaluate {unparse(expr)!r} at argument {arg!r}: {exc}"
-        ) from None
-    return _require_finite(out, expr)
-
-
-def _require_finite(value: float, expr: Expression) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{unparse(expr)!r} evaluated to a non-finite value")
-    return value
+            out = FUNCTIONS[expr.func](arg)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(
+                f"cannot evaluate {unparse(expr)!r} at argument {arg!r}: {exc}"
+            ) from None
+    elif kind is Neg:
+        return -evaluate(expr.operand, bindings)
+    else:
+        return CONSTANTS[expr.name]
+    if isfinite(out):
+        return out
+    raise DomainError(f"{unparse(expr)!r} evaluated to a non-finite value")
 
 
 # Functions that map a non-finite argument to a finite value: exp(-inf) = 0

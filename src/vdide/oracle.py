@@ -11,13 +11,13 @@ NoConvergence on a sane problem is a sign h is far too large.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import NoConvergence, NonFiniteState
 from .problem import DelayProblem, FirstStepMode, GridSpec, Trajectory, init_trajectory
-from .stepper import predictor, run_steps
+from .stepper import Closure, predictor, run_steps
 
 
 @dataclass(frozen=True)
@@ -37,26 +37,30 @@ class OracleConfig:
 DEFAULT_CONFIG = OracleConfig()
 
 
-def _iterate(
-    problem: DelayProblem, grid: GridSpec, j: int, m1: float, config: OracleConfig
-) -> float:
-    """Iterate u <- M1 + (h/2) g(x_{j+1}, u) from u = M1 to tolerance."""
-    x_next = grid.point(j + 1)
-    half_h = 0.5 * grid.h
-    u = m1
-    for _ in range(config.max_iter):
-        fu = m1 + half_h * problem.g(x_next, u)
-        if abs(fu - u) <= config.tol:
-            return u
-        if not math.isfinite(fu):
-            raise NonFiniteState(
-                f"non-finite iterate in implicit step {j}", step_index=j
-            )
-        u = fu
-    raise NoConvergence(
-        f"implicit step {j} did not reach tol={config.tol!r} in "
-        f"{config.max_iter} iterations; h may be too large for this g"
-    )
+def _fixed_point_closure(
+    g: Callable[[float, float], float], h: float, config: OracleConfig
+) -> Closure:
+    """close(j, x_next, M1): iterate u <- M1 + (h/2) g(x_next, u) from
+    u = M1 to tolerance."""
+    half_h = 0.5 * h
+
+    def close(j: int, x_next: float, m1: float) -> float:
+        u = m1
+        for _ in range(config.max_iter):
+            fu = m1 + half_h * g(x_next, u)
+            if abs(fu - u) <= config.tol:
+                return u
+            if not math.isfinite(fu):
+                raise NonFiniteState(
+                    f"non-finite iterate in implicit step {j}", step_index=j
+                )
+            u = fu
+        raise NoConvergence(
+            f"implicit step {j} did not reach tol={config.tol!r} in "
+            f"{config.max_iter} iterations; h may be too large for this g"
+        )
+
+    return close
 
 
 def implicit_step(
@@ -72,7 +76,9 @@ def implicit_step(
     NonFiniteState as soon as an iterate is NaN or infinite, and
     NoConvergence after max_iter sweeps without meeting the bound.
     """
-    return _iterate(problem, traj.grid, j, predictor(problem, traj, j), config)
+    grid = traj.grid
+    close = _fixed_point_closure(problem.g, grid.h, config)
+    return close(j, grid.point(j + 1), predictor(problem, traj, j))
 
 
 def step_residual(problem: DelayProblem, traj: Trajectory, j: int) -> float:
@@ -95,9 +101,8 @@ def solve_implicit(
 ) -> Trajectory:
     """Run the implicit reference stepper over the whole grid.
 
-    Equal to appending implicit_step(problem, traj, j, config) for each j,
-    with the kernel terms drawn from kernel_rows: bit for bit unless the
-    problem declares a nonzero kernel_x_rate.
+    Equal to appending implicit_step(problem, traj, j, config) for each j:
+    bit for bit unless the problem declares a nonzero kernel_x_rate.
     """
     traj = init_trajectory(problem, grid, mode)
-    return run_steps(problem, traj, functools.partial(_iterate, config=config))
+    return run_steps(problem, traj, lambda g, h: _fixed_point_closure(g, h, config))

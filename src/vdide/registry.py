@@ -32,6 +32,7 @@ from typing import Optional
 
 from .errors import ConfigError
 from .expressions import (
+    DomainError,
     _TooDeep,
     _variables_within,
     compile_expression,
@@ -55,7 +56,7 @@ SLOT_VARIABLES = {
 
 
 # Calls a built expression walks its tree before it compiles.  Compiling
-# costs about as much as a hundred tree walks, so a problem used for a few
+# costs about as much as 100 to 300 tree walks, so a problem used for a few
 # hundred calls or fewer, as set-up and short solves are, never pays for it.
 COMPILE_AFTER = 128
 
@@ -73,7 +74,9 @@ _MAX_DEPTH = 400
 # and runs the compiled function from then on, so values and DomainError text
 # are the same on every call.  They take their slot's variables by position
 # and build the bindings dict as a display: a *args function building it
-# with dict(zip(...)) measured about 25% slower on an example2 solve.
+# with dict(zip(...)) measured about 25% slower on an example2 solve.  phi
+# and exact, called outside the step loop, stamp a DomainError with their
+# slot and x; a solve locates those of g and K.
 def _tiered_g(tree):
     compiled = None
     calls = 0
@@ -106,18 +109,22 @@ def _tiered_kernel(tree):
     return kernel
 
 
-def _tiered_x(tree):
+def _tiered_x(tree, slot):
     compiled = None
     calls = 0
 
     def of_x(x: float) -> float:
         nonlocal compiled, calls
-        if compiled is not None:
-            return compiled(x)
-        calls += 1
-        if calls == COMPILE_AFTER:
-            compiled = compile_expression(tree, ("x",))
-        return evaluate(tree, {"x": x})
+        try:
+            if compiled is not None:
+                return compiled(x)
+            calls += 1
+            if calls == COMPILE_AFTER:
+                compiled = compile_expression(tree, ("x",))
+            return evaluate(tree, {"x": x})
+        except DomainError as exc:
+            exc.slot, exc.x = slot, x
+            raise
 
     return of_x
 
@@ -183,11 +190,11 @@ class ProblemConfig:
         return DelayProblem(
             g=_tiered_g(trees["g"]),
             kernel=_tiered_kernel(trees["K"]),
-            history=_tiered_x(trees["phi"]),
+            history=_tiered_x(trees["phi"], "phi"),
             tau=self.tau,
             x0=self.x0,
             x_end=self.X,
-            exact=None if exact_tree is None else _tiered_x(exact_tree),
+            exact=None if exact_tree is None else _tiered_x(exact_tree, "exact"),
             kernel_x_rate=x_rate(trees["K"], self.X - self.x0),
         )
 

@@ -10,7 +10,9 @@ import vdide
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
 from vdide import registry
 from vdide.cli import main
+from vdide.problem import init_trajectory
 from vdide.registry import resolve_problem
+from vdide.stepper import nnm_step
 
 
 def run(capsys, *argv):
@@ -391,6 +393,52 @@ class TestOutputBytes:
         assert out == want
 
 
+# A kernel on each row path of the solve loop, with the kernel_x_rate its
+# config gets: rows from a recurrence with rho = 1 or rho = e^(-h), and rows
+# evaluated in full.
+ROW_PATHS = {
+    "rate-0": ("v^2", 0.0),
+    "rate-minus-1": ("exp(t - x)*v^2", -1.0),
+    "direct": ("sin(x - t)*v", None),
+}
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+@pytest.mark.parametrize("path", sorted(ROW_PATHS))
+def test_solve_prints_the_nnm_step_replay(capsys, tmp_path, path, mode):
+    # 80 steps, so g compiles part way through both the solve and the replay
+    kernel, rate = ROW_PATHS[path]
+    cfg = tmp_path / "rows.cfg"
+    cfg.write_text(
+        f"name = rows\ng = -u + sin(x)\nK = {kernel}\nphi = 1 + x/2\n"
+        "tau = 0.25\nx0 = 0\nX = 1\n"
+    )
+    problem = resolve_problem(str(cfg)).build()
+    assert problem.kernel_x_rate == rate
+    grid = build_grid(0.0, 1.0, 0.25, 0.0125)
+    replay = init_trajectory(problem, grid, mode)
+    for j in range(grid.steps):
+        replay.append(nnm_step(problem, replay, j))
+    h, x0 = grid.h, grid.x0
+    forward = replay.values[grid.delay_steps :]
+    want = ["x,u"] + [f"{x0 + j * h:.17g},{u:.17g}" for j, u in enumerate(forward)]
+    code, out, err = run(
+        capsys,
+        "solve", "--problem", str(cfg), "--h", "0.0125", "--first-step", mode.value,
+    )
+    assert (code, err) == (0, "")
+    got = out.splitlines()
+    if not rate:
+        assert got == want
+        return
+    # the recurrence rounds differently: the same x text, and u within 1e-12
+    # of the largest |u|
+    assert [ln.split(",")[0] for ln in got] == [ln.split(",")[0] for ln in want]
+    bound = 1e-12 * max(map(abs, forward))
+    for line, u in zip(got[1:], forward):
+        assert abs(float(line.split(",")[1]) - u) <= bound
+
+
 # Configs for the failure table below, written to files named after the key.
 FAILING_CONFIGS = {
     "huge": "name = huge\ng = -u\nK = v\nphi = 1\ntau = 1e300\nx0 = 0\nX = 1e300\n",
@@ -415,11 +463,19 @@ FAILING_CONFIGS = {
         "name = logexact\ng = u\nK = 0\nphi = exp(x)\nexact = log(x - 0.5)\n"
         "tau = 1\nx0 = 0\nX = 1\n"
     ),
+    "log_phi": "name = logphi\ng = u\nK = 0\nphi = log(x)\ntau = 1\nx0 = 0\nX = 1\n",
 }
 
+# the table's first point and the order study's first grid point, x_1 at
+# h = 0.1, are both 0.1
 LOG_EXACT_FAILS = (
-    "evaluation failed during solve: cannot evaluate 'log(x - 0.5)' at "
-    "argument -0.4: math domain error"
+    "evaluation of exact failed at x = 0.10000000000000001: cannot evaluate "
+    "'log(x - 0.5)' at argument -0.4: math domain error"
+)
+# init_trajectory evaluates phi from x_{-M} = x0 - tau = -1 on
+LOG_PHI_FAILS = (
+    "evaluation of phi failed at x = -1: cannot evaluate 'log(x)' at "
+    "argument -1.0: math domain error"
 )
 NOT_CONVERGED = (
     "implicit step 0 did not reach tol=1e-13 in {iterations} iterations; "
@@ -578,6 +634,10 @@ FAILURES = [
     row(
         "order --problem {log_exact} --h 0.1,0.05", 3, LOG_EXACT_FAILS,
         id="DomainError-exact-order",
+    ),
+    row(
+        "solve --problem {log_phi} --h 0.1", 3, LOG_PHI_FAILS,
+        id="DomainError-phi-solve",
     ),
 ]
 

@@ -1,16 +1,22 @@
 import dataclasses
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    BINDING_VALUES,
     DOMAIN_ERROR_CASES,
     EVAL_CASES,
+    HIDDEN_OVERFLOWS,
+    PARAMS,
     PARSE_ERROR_CASES,
     PARSE_ERROR_MESSAGES,
     ROUND_TRIP_ONLY,
     WHITESPACE_CASES,
+    reference_evaluate,
     trees,
 )
 from vdide.expressions import (
@@ -207,3 +213,43 @@ def test_ast_nodes_are_immutable():
     node = parse("x + 1")
     with pytest.raises(dataclasses.FrozenInstanceError):
         node.op = "*"
+
+
+# evaluate against the reference walker in helpers: the same float bit for
+# bit, sign of zero and NaN payload included, or the same exception class
+# with the same message.
+
+
+def walk(fn, tree, bindings):
+    try:
+        return "value", struct.pack("<d", fn(tree, bindings))
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def assert_walks_like_the_reference(tree, bindings):
+    got = walk(evaluate, tree, bindings)
+    assert got == walk(reference_evaluate, tree, bindings), (tree, bindings, got)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    trees,
+    st.tuples(*[BINDING_VALUES] * len(PARAMS)),
+    st.integers(0, len(PARAMS)),
+)
+def test_generated_trees_evaluate_like_the_reference(tree, values, bound):
+    # binding only the first `bound` names also draws unbound variables
+    assert_walks_like_the_reference(tree, dict(zip(PARAMS[:bound], values)))
+
+
+@pytest.mark.parametrize(
+    "text,bindings",
+    [(t, b) for t, b, _ in EVAL_CASES]
+    + DOMAIN_ERROR_CASES
+    + [(text, {"x": 1e200}) for text in HIDDEN_OVERFLOWS]
+    + [("x + u", {"x": 1.0}), ("-(x*0)", {"x": 1.0}), ("0*x - 0", {"x": -1.0})],
+)
+def test_corpus_evaluates_like_the_reference(text, bindings):
+    assert_walks_like_the_reference(parse(text), bindings)
+

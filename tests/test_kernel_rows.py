@@ -1,12 +1,12 @@
 """The solvers' reused kernel rows against the stateless single-step functions.
 
-solve and solve_implicit draw their kernel terms from kernel_rows, which
-evaluates each trapezium row once, or, for a kernel with a declared
-kernel_x_rate lam, scales the previous row by e^(lam h) and adds one sample;
-nnm_step and implicit_step recompute every row from scratch through
-kernel_terms.  They must agree bit for bit when the rate is None or 0.0, and
-within 1e-12 relative to the largest value compared when lam < 0, where the
-recurrence rounds differently.  Either way a failing kernel must fail at the
+solve and solve_implicit run the loop of stepper.run_steps, which evaluates
+each trapezium row once, or, for a kernel with a declared kernel_x_rate lam,
+scales the previous row by e^(lam h) and adds one sample; nnm_step and
+implicit_step recompute every row from scratch through kernel_terms.  They
+must agree bit for bit when the rate is None or 0.0, and within 1e-12
+relative to the largest value compared when lam < 0, where the recurrence
+rounds differently.  Either way a failing kernel must fail at the
 same step, with the same error, as on the O(N^2) rows.
 """
 
@@ -21,7 +21,6 @@ from vdide import (
     DelayProblem,
     FirstStepMode,
     build_grid,
-    kernel_terms,
     parse_config_text,
     solve,
     solve_implicit,
@@ -29,7 +28,7 @@ from vdide import (
 from vdide.expressions import DomainError
 from vdide.oracle import implicit_step
 from vdide.problem import init_trajectory
-from vdide.stepper import kernel_rows, nnm_step
+from vdide.stepper import nnm_step
 
 TAU = 0.5
 RTOL = 1e-12
@@ -128,20 +127,6 @@ def test_solve_implicit_equals_implicit_step_replay(case):
     assert_agree(got, replay.values, problem.kernel_x_rate)
 
 
-@settings(max_examples=30, deadline=None)
-@given(delay_problems())
-def test_rows_equal_kernel_terms_step_by_step(case):
-    problem, grid, mode = case
-    traj = solve(problem, grid, mode)
-    rows = kernel_rows(problem, traj)
-    got = [next(rows) for _ in range(grid.steps)]
-    assert next(rows, None) is None
-    want = [kernel_terms(problem, traj, j, mode) for j in range(grid.steps)]
-    # corner, s1 and s2 each against the largest of their own kind
-    for got_column, want_column in zip(zip(*got), zip(*want)):
-        assert_agree(got_column, want_column, problem.kernel_x_rate)
-
-
 @pytest.mark.parametrize("run", [solve, solve_implicit])
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 @pytest.mark.parametrize(
@@ -195,3 +180,23 @@ def test_overflow_inside_an_exponent_fails_at_the_same_step_on_both_row_paths(
     assert failures[0] == failures[1]
     assert failures[0][1] == 3
     assert "1e+308 * (t - x)" in failures[0][0]
+
+
+@pytest.mark.parametrize("run", [solve, solve_implicit])
+def test_a_kernel_failing_at_the_literal_corner_fails_at_step_0(run):
+    # a LITERAL solve takes K(x0, x0, u_{-M}) before its loop; the history
+    # value u_{-M} = phi(0.5) = -0.7 makes log(v) fail there
+    problem = parse_config_text(
+        "name = k\ng = -u\nK = exp(t - x)*log(v)\nphi = x - 1.2\n"
+        "tau = 0.5\nx0 = 1\nX = 2\n"
+    ).build()
+    assert problem.kernel_x_rate == -1.0
+    grid = build_grid(1.0, 2.0, 0.5, 0.1)
+    for variant in (problem, dataclasses.replace(problem, kernel_x_rate=None)):
+        with pytest.raises(DomainError) as info:
+            run(variant, grid, FirstStepMode.LITERAL)
+        assert (info.value.step_index, info.value.x) == (0, 1.0)
+        assert str(info.value) == (
+            "cannot evaluate 'log(v)' at argument -0.7: math domain error"
+        )
+
