@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -120,6 +119,7 @@ def order_study(
                 "(the scheme may be exact on this problem)"
             )
         pairs.append((h, err))
+    import statistics  # here, as it costs milliseconds of every package import
     fit = statistics.linear_regression(
         [math.log(h) for h, _ in pairs], [math.log(e) for _, e in pairs]
     )

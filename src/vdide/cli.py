@@ -9,6 +9,9 @@ Subcommands:
     compare        explicit stepper next to the iterated implicit reference
     list-problems  show the built-in problem names
 
+Each is an entry of COMMANDS, name -> (help, add_flags, handler).  main
+builds only the one argv[0] names, or all five, for the same help and errors.
+
 Exit codes, decided in main alone: 0 on success; 2 for usage and config
 problems (bad flags, bad config files, incommensurate grids, off-grid sample
 points, no order to fit), every ProblemSetupError, DegenerateError,
@@ -158,7 +161,9 @@ def cmd_list_problems(args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_problem_flags(sub: argparse.ArgumentParser, multi_h_help: str) -> None:
+def _add_problem_flags(
+    sub: argparse.ArgumentParser, multi_h_help: str = "step size (exactly one)"
+) -> None:
     sub.add_argument(
         "--problem",
         required=True,
@@ -185,63 +190,81 @@ def _add_problem_flags(sub: argparse.ArgumentParser, multi_h_help: str) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vdide",
-        description="Trapezoidal solver for Volterra integro-differential "
-        "equations with a constant delay.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve and print x,u per grid point")
-    _add_problem_flags(p_solve, "step size (exactly one)")
-    p_solve.set_defaults(handler=cmd_solve)
-
-    p_table = sub.add_parser(
-        "table", help="absolute-error table, one column per step size"
-    )
-    _add_problem_flags(p_table, "comma-separated step sizes, one column each")
-    p_table.add_argument(
+def _add_table_flags(sub: argparse.ArgumentParser) -> None:
+    _add_problem_flags(sub, "comma-separated step sizes, one column each")
+    sub.add_argument(
         "--points",
         type=_parse_float_list,
         default=None,
         metavar="X[,X...]",
         help="sample points (default: 0.1,0.2,...,1.0)",
     )
-    p_table.set_defaults(handler=cmd_table)
 
-    p_order = sub.add_parser(
-        "order", help="fit the global convergence order over several step sizes"
-    )
-    _add_problem_flags(p_order, "comma-separated step sizes (at least two)")
-    p_order.set_defaults(handler=cmd_order)
 
-    p_compare = sub.add_parser(
-        "compare", help="explicit stepper vs iterated implicit reference"
-    )
-    _add_problem_flags(p_compare, "step size (exactly one)")
-    p_compare.add_argument(
+def _add_order_flags(sub: argparse.ArgumentParser) -> None:
+    _add_problem_flags(sub, "comma-separated step sizes (at least two)")
+
+
+def _add_compare_flags(sub: argparse.ArgumentParser) -> None:
+    _add_problem_flags(sub)
+    sub.add_argument(
         "--tol",
         type=float,
         default=1e-13,
         help="fixed-point residual tolerance for the reference (default 1e-13)",
     )
-    p_compare.add_argument(
+    sub.add_argument(
         "--max-iter",
         type=int,
         default=100,
         help="fixed-point iteration cap per step (default 100)",
     )
-    p_compare.set_defaults(handler=cmd_compare)
 
-    p_list = sub.add_parser("list-problems", help="list built-in problems")
-    p_list.set_defaults(handler=cmd_list_problems)
 
+# name -> (help, add_flags, handler), in the order help lists the commands.
+COMMANDS = {
+    "solve": ("solve and print x,u per grid point", _add_problem_flags, cmd_solve),
+    "table": (
+        "absolute-error table, one column per step size", _add_table_flags, cmd_table
+    ),
+    "order": (
+        "fit the global convergence order over several step sizes",
+        _add_order_flags,
+        cmd_order,
+    ),
+    "compare": (
+        "explicit stepper vs iterated implicit reference",
+        _add_compare_flags,
+        cmd_compare,
+    ),
+    "list-problems": ("list built-in problems", lambda sub: None, cmd_list_problems),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The vdide parser, with every command's subparser or only command's.
+
+    The latter takes the full parser's metavar, for the same usage line; the
+    full parser sets none, so its errors name the argument 'command'.
+    """
+    parser = argparse.ArgumentParser(
+        prog="vdide",
+        description="Trapezoidal solver for Volterra integro-differential "
+        "equations with a constant delay.",
+    )
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_flags, handler = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        add_flags(subparser)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

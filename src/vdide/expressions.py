@@ -428,6 +428,10 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
 _HIDING_FUNCTIONS = frozenset({"exp", "tanh"})
 
 
+class _NonFinite(Exception):
+    """A compiled expression met a value its checks reject."""
+
+
 def compile_expression(
     expr: Expression, params: tuple[str, ...]
 ) -> Callable[..., float]:
@@ -452,7 +456,8 @@ def compile_expression(
     source only as generated names (_c0, _f1, ...) bound in the function's
     globals, so no text of the tree reaches the source and the bytecode
     compiler folds nothing.  params are names from VARIABLES and must cover
-    every variable of expr.
+    every variable of expr.  Nothing the generator makes refers back to
+    itself, so a dropped function is freed without the cyclic collector.
     """
     if not set(params) <= VARIABLES or len(set(params)) != len(params):
         raise ValueError(f"params must be distinct names of VARIABLES, got {params!r}")
@@ -462,63 +467,59 @@ def compile_expression(
             f"variable(s) {', '.join(sorted(unbound))} are not among the "
             f"parameters {', '.join(params)}"
         )
-    bound: dict = {}
+    namespace = {
+        "_evaluate": evaluate, "_isfinite": isfinite, "_pow": math.pow,
+        "_NonFinite": _NonFinite, "_tree": expr,
+    }
     body: list[str] = []
+    result = _emit(expr, body, namespace, checked=True)
     bindings = ", ".join(f"{p!r}: {p}" for p in params)
-    fallback = f"return _evaluate(_tree, {{{bindings}}})"
-
-    def bind(prefix: str, value) -> str:
-        name = f"{prefix}{len(bound)}"
-        bound[name] = value
-        return name
-
-    def checked(node: Expression) -> str:
-        name = emit(node)
-        if not isinstance(node, (Num, Const, Var)):
-            body.append(f"if not _isfinite({name}): {fallback}")
-        return name
-
-    def emit(node: Expression) -> str:
-        """The name holding node's value, after the lines that compute it."""
-        if isinstance(node, Num):
-            return bind("_c", node.value)
-        if isinstance(node, Const):
-            return bind("_c", CONSTANTS[node.name])
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Neg):
-            source = f"-{emit(node.operand)}"
-        elif isinstance(node, Call):
-            hides = node.func in _HIDING_FUNCTIONS
-            arg = checked(node.arg) if hides else emit(node.arg)
-            source = f"{bind('_f', FUNCTIONS[node.func])}({arg})"
-        elif node.op == "^":
-            base = checked(node.left)
-            source = f"{bind('_f', math.pow)}({base}, {checked(node.right)})"
-        elif node.op == "/":
-            left = emit(node.left)
-            source = f"{left} / {checked(node.right)}"
-        else:
-            source = f"{emit(node.left)} {node.op} {emit(node.right)}"
-        name = f"_v{len(body)}"
-        body.append(f"{name} = {source}")
-        return name
-
-    result = emit(expr)
     lines = [f"def _compiled({', '.join(params)}):", "    try:"]
     lines += [f"        {line}" for line in body]
     lines += [
-        f"        _r = {result}",
-        "    except (ValueError, ZeroDivisionError, OverflowError):",
-        f"        {fallback}",
-        "    if _isfinite(_r):",
-        "        return _r",
-        f"    {fallback}",
+        f"        return {result}",
+        "    except (_NonFinite, ValueError, ZeroDivisionError, OverflowError):",
+        f"        return _evaluate(_tree, {{{bindings}}})",
     ]
-    namespace = {"_evaluate": evaluate, "_isfinite": math.isfinite, "_tree": expr}
-    namespace.update(bound)
     exec(compile("\n".join(lines), "<vdide expression>", "exec"), namespace)
-    return namespace["_compiled"]
+    return namespace.pop("_compiled")
+
+
+def _emit(node: Expression, body: list[str], bound: dict, checked: bool = False) -> str:
+    """The name holding node's value, after the lines it appends to body.
+
+    Numbers, constants and functions go into bound under fresh names.  A
+    checked node that is not a leaf gets a line raising _NonFinite when its
+    value is not finite.
+    """
+    if isinstance(node, (Num, Const)):
+        name = f"_c{len(bound)}"
+        bound[name] = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        return name
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        source = f"-{_emit(node.operand, body, bound)}"
+    elif isinstance(node, Call):
+        hides = node.func in _HIDING_FUNCTIONS
+        arg = _emit(node.arg, body, bound, hides)
+        function = f"_f{len(bound)}"
+        bound[function] = FUNCTIONS[node.func]
+        source = f"{function}({arg})"
+    elif node.op == "^":
+        base = _emit(node.left, body, bound, True)
+        source = f"_pow({base}, {_emit(node.right, body, bound, True)})"
+    elif node.op == "/":
+        left = _emit(node.left, body, bound)
+        source = f"{left} / {_emit(node.right, body, bound, True)}"
+    else:
+        left = _emit(node.left, body, bound)
+        source = f"{left} {node.op} {_emit(node.right, body, bound)}"
+    name = f"_v{len(body)}"
+    body.append(f"{name} = {source}")
+    if checked:
+        body.append(f"if not _isfinite({name}): raise _NonFinite")
+    return name
 
 
 # Binding strength used when deciding where unparse needs parentheses.

@@ -56,16 +56,16 @@ SLOT_VARIABLES = {
 
 
 # Calls a built expression walks its tree before it compiles.  Compiling
-# costs about as much as 100 to 300 tree walks, so a problem used for a few
+# costs about as much as 80 to 210 tree walks, so a problem used for a few
 # hundred calls or fewer, as set-up and short solves are, never pays for it.
 COMPILE_AFTER = 128
 
 
 # The deepest expression tree a config may hold, in nodes on a root-to-leaf
-# path.  The deepest walkers, x_rate on a sum and compile_expression (and
-# the parser) on a "^" chain, take two frames per level, so a tree at the
-# bound costs them 800 of Python's default limit of 1000 frames and leaves
-# 200 for the caller's stack; evaluate, unparse and the load walk take one.
+# path.  The deepest walkers, x_rate on a sum and the parser on a "^" chain,
+# take two frames per level, so a tree at the bound costs them 800 of
+# Python's default limit of 1000 frames and leaves 200 for the caller's
+# stack; evaluate, compile_expression, unparse and the load walk take one.
 _MAX_DEPTH = 400
 
 

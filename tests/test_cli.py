@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 
 import vdide
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
-from vdide import registry
+from vdide import cli, registry
 from vdide.cli import main
 from vdide.problem import init_trajectory
 from vdide.registry import resolve_problem
@@ -320,6 +321,57 @@ class TestListProblems:
         _, by_name, _ = run(capsys, "solve", "--problem", "example1", "--h", "0.1")
         _, by_file, _ = run(capsys, "solve", "--problem", str(cfg), "--h", "0.1")
         assert by_name == by_file
+
+
+# Command lines whose usage, help or error text comes from argparse, each
+# against a parser holding only the named command, if any, and the full one.
+PARSER_TEXTS = [
+    [],
+    ["-h"],
+    *[[name, "-h"] for name in cli.COMMANDS],
+    ["bogus"],
+    ["--problem", "example1", "solve"],
+    ["solve", "--problem", "example1"],
+    ["solve", "--problem", "example1", "--h", "0.1", "--first-step", "bad"],
+    ["solve", "--problem", "example1", "--h", "0.1", "extra"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_TEXTS, ids=" ".join)
+def test_a_named_command_parses_as_the_full_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    narrowed = run(capsys, *argv)
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+    assert narrowed == run(capsys, *argv)
+    assert narrowed[0] in (0, 2) and (narrowed[1] or narrowed[2])
+
+
+def test_an_unknown_command_gets_the_full_usage_and_names_the_argument(
+    capsys, monkeypatch
+):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "bogus")
+    usage, error = err.splitlines()
+    assert (code, out) == (2, "")
+    assert usage == "usage: vdide [-h] {solve,table,order,compare,list-problems} ..."
+    assert error.startswith("vdide: error: argument command: invalid choice: 'bogus'")
+
+
+def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def spy(command=None):
+        built.append(real(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "solve", "--problem", "example1", "--h", "0.1")[0] == 0
+    [subparsers] = [
+        a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == ["solve"]
 
 
 # X = 4 tau and an x-dependent kernel, so rows past the first delay read
@@ -672,8 +724,9 @@ def at_depth(frames, fn):
 
 
 # Trees at the depth bound in the two shapes whose walkers take two frames a
-# level: x_rate walks the kernel sum at build, and compile_expression the
-# "^" chain of g once g has been called COMPILE_AFTER times in a solve.
+# level: x_rate walks the kernel sum at build, and the parser the "^" chain
+# of g at load; compile_expression walks it too, once g has been called
+# COMPILE_AFTER times in a solve.
 # Each maps to (g, K); "0*v" is two levels deep.
 DEEPEST = registry._MAX_DEPTH
 AT_THE_BOUND = {

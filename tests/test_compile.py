@@ -6,6 +6,7 @@ zero, or raise a DomainError with the same text.
 """
 
 import dataclasses
+import gc
 import math
 
 import pytest
@@ -141,6 +142,27 @@ def test_tier_matches_evaluate_on_every_call_across_the_switch():
     for call in range(1, COMPILE_AFTER + 6):
         x, u = call * 0.125, (-1.0 if call % 3 == 0 else call * 0.5)
         assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
+
+
+def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
+    # a problem, its trees and its compiled code are freed by reference
+    # counting alone, so a sweep of many problems leaves the cyclic
+    # collector nothing to find
+    def build_and_solve():
+        problem = tier_problem()
+        solve(problem, build_grid(0.0, 1.0, 1.0, 0.01))
+        cells = dict(zip(problem.g.__code__.co_freevars, problem.g.__closure__))
+        return cells["compiled"].cell_contents is not None
+
+    assert build_and_solve()  # 100 steps call g 300 times
+    gc.collect()
+    gc.disable()
+    try:
+        compiled = build_and_solve()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert compiled
 
 
 def test_tier_runs_compiled_code_after_compile_after_calls():
