@@ -15,6 +15,7 @@ from .problem import (
     GridSpec,
     Trajectory,
     build_grid,
+    planned,
 )
 from .stepper import solve
 
@@ -70,6 +71,7 @@ def error_table(
 
 def max_abs_error(traj: Trajectory, exact: Callable[[float], float]) -> float:
     """Largest error over the forward grid points j = 1 .. N."""
+    exact = planned(exact, traj.grid.steps)
     return max(
         abs(exact(traj.grid.point(j)) - traj.value(j))
         for j in range(1, traj.grid.steps + 1)

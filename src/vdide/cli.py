@@ -35,7 +35,7 @@ from .analysis import error_table, observed_order, order_study, timed_solve
 from .errors import DegenerateError, NumericalError, ProblemSetupError
 from .expressions import DomainError, ExpressionError
 from .oracle import OracleConfig, solve_implicit
-from .problem import FirstStepMode, build_grid
+from .problem import FirstStepMode, GridSpec, build_grid
 from .registry import builtin_names, builtin_problem, resolve_problem
 from .stepper import solve
 
@@ -69,16 +69,22 @@ def _mode(args: argparse.Namespace) -> FirstStepMode:
     return FirstStepMode(args.first_step)
 
 
+def _csv(header: str, grid: GridSpec, *columns: list[float]) -> str:
+    """header, then a line of x_j and row j of the columns per grid point."""
+    rows, width = len(columns[0]), len(columns) + 1
+    flat = [0.0] * (width * rows)
+    flat[::width] = [grid.x0 + j * grid.h for j in range(rows)]
+    for k, column in enumerate(columns, 1):
+        flat[k::width] = column
+    return f"{header}\n" + ("%.17g," * len(columns) + "%.17g\n") * rows % tuple(flat)
+
+
 def cmd_solve(args: argparse.Namespace) -> str:
     problem = resolve_problem(args.problem).build()
     h = _single_h(args)
     grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
     traj = solve(problem, grid, _mode(args))
-    x0 = grid.x0
-    forward = traj._values[grid.delay_steps :]
-    lines = ["x,u"]
-    lines += ["%.17g,%.17g" % (x0 + j * h, u) for j, u in enumerate(forward)]
-    return "\n".join(lines) + "\n"
+    return _csv("x,u", grid, traj._values[grid.delay_steps :])
 
 
 def cmd_table(args: argparse.Namespace) -> str:
@@ -139,18 +145,10 @@ def cmd_compare(args: argparse.Namespace) -> str:
     traj_nnm = solve(problem, grid, mode)
     traj_ref = solve_implicit(problem, grid, mode, oracle_config)
 
-    x0 = grid.x0
-    start = grid.delay_steps
-    lines = ["x,u_nnm,u_implicit,diff"]
-    max_abs_diff = 0.0
-    for j, (a, b) in enumerate(
-        zip(traj_nnm._values[start:], traj_ref._values[start:])
-    ):
-        diff = a - b
-        max_abs_diff = max(max_abs_diff, abs(diff))
-        lines.append("%.17g,%.17g,%.17g,%.17g" % (x0 + j * h, a, b, diff))
-    lines.append(f"# max_abs_diff: {max_abs_diff:.17g}")
-    return "\n".join(lines) + "\n"
+    nnm, ref = (traj._values[grid.delay_steps :] for traj in (traj_nnm, traj_ref))
+    diffs = [a - b for a, b in zip(nnm, ref)]
+    body = _csv("x,u_nnm,u_implicit,diff", grid, nnm, ref, diffs)
+    return body + f"# max_abs_diff: {max(map(abs, diffs)):.17g}\n"
 
 
 def cmd_list_problems(args: argparse.Namespace) -> str:

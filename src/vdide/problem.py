@@ -217,11 +217,19 @@ def init_trajectory(
     """Create a trajectory with the history segment prefilled.
 
     values[j] = history(x_j) for j = -M .. 0; in particular the initial value
-    u_0 is history(x0), whatever the problem's g would say about it.
+    u_0 is history(x0), whatever the problem's g would say about it.  Its
+    M + 1 calls of history are planned.
     """
     _check_grid_matches(problem, grid)
-    hist = [problem.history(grid.point(j)) for j in range(-grid.delay_steps, 1)]
+    history = planned(problem.history, grid.delay_steps + 1)
+    hist = [history(grid.point(j)) for j in range(-grid.delay_steps, 1)]
     return Trajectory(grid, mode, hist)
+
+
+def planned(fn: Callable, calls: int) -> Callable:
+    """fn, or the compiled code of a built problem's slot for `calls` calls."""
+    plan = getattr(fn, "for_calls", None)
+    return (plan and plan(calls)) or fn
 
 
 def delayed_value(traj: Trajectory, j: int) -> float:

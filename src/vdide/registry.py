@@ -55,9 +55,9 @@ SLOT_VARIABLES = {
 }
 
 
-# Calls a built expression walks its tree before it compiles.  Compiling
-# costs about as much as 80 to 210 tree walks, so a problem used for a few
-# hundred calls or fewer, as set-up and short solves are, never pays for it.
+# Calls a built expression walks its tree, counted one by one or planned by
+# a loop (problem.planned), before it compiles.  Compiling costs about as
+# much as 80 to 210 walks, so set-up and short solves never pay for it.
 COMPILE_AFTER = 128
 
 
@@ -70,62 +70,86 @@ _MAX_DEPTH = 400
 
 
 # The slot functions of a built problem.  Each walks its tree with evaluate
-# for its first COMPILE_AFTER calls, the last of which compiles the tree once,
-# and runs the compiled function from then on, so values and DomainError text
-# are the same on every call.  They take their slot's variables by position
-# and build the bindings dict as a display: a *args function building it
-# with dict(zip(...)) measured about 25% slower on an example2 solve.  phi
-# and exact, called outside the step loop, stamp a DomainError with their
-# slot and x; a solve locates those of g and K.
+# until its calls, or those its _Tier's for_calls is told a loop will make,
+# reach COMPILE_AFTER, then compiles the tree once and runs that from then on,
+# with the same values and DomainError text.  They take their variables by
+# position and build the bindings dict as a display: a *args function using
+# dict(zip(...)) measured about 25% slower on an example2 solve.  phi and
+# exact stamp a DomainError with their slot and x; a solve locates those of
+# g and K.  Nothing a tier holds refers back to its slot function.
+class _Tier:
+    def __init__(self, tree, params, slot=None):
+        self.tree, self.params, self.slot, self.calls = tree, params, slot, 0
+        self.compiled = None
+
+    def for_calls(self, n: int):
+        """The compiled function, made now if the calls so far and n reach
+        COMPILE_AFTER, or None: keep calling the slot function."""
+        if self.compiled is None and self.calls + n >= COMPILE_AFTER:
+            self.compiled = compile_expression(self.tree, self.params)
+        compiled, slot = self.compiled, self.slot
+        if not (compiled and slot):
+            return compiled
+
+        def of_x(x: float) -> float:
+            try:
+                return compiled(x)
+            except DomainError as exc:
+                exc.slot, exc.x = slot, x
+                raise
+
+        return of_x
+
+
 def _tiered_g(tree):
-    compiled = None
-    calls = 0
+    tier = _Tier(tree, ("x", "u"))
 
     def g(x: float, u: float) -> float:
-        nonlocal compiled, calls
+        compiled = tier.compiled
         if compiled is not None:
             return compiled(x, u)
-        calls += 1
-        if calls == COMPILE_AFTER:
-            compiled = compile_expression(tree, ("x", "u"))
+        tier.calls += 1
+        if tier.calls == COMPILE_AFTER:
+            tier.compiled = compile_expression(tree, tier.params)
         return evaluate(tree, {"x": x, "u": u})
 
+    g.for_calls = tier.for_calls
     return g
 
 
 def _tiered_kernel(tree):
-    compiled = None
-    calls = 0
+    tier = _Tier(tree, ("x", "t", "v"))
 
     def kernel(x: float, t: float, v: float) -> float:
-        nonlocal compiled, calls
+        compiled = tier.compiled
         if compiled is not None:
             return compiled(x, t, v)
-        calls += 1
-        if calls == COMPILE_AFTER:
-            compiled = compile_expression(tree, ("x", "t", "v"))
+        tier.calls += 1
+        if tier.calls == COMPILE_AFTER:
+            tier.compiled = compile_expression(tree, tier.params)
         return evaluate(tree, {"x": x, "t": t, "v": v})
 
+    kernel.for_calls = tier.for_calls
     return kernel
 
 
 def _tiered_x(tree, slot):
-    compiled = None
-    calls = 0
+    tier = _Tier(tree, ("x",), slot)
 
     def of_x(x: float) -> float:
-        nonlocal compiled, calls
         try:
+            compiled = tier.compiled
             if compiled is not None:
                 return compiled(x)
-            calls += 1
-            if calls == COMPILE_AFTER:
-                compiled = compile_expression(tree, ("x",))
+            tier.calls += 1
+            if tier.calls == COMPILE_AFTER:
+                tier.compiled = compile_expression(tree, tier.params)
             return evaluate(tree, {"x": x})
         except DomainError as exc:
             exc.slot, exc.x = slot, x
             raise
 
+    of_x.for_calls = tier.for_calls
     return of_x
 
 
@@ -181,9 +205,7 @@ class ProblemConfig:
         The expressions are parsed and slot-checked once per config: a
         config from parse_config_text was checked at load, and later builds
         of the same config reuse its trees.  g, kernel, history and exact
-        walk their trees for their first COMPILE_AFTER calls and run
-        compiled Python after that, with the same values and DomainError
-        text.
+        are slot functions, which compile as the comment on _Tier says.
         """
         trees = self._trees
         exact_tree = trees.get("exact")

@@ -445,6 +445,22 @@ class TestOutputBytes:
         assert out == want
 
 
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_csv_bodies_match_per_row_formatting(capsys, mode):
+    # at h = 0.1 the grid points x0 + j h print as 17-digit forms such as
+    # 0.30000000000000004, which the one-operation bodies must repeat
+    problem = builtin_problem("example2").build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    traj = solve(problem, grid, mode)
+    ref = solve_implicit(problem, grid, mode)
+    flag = ("--first-step", mode.value)
+    solved = run(capsys, "solve", "--problem", "example2", "--h", "0.1", *flag)
+    compared = run(capsys, "compare", "--problem", "example2", "--h", "0.1", *flag)
+    assert solved == (0, expected_solve_csv(traj), "")
+    assert compared == (0, expected_compare_csv(traj, ref), "")
+    assert "0.30000000000000004," in solved[1]
+
+
 # A kernel on each row path of the solve loop, with the kernel_x_rate its
 # config gets: rows from a recurrence with rho = 1 or rho = e^(-h), and rows
 # evaluated in full.
@@ -458,7 +474,8 @@ ROW_PATHS = {
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 @pytest.mark.parametrize("path", sorted(ROW_PATHS))
 def test_solve_prints_the_nnm_step_replay(capsys, tmp_path, path, mode):
-    # 80 steps, so g compiles part way through both the solve and the replay
+    # 80 steps: the solve plans 160 calls of g and compiles it before the
+    # loop, and the replay's unplanned calls compile it part way
     kernel, rate = ROW_PATHS[path]
     cfg = tmp_path / "rows.cfg"
     cfg.write_text(
@@ -516,6 +533,15 @@ FAILING_CONFIGS = {
         "tau = 1\nx0 = 0\nX = 1\n"
     ),
     "log_phi": "name = logphi\ng = u\nK = 0\nphi = log(x)\ntau = 1\nx0 = 0\nX = 1\n",
+    # phi and exact fail at a point on every grid below, so a walked and a
+    # compiled slot must print the same line
+    "log_phi_half": (
+        "name = logphihalf\ng = u\nK = 0\nphi = log(x + 0.5)\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
+    "log_exact_half": (
+        "name = logexacthalf\ng = u\nK = 0\nphi = exp(x)\nexact = log(0.5 - x)\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
+    ),
 }
 
 # the table's first point and the order study's first grid point, x_1 at
@@ -528,6 +554,17 @@ LOG_EXACT_FAILS = (
 LOG_PHI_FAILS = (
     "evaluation of phi failed at x = -1: cannot evaluate 'log(x)' at "
     "argument -1.0: math domain error"
+)
+# x_{-M} = -1 at h = 0.1 and 0.005, and the exact solution's first failure,
+# x_j = 0.5, lies on both grids; at h = 0.005 phi's M + 1 = 201 calls and
+# exact's N = 200 are planned, so each compiles before its first call
+LOG_PHI_HALF_FAILS = (
+    "evaluation of phi failed at x = -1: cannot evaluate 'log(x + 0.5)' at "
+    "argument -0.5: math domain error"
+)
+LOG_EXACT_HALF_FAILS = (
+    "evaluation of exact failed at x = 0.5: cannot evaluate 'log(0.5 - x)' at "
+    "argument 0.0: math domain error"
 )
 NOT_CONVERGED = (
     "implicit step 0 did not reach tol=1e-13 in {iterations} iterations; "
@@ -691,6 +728,27 @@ FAILURES = [
         "solve --problem {log_phi} --h 0.1", 3, LOG_PHI_FAILS,
         id="DomainError-phi-solve",
     ),
+    row(
+        "solve --problem {log_phi_half} --h 0.1", 3, LOG_PHI_HALF_FAILS,
+        id="DomainError-phi-walked",
+    ),
+    row(
+        "solve --problem {log_phi_half} --h 0.005", 3, LOG_PHI_HALF_FAILS,
+        id="DomainError-phi-compiled",
+    ),
+    row(
+        "solve --problem {log_phi_half} --h 0.005", 3, LOG_PHI_HALF_FAILS,
+        id="DomainError-phi-compiled-process", process=True,
+    ),
+    row(
+        "order --problem {log_exact_half} --h 0.1,0.05", 3, LOG_EXACT_HALF_FAILS,
+        id="DomainError-exact-walked",
+    ),
+    row(
+        "order --problem {log_exact_half} --h 0.005,0.0025", 3,
+        LOG_EXACT_HALF_FAILS,
+        id="DomainError-exact-compiled",
+    ),
 ]
 
 
@@ -725,8 +783,8 @@ def at_depth(frames, fn):
 
 # Trees at the depth bound in the two shapes whose walkers take two frames a
 # level: x_rate walks the kernel sum at build, and the parser the "^" chain
-# of g at load; compile_expression walks it too, once g has been called
-# COMPILE_AFTER times in a solve.
+# of g at load; compile_expression walks it too, once a solve has planned
+# or made COMPILE_AFTER calls of g.
 # Each maps to (g, K); "0*v" is two levels deep.
 DEEPEST = registry._MAX_DEPTH
 AT_THE_BOUND = {

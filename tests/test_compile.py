@@ -1,4 +1,5 @@
-"""compile_expression and the tier that switches to it, against evaluate.
+"""compile_expression and the tier that switches to it, against evaluate,
+and the plans through which loops compile before their first call.
 
 evaluate is the reference: on every tree and every bindings, the compiled
 function must return the same float, bit for bit and with the same sign of
@@ -33,7 +34,8 @@ from vdide.expressions import (
     evaluate,
     parse,
 )
-from vdide.problem import build_grid
+from vdide.analysis import order_study
+from vdide.problem import FirstStepMode, build_grid, planned
 from vdide.registry import COMPILE_AFTER, parse_config_text
 from vdide.oracle import solve_implicit
 from vdide.stepper import solve
@@ -144,17 +146,17 @@ def test_tier_matches_evaluate_on_every_call_across_the_switch():
         assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
 
 
-def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
-    # a problem, its trees and its compiled code are freed by reference
-    # counting alone, so a sweep of many problems leaves the cyclic
-    # collector nothing to find
+def assert_a_dropped_problem_leaves_no_reference_cycles(h):
+    """A problem, its trees, its tiers and its compiled code are freed by
+    reference counting alone, so a sweep of many problems leaves the cyclic
+    collector nothing to find."""
+
     def build_and_solve():
         problem = tier_problem()
-        solve(problem, build_grid(0.0, 1.0, 1.0, 0.01))
-        cells = dict(zip(problem.g.__code__.co_freevars, problem.g.__closure__))
-        return cells["compiled"].cell_contents is not None
+        solve(problem, build_grid(0.0, 1.0, 1.0, h))
+        return problem.g.for_calls(0) is not None
 
-    assert build_and_solve()  # 100 steps call g 300 times
+    assert build_and_solve()
     gc.collect()
     gc.disable()
     try:
@@ -165,13 +167,117 @@ def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
     assert compiled
 
 
+def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
+    # at h = 0.005 the loops' plans compile g, K and phi
+    assert_a_dropped_problem_leaves_no_reference_cycles(0.005)
+
+
+def test_a_problem_compiled_by_its_128th_call_leaves_no_reference_cycles():
+    # at h = 0.02 the solve plans 100 calls of g, and g compiles on its 128th
+    assert_a_dropped_problem_leaves_no_reference_cycles(0.02)
+
+
 def test_tier_runs_compiled_code_after_compile_after_calls():
     g = tier_problem().g
-    compiled = dict(zip(g.__code__.co_freevars, g.__closure__))["compiled"]
     for _ in range(COMPILE_AFTER):
-        assert compiled.cell_contents is None
+        assert g.for_calls(0) is None
         g(0.5, 2.0)
-    assert compiled.cell_contents.__name__ == "_compiled"
+    assert g.for_calls(0).__name__ == "_compiled"
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The params of each compile_expression call a built problem makes."""
+    made = []
+
+    def counted(tree, params):
+        made.append(params)
+        return compile_expression(tree, params)
+
+    monkeypatch.setattr(registry, "compile_expression", counted)
+    return made
+
+
+@pytest.mark.parametrize("walked", [0, 60, COMPILE_AFTER - 1])
+def test_a_plan_reaching_compile_after_compiles_before_the_first_call(
+    compiles, walked
+):
+    g = tier_problem().g
+    for _ in range(walked):
+        g(0.5, 2.0)
+    direct = planned(g, COMPILE_AFTER - walked)
+    assert compiles == [("x", "u")]
+    assert direct is not g and direct.__name__ == "_compiled"
+    assert planned(g, 1) is direct  # compiled once, handed to every loop
+    want = evaluate(parse("log(u) + x"), {"x": 0.5, "u": 2.0})
+    assert direct(0.5, 2.0) == g(0.5, 2.0) == want
+    assert compiles == [("x", "u")]
+
+
+def test_a_smaller_plan_leaves_the_slot_walking_and_counting(compiles):
+    g = tier_problem().g
+    for _ in range(60):
+        g(0.5, 2.0)
+    assert planned(g, COMPILE_AFTER - 61) is g
+    for _ in range(COMPILE_AFTER - 61):
+        g(0.5, 2.0)
+    assert compiles == []
+    g(0.5, 2.0)  # the 128th call compiles
+    assert compiles == [("x", "u")]
+    assert planned(g, 0) is not g
+
+
+def test_a_plain_callable_is_its_own_plan():
+    def g(x, u):
+        return x + u
+
+    assert planned(g, 10**6) is g
+
+
+@pytest.mark.parametrize("slot", ["phi", "exact"])
+def test_a_planned_phi_or_exact_names_its_slot_and_x_on_failure(slot):
+    problem = parse_config_text(
+        "name = stamp\ng = u\nK = v\nphi = log(x)\nexact = log(x)\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
+    ).build()
+    fn = problem.history if slot == "phi" else problem.exact
+    direct = planned(fn, COMPILE_AFTER)
+    assert direct is not fn
+    assert direct(2.0) == fn(2.0) == math.log(2.0)
+    failures = []
+    for variant in (direct, fn, lambda x: evaluate(parse("log(x)"), {"x": x})):
+        with pytest.raises(DomainError) as info:
+            variant(-0.25)
+        failures.append((str(info.value), info.value.slot, info.value.x))
+    assert failures[0] == failures[1] == (failures[2][0], slot, -0.25)
+
+
+def sweep_text(tau, delays, a=0.1234, c=0.3):
+    """A problem of perfbench/gen.py's family, u = e^(a x), as its sweep
+    writes it."""
+    b, d = 2.0 * a * tau, 2.0 * a + 1.0
+    return (
+        f"name = sweep\ng = {a!r}*u - {c!r}*exp({-b!r} - x)*(exp({d!r}*x) - 1)/{d!r}\n"
+        f"K = {c!r}*exp(t - x)*v^2\nphi = exp({a!r}*x)\nexact = exp({a!r}*x)\n"
+        f"tau = {tau!r}\nx0 = 0.0\nX = {delays * tau!r}\n"
+    )
+
+
+@pytest.mark.parametrize("tau, delays", [(1.0, 2), (0.5, 3), (0.25, 4)])
+def test_a_sweep_op_compiles_g_once_and_k_phi_and_exact_never(
+    compiles, tau, delays
+):
+    # an op's calls reach COMPILE_AFTER for g, in the order study at four
+    # delays and only in solve at two, and fall short of it for K (at most
+    # 9 + 17 + 33 + 33 + 33 = 125 at four delays), phi and exact
+    problem = parse_config_text(sweep_text(tau, delays)).build()
+    hs = [tau / 2, tau / 4, tau / 8]
+    estimate = order_study(problem, FirstStepMode.LITERAL, hs)
+    grid = build_grid(0.0, delays * tau, tau, tau / 8)
+    solve(problem, grid)
+    solve_implicit(problem, grid)
+    assert compiles == [("x", "u")]
+    assert abs(estimate.slope - 2.0) < 0.2
 
 
 @pytest.mark.parametrize("run", [solve, solve_implicit])
@@ -206,8 +312,8 @@ def test_tier_matches_evaluate_on_a_long_sum():
 def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
     capsys, tmp_path, monkeypatch
 ):
-    # 80 steps call g 240 times, so g compiles part way; a solve whose g
-    # never compiles prints the reference output
+    # 80 steps plan 160 calls of g, so g compiles before the loop; a solve
+    # whose g never compiles prints the reference output
     config = tmp_path / "long.cfg"
     config.write_text(
         f"name = long\ng = {LONG_SUM}\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 0.5\n"
@@ -221,3 +327,29 @@ def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
         outputs.append(captured.out)
     assert outputs[0] == outputs[1]
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --problem example2 --h 0.005 --first-step corrected",
+        "compare --problem example2 --h 0.005",
+        "order --problem example2 --h 0.01,0.005",
+        "table --problem example2 --h 0.005",
+    ],
+)
+def test_planned_commands_print_what_walking_commands_print(
+    capsys, monkeypatch, argv
+):
+    # at h = 0.005 the plans of g, K, phi and exact (400, 201, 201 and 200
+    # calls) each reach COMPILE_AFTER, so all four compile before their
+    # loops' first calls; with the threshold out of reach every call walks
+    outputs = []
+    for compile_after in (COMPILE_AFTER, 10**9):
+        monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        lines = captured.out.splitlines()
+        outputs.append([ln for ln in lines if not ln.startswith("# elapsed")])
+    assert outputs[0] == outputs[1]
