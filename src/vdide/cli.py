@@ -42,11 +42,6 @@ from .stepper import solve
 USAGE_EXIT = 2
 NUMERICAL_EXIT = 3
 
-# Default sample points for error tables; i/10 keeps them exactly the
-# doubles nearest 0.1 .. 1.0, which grid_index then matches.
-DEFAULT_TABLE_POINTS = [i / 10 for i in range(1, 11)]
-
-
 def _parse_float_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip()]
@@ -95,7 +90,11 @@ def cmd_table(args: argparse.Namespace) -> str:
             f"problem {config.name!r} has no exact solution; an error table "
             "needs one"
         )
-    points = args.points if args.points is not None else DEFAULT_TABLE_POINTS
+    points = args.points
+    if points is None:
+        # on [0, 1] these are i / 10, the doubles nearest 0.1 .. 1.0
+        span = problem.x_end - problem.x0
+        points = [problem.x0 + i * span / 10 for i in range(1, 11)]
     mode = _mode(args)
 
     tables = []
@@ -195,7 +194,7 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
         type=_parse_float_list,
         default=None,
         metavar="X[,X...]",
-        help="sample points (default: 0.1,0.2,...,1.0)",
+        help="sample points (default: x0 + i (X - x0) / 10 for i = 1..10)",
     )
 
 

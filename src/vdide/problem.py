@@ -218,7 +218,7 @@ def init_trajectory(
 
     values[j] = history(x_j) for j = -M .. 0; in particular the initial value
     u_0 is history(x0), whatever the problem's g would say about it.  Its
-    M + 1 calls of history are planned.
+    M + 1 calls of history are planned (see planned).
     """
     _check_grid_matches(problem, grid)
     history = planned(problem.history, grid.delay_steps + 1)
@@ -227,7 +227,12 @@ def init_trajectory(
 
 
 def planned(fn: Callable, calls: int) -> Callable:
-    """fn, or the compiled code of a built problem's slot for `calls` calls."""
+    """The function a loop making `calls` calls of fn should call.
+
+    fn itself, unless fn is a built problem's slot function whose planned
+    calls, these included, reach registry.COMPILE_AFTER: then the slot's
+    compiled code, made once.  Calls that no loop plans never compile.
+    """
     plan = getattr(fn, "for_calls", None)
     return (plan and plan(calls)) or fn
 

@@ -55,9 +55,9 @@ SLOT_VARIABLES = {
 }
 
 
-# Calls a built expression walks its tree, counted one by one or planned by
-# a loop (problem.planned), before it compiles.  Compiling costs about as
-# much as 80 to 210 walks, so set-up and short solves never pay for it.
+# Calls that loops plan on a built expression (problem.planned) before it
+# compiles.  Compiling costs about as much as 80 to 210 walks, so set-up and
+# short solves never pay for it.
 COMPILE_AFTER = 128
 
 
@@ -69,88 +69,65 @@ COMPILE_AFTER = 128
 _MAX_DEPTH = 400
 
 
-# The slot functions of a built problem.  Each walks its tree with evaluate
-# until its calls, or those its _Tier's for_calls is told a loop will make,
-# reach COMPILE_AFTER, then compiles the tree once and runs that from then on,
-# with the same values and DomainError text.  They take their variables by
-# position and build the bindings dict as a display: a *args function using
-# dict(zip(...)) measured about 25% slower on an example2 solve.  phi and
-# exact stamp a DomainError with their slot and x; a solve locates those of
-# g and K.  Nothing a tier holds refers back to its slot function.
-class _Tier:
-    def __init__(self, tree, params, slot=None):
-        self.tree, self.params, self.slot, self.calls = tree, params, slot, 0
-        self.compiled = None
-
-    def for_calls(self, n: int):
-        """The compiled function, made now if the calls so far and n reach
-        COMPILE_AFTER, or None: keep calling the slot function."""
-        if self.compiled is None and self.calls + n >= COMPILE_AFTER:
-            self.compiled = compile_expression(self.tree, self.params)
-        compiled, slot = self.compiled, self.slot
-        if not (compiled and slot):
-            return compiled
-
-        def of_x(x: float) -> float:
-            try:
-                return compiled(x)
-            except DomainError as exc:
-                exc.slot, exc.x = slot, x
-                raise
-
-        return of_x
-
-
-def _tiered_g(tree):
-    tier = _Tier(tree, ("x", "u"))
-
-    def g(x: float, u: float) -> float:
-        compiled = tier.compiled
-        if compiled is not None:
-            return compiled(x, u)
-        tier.calls += 1
-        if tier.calls == COMPILE_AFTER:
-            tier.compiled = compile_expression(tree, tier.params)
-        return evaluate(tree, {"x": x, "u": u})
-
-    g.for_calls = tier.for_calls
-    return g
-
-
-def _tiered_kernel(tree):
-    tier = _Tier(tree, ("x", "t", "v"))
-
-    def kernel(x: float, t: float, v: float) -> float:
-        compiled = tier.compiled
-        if compiled is not None:
-            return compiled(x, t, v)
-        tier.calls += 1
-        if tier.calls == COMPILE_AFTER:
-            tier.compiled = compile_expression(tree, tier.params)
-        return evaluate(tree, {"x": x, "t": t, "v": v})
-
-    kernel.for_calls = tier.for_calls
-    return kernel
-
-
-def _tiered_x(tree, slot):
-    tier = _Tier(tree, ("x",), slot)
+def _stamped(fn, slot):
+    """fn of x, stamping slot and x on a DomainError it raises."""
 
     def of_x(x: float) -> float:
         try:
-            compiled = tier.compiled
-            if compiled is not None:
-                return compiled(x)
-            tier.calls += 1
-            if tier.calls == COMPILE_AFTER:
-                tier.compiled = compile_expression(tree, tier.params)
-            return evaluate(tree, {"x": x})
+            return fn(x)
         except DomainError as exc:
             exc.slot, exc.x = slot, x
             raise
 
-    of_x.for_calls = tier.for_calls
     return of_x
+
+
+def _slot_function(tree, slot):
+    """The function a built problem calls for slot: a walk of tree with
+    evaluate, which plans its compiling through for_calls.
+
+    It takes its variables by position and builds the bindings dict as a
+    display: a *args function using dict(zip(...)) measured about 25% slower
+    on an example2 solve.  phi and exact stamp a DomainError with their slot
+    and x; a solve locates those of g and K.  A loop about to make n calls
+    asks for_calls(n) once (problem.planned).  The slot adds n to its planned
+    total and, once that reaches COMPILE_AFTER, compiles tree, once, and
+    hands the compiled function, with the same values and DomainError text,
+    to this and every later plan.  Unplanned calls walk and count nothing.
+    Nothing for_calls holds refers back to the slot function.
+    """
+    if slot == "g":
+        params = ("x", "u")
+
+        def walk(x: float, u: float) -> float:
+            return evaluate(tree, {"x": x, "u": u})
+
+    elif slot == "K":
+        params = ("x", "t", "v")
+
+        def walk(x: float, t: float, v: float) -> float:
+            return evaluate(tree, {"x": x, "t": t, "v": v})
+
+    else:
+        params = ("x",)
+        walk = _stamped(lambda x: evaluate(tree, {"x": x}), slot)
+    planned, compiled = 0, None
+
+    def for_calls(n: int):
+        """The compiled function, made now if the planned calls reach
+        COMPILE_AFTER with these n, or None: keep calling the slot function."""
+        nonlocal planned, compiled
+        if compiled is None:
+            planned += n
+            if planned < COMPILE_AFTER:
+                return None
+            compiled = compile_expression(tree, params)
+            if params == ("x",):
+                compiled = _stamped(compiled, slot)
+        return compiled
+
+    walk.for_calls = for_calls
+    return walk
 
 
 @dataclass(frozen=True)
@@ -205,18 +182,18 @@ class ProblemConfig:
         The expressions are parsed and slot-checked once per config: a
         config from parse_config_text was checked at load, and later builds
         of the same config reuse its trees.  g, kernel, history and exact
-        are slot functions, which compile as the comment on _Tier says.
+        are slot functions, which compile as _slot_function says.
         """
         trees = self._trees
         exact_tree = trees.get("exact")
         return DelayProblem(
-            g=_tiered_g(trees["g"]),
-            kernel=_tiered_kernel(trees["K"]),
-            history=_tiered_x(trees["phi"], "phi"),
+            g=_slot_function(trees["g"], "g"),
+            kernel=_slot_function(trees["K"], "K"),
+            history=_slot_function(trees["phi"], "phi"),
             tau=self.tau,
             x0=self.x0,
             x_end=self.X,
-            exact=None if exact_tree is None else _tiered_x(exact_tree, "exact"),
+            exact=None if exact_tree is None else _slot_function(exact_tree, "exact"),
             kernel_x_rate=x_rate(trees["K"], self.X - self.x0),
         )
 

@@ -201,8 +201,10 @@ def run_steps(
     including the LITERAL corner samples at x_0 taken before the loop,
     leaves with step_index = j and x = x_j.
 
-    g and K are planned (problem.planned) for the fewest calls the loop
-    makes: 2 of g a step, and N + 1 of K with a rate, N (N + 3) / 2 without.
+    g and K are planned (problem.planned) for the calls the DGJ loop
+    makes: 3 of g a step, one for M1 and two in the closure, and N + 1 of K
+    with a rate, N (N + 3) / 2 without.  The oracle's closure makes at least
+    one g call a step and in practice more.
     """
     grid = traj.grid
     h = grid.h
@@ -211,7 +213,7 @@ def run_steps(
     n = grid.steps
     rate = problem.kernel_x_rate
     recur = rate is not None
-    g = planned(problem.g, 2 * n)
+    g = planned(problem.g, 3 * n)
     K = planned(problem.kernel, n + 1 if recur else n * (n + 3) // 2)
     close = closure(g, h)
     rho = math.exp(rate * h) if recur else 1.0

@@ -169,6 +169,19 @@ class TestTable:
         assert rows[-1][0] == 1.0
         assert abs(rows[-1][1] / 1.72316e-4 - 1) < 0.10
 
+    def test_default_points_span_a_shifted_interval(self, capsys, tmp_path):
+        # on [2, 3] the default points are 2.1 .. 3.0, tenths of the interval
+        cfg = tmp_path / "shifted.cfg"
+        cfg.write_text(
+            "name = shifted\ng = -u\nK = 0*v\nphi = exp(2 - x)\n"
+            "exact = exp(2 - x)\ntau = 1\nx0 = 2\nX = 3\n"
+        )
+        code, out, err = run(capsys, "table", "--problem", str(cfg), "--h", "0.1")
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == [2.0 + i * 1.0 / 10 for i in range(1, 11)]
+        assert all(0.0 < r[1] < 1e-3 for r in rows)
+
     def test_points_override(self, capsys):
         code, out, _ = run(
             capsys,
@@ -474,8 +487,8 @@ ROW_PATHS = {
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 @pytest.mark.parametrize("path", sorted(ROW_PATHS))
 def test_solve_prints_the_nnm_step_replay(capsys, tmp_path, path, mode):
-    # 80 steps: the solve plans 160 calls of g and compiles it before the
-    # loop, and the replay's unplanned calls compile it part way
+    # 80 steps: the solve plans 240 calls of g and compiles it before the
+    # loop, and the replay's unplanned calls walk throughout
     kernel, rate = ROW_PATHS[path]
     cfg = tmp_path / "rows.cfg"
     cfg.write_text(
@@ -783,8 +796,8 @@ def at_depth(frames, fn):
 
 # Trees at the depth bound in the two shapes whose walkers take two frames a
 # level: x_rate walks the kernel sum at build, and the parser the "^" chain
-# of g at load; compile_expression walks it too, once a solve has planned
-# or made COMPILE_AFTER calls of g.
+# of g at load; compile_expression walks it too, once solves have planned
+# COMPILE_AFTER calls of g.
 # Each maps to (g, K); "0*v" is two levels deep.
 DEEPEST = registry._MAX_DEPTH
 AT_THE_BOUND = {

@@ -1,5 +1,5 @@
-"""compile_expression and the tier that switches to it, against evaluate,
-and the plans through which loops compile before their first call.
+"""compile_expression and the slot functions of a built problem, against
+evaluate, and the plans through which loops compile before their first call.
 
 evaluate is the reference: on every tree and every bindings, the compiled
 function must return the same float, bit for bit and with the same sign of
@@ -22,7 +22,7 @@ from helpers import (
     PARAMS,
     trees,
 )
-from vdide import registry
+from vdide import registry, stepper
 from vdide.cli import main
 from vdide.expressions import (
     BinOp,
@@ -130,33 +130,45 @@ def test_generated_trees_compile_like_evaluate(tree, values):
     assert_compiles_like_evaluate(tree, dict(zip(PARAMS, values)))
 
 
-def tier_problem(g="log(u) + x", x_end=1.0):
+def slot_problem(g="log(u) + x", x_end=1.0):
     return parse_config_text(
-        f"name = tier\ng = {g}\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = {x_end!r}\n"
+        f"name = slot\ng = {g}\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = {x_end!r}\n"
     ).build()
 
 
-def test_tier_matches_evaluate_on_every_call_across_the_switch():
-    g = tier_problem().g
-    tree = parse("log(u) + x")
-    # every third call leaves the domain, so error text is checked on both
-    # sides of the switch, and so is a value
-    for call in range(1, COMPILE_AFTER + 6):
-        x, u = call * 0.125, (-1.0 if call % 3 == 0 else call * 0.5)
-        assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
+def assert_walk_and_plan_match_evaluate(text, inputs):
+    """A fresh slot's walk, and the code a plan compiles for it, against
+    evaluate on every (x, u) of inputs."""
+    g = slot_problem(text).g
+    direct = planned(g, COMPILE_AFTER)
+    assert direct is not g
+    tree = parse(text)
+    for x, u in inputs:
+        want = outcome(evaluate, tree, {"x": x, "u": u})
+        assert_same(outcome(g, x, u), want)
+        assert_same(outcome(direct, x, u), want)
 
 
-def assert_a_dropped_problem_leaves_no_reference_cycles(h):
-    """A problem, its trees, its tiers and its compiled code are freed by
-    reference counting alone, so a sweep of many problems leaves the cyclic
-    collector nothing to find."""
+def test_the_walk_and_the_planned_code_match_evaluate_on_every_input():
+    # every third input leaves the domain, so error text is checked on both
+    # paths, and so is a value
+    assert_walk_and_plan_match_evaluate(
+        "log(u) + x",
+        [(k * 0.125, -1.0 if k % 3 == 0 else k * 0.5) for k in range(1, 40)],
+    )
+
+
+def assert_a_dropped_problem_leaves_no_reference_cycles(h, compiles):
+    """A problem, its trees, its slot functions and its compiled code are
+    freed by reference counting alone, so a sweep of many problems leaves
+    the cyclic collector nothing to find."""
 
     def build_and_solve():
-        problem = tier_problem()
+        problem = slot_problem()
         solve(problem, build_grid(0.0, 1.0, 1.0, h))
         return problem.g.for_calls(0) is not None
 
-    assert build_and_solve()
+    assert build_and_solve() == compiles
     gc.collect()
     gc.disable()
     try:
@@ -164,25 +176,18 @@ def assert_a_dropped_problem_leaves_no_reference_cycles(h):
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert compiled
+    assert compiled == compiles
 
 
 def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
     # at h = 0.005 the loops' plans compile g, K and phi
-    assert_a_dropped_problem_leaves_no_reference_cycles(0.005)
+    assert_a_dropped_problem_leaves_no_reference_cycles(0.005, True)
 
 
-def test_a_problem_compiled_by_its_128th_call_leaves_no_reference_cycles():
-    # at h = 0.02 the solve plans 100 calls of g, and g compiles on its 128th
-    assert_a_dropped_problem_leaves_no_reference_cycles(0.02)
-
-
-def test_tier_runs_compiled_code_after_compile_after_calls():
-    g = tier_problem().g
-    for _ in range(COMPILE_AFTER):
-        assert g.for_calls(0) is None
-        g(0.5, 2.0)
-    assert g.for_calls(0).__name__ == "_compiled"
+def test_a_dropped_walking_problem_leaves_no_reference_cycles():
+    # at h = 0.05 the solve plans 60 calls of g and 21 each of K and phi,
+    # so every slot holds a planned total and none compiles
+    assert_a_dropped_problem_leaves_no_reference_cycles(0.05, False)
 
 
 @pytest.fixture
@@ -202,10 +207,12 @@ def compiles(monkeypatch):
 def test_a_plan_reaching_compile_after_compiles_before_the_first_call(
     compiles, walked
 ):
-    g = tier_problem().g
+    # unplanned calls before the plan neither count towards it nor compile
+    g = slot_problem().g
     for _ in range(walked):
         g(0.5, 2.0)
-    direct = planned(g, COMPILE_AFTER - walked)
+    assert compiles == []
+    direct = planned(g, COMPILE_AFTER)
     assert compiles == [("x", "u")]
     assert direct is not g and direct.__name__ == "_compiled"
     assert planned(g, 1) is direct  # compiled once, handed to every loop
@@ -214,17 +221,59 @@ def test_a_plan_reaching_compile_after_compiles_before_the_first_call(
     assert compiles == [("x", "u")]
 
 
-def test_a_smaller_plan_leaves_the_slot_walking_and_counting(compiles):
-    g = tier_problem().g
-    for _ in range(60):
-        g(0.5, 2.0)
-    assert planned(g, COMPILE_AFTER - 61) is g
-    for _ in range(COMPILE_AFTER - 61):
+def test_plans_add_up_and_compile_once_when_they_reach_compile_after(compiles):
+    g = slot_problem().g
+    assert planned(g, 50) is g
+    assert planned(g, 50) is g
+    for _ in range(100):
         g(0.5, 2.0)
     assert compiles == []
-    g(0.5, 2.0)  # the 128th call compiles
+    direct = planned(g, 50)  # 150 planned calls
+    assert compiles == [("x", "u")] and direct is not g
+    assert planned(g, 50) is planned(g, 0) is direct
     assert compiles == [("x", "u")]
-    assert planned(g, 0) is not g
+
+
+@pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
+def test_unplanned_calls_compile_nothing(compiles, slot):
+    problem = parse_config_text(
+        "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
+    ).build()
+    fn = getattr(problem, slot)
+    args = {"g": (0.5, 2.0), "kernel": (0.5, 0.25, 2.0)}.get(slot, (0.5,))
+    for _ in range(10 * COMPILE_AFTER):
+        fn(*args)
+    assert compiles == []
+    assert planned(fn, 0) is fn
+    assert compiles == []
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_a_solve_plans_the_g_calls_it_makes(monkeypatch, mode):
+    # counting plain callables see every call; the DGJ loop makes 3 a step,
+    # the oracle at least that many on example2
+    plans = {}
+
+    def recording(fn, calls):
+        plans[fn] = calls
+        return planned(fn, calls)
+
+    monkeypatch.setattr(stepper, "planned", recording)
+    problem = registry.builtin_problem("example2").build()
+    made = []
+
+    def g(x, u):
+        made.append(x)
+        return problem.g(x, u)
+
+    counted = dataclasses.replace(problem, g=g)
+    grid = build_grid(0.0, 1.0, 1.0, 0.025)
+    solve(counted, grid, mode)
+    assert len(made) == plans[g] == 3 * grid.steps
+    made.clear()
+    solve_implicit(counted, grid, mode)
+    assert len(made) >= plans[g] == 3 * grid.steps
 
 
 def test_a_plain_callable_is_its_own_plan():
@@ -267,9 +316,10 @@ def sweep_text(tau, delays, a=0.1234, c=0.3):
 def test_a_sweep_op_compiles_g_once_and_k_phi_and_exact_never(
     compiles, tau, delays
 ):
-    # an op's calls reach COMPILE_AFTER for g, in the order study at four
-    # delays and only in solve at two, and fall short of it for K (at most
-    # 9 + 17 + 33 + 33 + 33 = 125 at four delays), phi and exact
+    # an op's plans reach COMPILE_AFTER for g (3 calls a step: in the order
+    # study at four delays, 24 + 48 + 96, and only in solve at two and three)
+    # and fall short of it for K (at most 9 + 17 + 33 + 33 + 33 = 125 at
+    # four delays), phi and exact
     problem = parse_config_text(sweep_text(tau, delays)).build()
     hs = [tau / 2, tau / 4, tau / 8]
     estimate = order_study(problem, FirstStepMode.LITERAL, hs)
@@ -284,7 +334,7 @@ def test_a_sweep_op_compiles_g_once_and_k_phi_and_exact_never(
 def test_a_solve_failing_on_compiled_code_reports_what_evaluate_would(run):
     # log(2 - x) fails at x = 2, first as g(x_{j+1}, .) of step 199, after
     # hundreds of g calls on the compiled path
-    problem = tier_problem("log(2 - x) + 0*u", x_end=3.0)
+    problem = slot_problem("log(2 - x) + 0*u", x_end=3.0)
     tree = parse("log(2 - x) + 0*u")
     walking = dataclasses.replace(
         problem, g=lambda x, u: evaluate(tree, {"x": x, "u": u})
@@ -300,19 +350,18 @@ def test_a_solve_failing_on_compiled_code_reports_what_evaluate_would(run):
     assert "log(2.0 - x)" in failures[0][0]
 
 
-def test_tier_matches_evaluate_on_a_long_sum():
-    g = tier_problem(LONG_SUM).g
-    tree = parse(LONG_SUM)
-    for call in range(1, COMPILE_AFTER + 6):
-        # every third call the sum overflows part way, at about 180 terms
-        x, u = (1e306, 0.0) if call % 3 == 0 else (call * 0.125, -call * 0.5)
-        assert_same(outcome(g, x, u), outcome(evaluate, tree, {"x": x, "u": u}))
+def test_the_walk_and_the_planned_code_match_evaluate_on_a_long_sum():
+    # every third input the sum overflows part way, at about 180 terms
+    assert_walk_and_plan_match_evaluate(
+        LONG_SUM,
+        [(1e306, 0.0) if k % 3 == 0 else (k * 0.125, -k * 0.5) for k in range(1, 40)],
+    )
 
 
 def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
     capsys, tmp_path, monkeypatch
 ):
-    # 80 steps plan 160 calls of g, so g compiles before the loop; a solve
+    # 80 steps plan 240 calls of g, so g compiles before the loop; a solve
     # whose g never compiles prints the reference output
     config = tmp_path / "long.cfg"
     config.write_text(
@@ -341,7 +390,7 @@ def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
 def test_planned_commands_print_what_walking_commands_print(
     capsys, monkeypatch, argv
 ):
-    # at h = 0.005 the plans of g, K, phi and exact (400, 201, 201 and 200
+    # at h = 0.005 the plans of g, K, phi and exact (600, 201, 201 and 200
     # calls) each reach COMPILE_AFTER, so all four compile before their
     # loops' first calls; with the threshold out of reach every call walks
     outputs = []
