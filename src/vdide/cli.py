@@ -28,6 +28,7 @@ preserves the exact float.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -90,17 +91,20 @@ def cmd_table(args: argparse.Namespace) -> str:
             f"problem {config.name!r} has no exact solution; an error table "
             "needs one"
         )
+    grids = [build_grid(problem.x0, problem.x_end, problem.tau, h) for h in args.h]
     points = args.points
     if points is None:
-        # on [0, 1] these are i / 10, the doubles nearest 0.1 .. 1.0
+        # d points, d the largest divisor up to 10 of every grid's step
+        # count; d = 10 on [0, 1] gives i / 10, the doubles nearest 0.1 .. 1.0
+        steps = math.gcd(*(grid.steps for grid in grids))
+        d = max(k for k in range(1, 11) if steps % k == 0)
         span = problem.x_end - problem.x0
-        points = [problem.x0 + i * span / 10 for i in range(1, 11)]
+        points = [problem.x0 + i * span / d for i in range(1, d + 1)]
     mode = _mode(args)
 
     tables = []
     elapsed = []
-    for h in args.h:
-        grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
+    for grid in grids:
         traj, seconds = timed_solve(problem, grid, mode)
         elapsed.append(seconds)
         tables.append(error_table(traj, problem.exact, points))
@@ -194,7 +198,8 @@ def _add_table_flags(sub: argparse.ArgumentParser) -> None:
         type=_parse_float_list,
         default=None,
         metavar="X[,X...]",
-        help="sample points (default: x0 + i (X - x0) / 10 for i = 1..10)",
+        help="sample points (default: x0 + i (X - x0) / d for i = 1..d, d the "
+        "largest number up to 10 that divides every grid's step count)",
     )
 
 

@@ -222,7 +222,8 @@ def init_trajectory(
     """
     _check_grid_matches(problem, grid)
     history = planned(problem.history, grid.delay_steps + 1)
-    hist = [history(grid.point(j)) for j in range(-grid.delay_steps, 1)]
+    x0, h = grid.x0, grid.h
+    hist = [history(x0 + j * h) for j in range(-grid.delay_steps, 1)]
     return Trajectory(grid, mode, hist)
 
 

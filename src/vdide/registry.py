@@ -56,7 +56,8 @@ SLOT_VARIABLES = {
 
 
 # Calls that loops plan on a built expression (problem.planned) before it
-# compiles.  Compiling costs about as much as 80 to 210 walks, so set-up and
+# compiles.  The first compile of a shape costs about as much as 80 to 210
+# walks, a repeat one _emit and an exec (compile_expression), so set-up and
 # short solves never pay for it.
 COMPILE_AFTER = 128
 

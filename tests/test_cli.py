@@ -182,6 +182,23 @@ class TestTable:
         assert [r[0] for r in rows] == [2.0 + i * 1.0 / 10 for i in range(1, 11)]
         assert all(0.0 < r[1] < 1e-3 for r in rows)
 
+    @pytest.mark.parametrize(
+        "hs, points",
+        [
+            ("0.25", [0.25, 0.5, 0.75, 1.0]),
+            ("0.25,0.125", [0.25, 0.5, 0.75, 1.0]),
+            ("0.5,0.05", [0.5, 1.0]),
+            # 5 and 8 steps share no divisor but 1: only X is on both grids
+            ("0.2,0.125", [1.0]),
+        ],
+    )
+    def test_default_points_lie_on_every_grid(self, capsys, hs, points):
+        code, out, err = run(capsys, "table", "--problem", "example1", "--h", hs)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == points
+        assert all(0.0 < e < 0.1 for r in rows for e in r[1:])
+
     def test_points_override(self, capsys):
         code, out, _ = run(
             capsys,

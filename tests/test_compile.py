@@ -22,7 +22,7 @@ from helpers import (
     PARAMS,
     trees,
 )
-from vdide import registry, stepper
+from vdide import expressions, registry, stepper
 from vdide.cli import main
 from vdide.expressions import (
     BinOp,
@@ -33,6 +33,7 @@ from vdide.expressions import (
     compile_expression,
     evaluate,
     parse,
+    unparse,
 )
 from vdide.analysis import order_study
 from vdide.problem import FirstStepMode, build_grid, planned
@@ -402,3 +403,93 @@ def test_planned_commands_print_what_walking_commands_print(
         lines = captured.out.splitlines()
         outputs.append([ln for ln in lines if not ln.startswith("# elapsed")])
     assert outputs[0] == outputs[1]
+
+
+# CPython compiles each generated source once per process: the source names
+# numbers, constants and functions only through generated globals, so trees
+# of one shape share one code object, executed into a namespace per tree.
+
+
+@pytest.fixture
+def code_cache():
+    """The compile cache, emptied, so its counters start from zero."""
+    expressions._code.cache_clear()
+    return expressions._code
+
+
+# One shape: neither log nor sqrt can hide a non-finite argument, so their
+# generated lines agree; the literals differ.
+ONE_SHAPE = ["log(x - 0.5)*u + 2", "sqrt(x - 1.5)*u + 0.25", "log(x - 2.5)*u + 4"]
+
+
+def test_trees_of_one_shape_compile_once_and_keep_their_own_values(code_cache):
+    compiled = [compile_expression(parse(text), ("x", "u")) for text in ONE_SHAPE]
+    assert code_cache.cache_info()[:2] == (2, 1)  # hits, misses
+    assert len({fn.__code__ for fn in compiled}) == 1
+    for text, fn in zip(ONE_SHAPE, compiled):
+        tree = parse(text)
+        # values, a domain error of the call and an overflow of the product
+        for x, u in [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]:
+            want = outcome(evaluate, tree, {"x": x, "u": u})
+            assert_same(outcome(fn, x, u), want)
+
+
+def test_a_domain_error_names_its_own_trees_text(code_cache):
+    compiled = [compile_expression(parse(text), ("x", "u")) for text in ONE_SHAPE]
+    for text, fn in zip(ONE_SHAPE, compiled):
+        call = unparse(parse(text).left.left)
+        with pytest.raises(DomainError) as info:
+            fn(0.25, 1.0)
+        assert str(info.value).startswith(f"cannot evaluate {call!r} at argument")
+
+
+def test_the_code_cache_stays_within_its_bound(code_cache):
+    # each i spells a different sequence of five operators, so a new shape
+    bound = code_cache.cache_info().maxsize
+    for i in range(bound + 20):
+        ops = ["+-*/"[(i >> (2 * k)) & 3] for k in range(5)]
+        compile_expression(parse("x" + "".join(f" {op} x" for op in ops)), ("x",))
+    info = code_cache.cache_info()
+    assert (info.misses, info.currsize) == (bound + 20, bound)
+
+
+def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
+    code_cache,
+):
+    def build_and_plan(a):
+        problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
+        slots = (problem.g, problem.kernel, problem.history, problem.exact)
+        return [planned(fn, COMPILE_AFTER) is not fn for fn in slots]
+
+    assert build_and_plan(0.1) == [True] * 4
+    gc.collect()
+    gc.disable()
+    try:
+        for a in (0.2, 0.3, 0.4):
+            assert build_and_plan(a) == [True] * 4
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # g, K, and phi with exact: three shapes
+    assert code_cache.cache_info()[:2] == (13, 3)
+
+
+def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
+    compiles, code_cache
+):
+    # three problems of one shape, at h = tau/80: each problem's first solve
+    # compiles g (720 planned calls) and K (241), its second phi (162)
+    literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
+    texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
+    grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
+    runs = [(solve, 0), (solve_implicit, 1), (solve, 2),
+            (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
+    problems = [parse_config_text(text).build() for text in texts]
+    shared = [run(problems[i], grid).values for run, i in runs]
+    assert len(compiles) == 9 and code_cache.cache_info()[:2] == (6, 3)
+    afresh = []
+    for run, i in runs:
+        code_cache.cache_clear()
+        afresh.append(run(parse_config_text(texts[i]).build(), grid).values)
+    assert shared == afresh
+    assert len(set(shared)) == 6
