@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateError, OffGridSample
+from .expressions import DomainError
 from .problem import (
     COMMENSURABILITY_RTOL,
     DelayProblem,
@@ -70,12 +71,20 @@ def error_table(
 
 
 def max_abs_error(traj: Trajectory, exact: Callable[[float], float]) -> float:
-    """Largest error over the forward grid points j = 1 .. N."""
+    """Largest error over the forward grid points j = 1 .. N.
+
+    Its N calls of exact are planned, and a DomainError they raise leaves
+    with slot "exact" and the x it failed at.
+    """
     exact = planned(exact, traj.grid.steps)
-    return max(
-        abs(exact(traj.grid.point(j)) - traj.value(j))
-        for j in range(1, traj.grid.steps + 1)
-    )
+    try:
+        return max(
+            abs(exact(x := traj.grid.point(j)) - traj.value(j))
+            for j in range(1, traj.grid.steps + 1)
+        )
+    except DomainError as exc:
+        exc.slot, exc.x = "exact", x
+        raise
 
 
 def observed_order(e1: float, e2: float, ratio: float) -> float:

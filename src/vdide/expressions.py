@@ -497,37 +497,52 @@ def _code(source: str):
     return compile(source, "<vdide expression>", "exec")
 
 
-def _emit(node: Expression, body: list[str], bound: dict, checked: bool = False) -> str:
+def _emit(
+    node: Expression,
+    body: list[str],
+    bound: dict,
+    checked: bool = False,
+    names: Mapping[str, str] | None = None,
+    split: list[str] | None = None,
+    local: str = "_v",
+) -> str:
     """The name holding node's value, after the lines it appends to body.
 
-    Numbers, constants and functions go into bound under fresh names.  A
-    checked node that is not a leaf gets a line raising _NonFinite when its
-    value is not finite.
+    Numbers, constants and functions go into bound under fresh names, and
+    each line's own local is named local + its index in body.  A checked
+    node that is not a leaf gets a line raising _NonFinite when its value
+    is not finite.  names maps each variable to the name the code holds it
+    in, the variable's own name by default.  With split, a list, every
+    maximal subtree that is not a leaf and contains no u writes its lines,
+    its check included, to split instead, with locals _s0, _s1, ...: a loop
+    that calls g three times at two abscissae (stepper) evaluates them once
+    per abscissa and body once per call.
     """
-    if isinstance(node, (Num, Const)):
+    kind = type(node)
+    if kind is Num or kind is Const:
         name = f"_c{len(bound)}"
-        bound[name] = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+        bound[name] = node.value if kind is Num else CONSTANTS[node.name]
         return name
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        source = f"-{_emit(node.operand, body, bound)}"
-    elif isinstance(node, Call):
+    if kind is Var:
+        return node.name if names is None else names[node.name]
+    if split is not None and "u" not in variables(node):
+        return _emit(node, split, bound, checked, names, local="_s")
+    if kind is BinOp:
+        left = _emit(node.left, body, bound, node.op == "^", names, split, local)
+        right = _emit(node.right, body, bound, node.op in "^/", names, split, local)
+        if node.op == "^":
+            source = f"_pow({left}, {right})"
+        else:
+            source = f"{left} {node.op} {right}"
+    elif kind is Call:
         hides = node.func in _HIDING_FUNCTIONS
-        arg = _emit(node.arg, body, bound, hides)
+        arg = _emit(node.arg, body, bound, hides, names, split, local)
         function = f"_f{len(bound)}"
         bound[function] = FUNCTIONS[node.func]
         source = f"{function}({arg})"
-    elif node.op == "^":
-        base = _emit(node.left, body, bound, True)
-        source = f"_pow({base}, {_emit(node.right, body, bound, True)})"
-    elif node.op == "/":
-        left = _emit(node.left, body, bound)
-        source = f"{left} / {_emit(node.right, body, bound, True)}"
     else:
-        left = _emit(node.left, body, bound)
-        source = f"{left} {node.op} {_emit(node.right, body, bound)}"
-    name = f"_v{len(body)}"
+        source = f"-{_emit(node.operand, body, bound, False, names, split, local)}"
+    name = f"{local}{len(body)}"
     body.append(f"{name} = {source}")
     if checked:
         body.append(f"if not _isfinite({name}): raise _NonFinite")

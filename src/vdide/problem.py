@@ -26,6 +26,7 @@ from .errors import (
     NonCommensurateInterval,
     ZeroDelaySteps,
 )
+from .expressions import DomainError, Expression
 
 # Relative slack when checking that a ratio is a whole number of steps.
 COMMENSURABILITY_RTOL = 1e-9
@@ -218,12 +219,17 @@ def init_trajectory(
 
     values[j] = history(x_j) for j = -M .. 0; in particular the initial value
     u_0 is history(x0), whatever the problem's g would say about it.  Its
-    M + 1 calls of history are planned (see planned).
+    M + 1 calls of history are planned (see planned), and a DomainError
+    they raise leaves with slot "phi" and the x it failed at.
     """
     _check_grid_matches(problem, grid)
     history = planned(problem.history, grid.delay_steps + 1)
     x0, h = grid.x0, grid.h
-    hist = [history(x0 + j * h) for j in range(-grid.delay_steps, 1)]
+    try:
+        hist = [history(x := x0 + j * h) for j in range(-grid.delay_steps, 1)]
+    except DomainError as exc:
+        exc.slot, exc.x = "phi", x
+        raise
     return Trajectory(grid, mode, hist)
 
 
@@ -236,6 +242,18 @@ def planned(fn: Callable, calls: int) -> Callable:
     """
     plan = getattr(fn, "for_calls", None)
     return (plan and plan(calls)) or fn
+
+
+def planned_tree(fn: Callable, calls: int) -> Optional[Expression]:
+    """The expression tree of fn, for a loop making `calls` calls of fn
+    that writes its code into its own instead, or None.
+
+    The tree when planned(fn, calls) would return compiled code, but
+    nothing compiles.  None for a plain callable or a plan that falls
+    short, which counts nothing: the loop that calls fn then plans it.
+    """
+    plan = getattr(fn, "for_calls", None)
+    return plan(calls, inline=True) if plan else None
 
 
 def delayed_value(traj: Trajectory, j: int) -> float:

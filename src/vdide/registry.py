@@ -89,13 +89,18 @@ def _slot_function(tree, slot):
 
     It takes its variables by position and builds the bindings dict as a
     display: a *args function using dict(zip(...)) measured about 25% slower
-    on an example2 solve.  phi and exact stamp a DomainError with their slot
-    and x; a solve locates those of g and K.  A loop about to make n calls
-    asks for_calls(n) once (problem.planned).  The slot adds n to its planned
-    total and, once that reaches COMPILE_AFTER, compiles tree, once, and
-    hands the compiled function, with the same values and DomainError text,
-    to this and every later plan.  Unplanned calls walk and count nothing.
-    Nothing for_calls holds refers back to the slot function.
+    on an example2 solve.  The walk of phi and exact stamps a DomainError
+    with its slot and x; the loops that plan those slots (init_trajectory,
+    analysis.max_abs_error) stamp their own, and a solve locates those of g
+    and K.  A loop about to make n calls asks for_calls(n) once
+    (problem.planned).  The slot adds n to its planned total and, once that
+    reaches COMPILE_AFTER, compiles tree, once, and hands the compiled
+    function, with the same values and DomainError text, to this and every
+    later plan.  A loop that writes the expression into its own code asks
+    for_calls(n, inline=True) (problem.planned_tree) and gets tree instead,
+    and nothing compiles until a plan asks for the function.  Unplanned
+    calls walk and count nothing.  Nothing for_calls holds refers back to
+    the slot function.
     """
     if slot == "g":
         params = ("x", "u")
@@ -114,17 +119,22 @@ def _slot_function(tree, slot):
         walk = _stamped(lambda x: evaluate(tree, {"x": x}), slot)
     planned, compiled = 0, None
 
-    def for_calls(n: int):
-        """The compiled function, made now if the planned calls reach
-        COMPILE_AFTER with these n, or None: keep calling the slot function."""
+    def for_calls(n: int, inline: bool = False):
+        """What a loop making n calls uses once the planned calls, these
+        included, reach COMPILE_AFTER: tree if inline, else the compiled
+        function, made now if it is not yet.  Before that, None: keep
+        calling the slot function.  An inline plan that falls short counts
+        nothing, as the loop that then runs plans its calls itself."""
         nonlocal planned, compiled
+        if planned + n < COMPILE_AFTER:
+            if not inline:
+                planned += n
+            return None
+        planned += n
+        if inline:
+            return tree
         if compiled is None:
-            planned += n
-            if planned < COMPILE_AFTER:
-                return None
             compiled = compile_expression(tree, params)
-            if params == ("x",):
-                compiled = _stamped(compiled, slot)
         return compiled
 
     walk.for_calls = for_calls

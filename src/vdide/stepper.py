@@ -40,6 +40,23 @@ already keeps every index in bounds; the arithmetic and its order are those
 of kernel_terms, predictor and nnm_step, which stay the reference.  A
 solver is a closure factory, closure(g, h) -> close(j, x_{j+1}, M1): the
 loop and the single-step function of each solver share it.
+
+When the plans of a solve reach compiled code for both g and K
+(problem.planned_tree), solve runs neither run_steps nor the closure but a
+loop generated for the two trees (_loop_source): run_steps line for line,
+with g's and K's own lines written out at every call site and the closure
+inlined, so a step calls no Python function for g, K or the closure.  The
+three g calls of a step sit at two abscissae, x_j for M1 and x_{j+1} for
+M2 and u_{j+1}, and the next step's M1 is again at x_{j+1}; so the loop
+evaluates the maximal subtrees of g that do not contain u once per grid
+point, right after M1, and reuses them up to the next step's M1.  It makes
+the same float operations on the same values in the same order as
+run_steps, so its values are bit-identical, and it evaluates nothing
+run_steps does not, so it needs no error logic: if it raises, solve cuts
+the trajectory back to its history and reruns run_steps, which raises the
+reference exception with its step_index and x.  run_steps stays the
+reference, the loop of the oracle and of every solve whose plans fall
+short, such as a traced one.
 """
 
 from __future__ import annotations
@@ -48,6 +65,7 @@ import math
 from typing import Callable
 
 from .errors import NonFiniteState, _Located
+from .expressions import Expression, _code, _emit, _NonFinite
 from .problem import (
     DelayProblem,
     FirstStepMode,
@@ -56,6 +74,7 @@ from .problem import (
     delayed_value,
     init_trajectory,
     planned,
+    planned_tree,
 )
 
 # A step's closure: close(j, x_{j+1}, M1) -> u_{j+1}.
@@ -171,10 +190,30 @@ def solve(
     """Run the stepper over the whole grid and return the filled trajectory.
 
     Equal to appending nnm_step(problem, traj, j) for each j: bit for bit
-    unless the problem declares a nonzero kernel_x_rate.
+    unless the problem declares a nonzero kernel_x_rate.  When the plans of
+    g and K both reach compiled code (planned_tree), the steps run in a
+    loop generated for the two trees (_inlined_steps), with the same
+    values; if it raises, the trajectory goes back to its history and
+    run_steps raises the reference exception.  Otherwise run_steps.
     """
     traj = init_trajectory(problem, grid, mode)
+    n = grid.steps
+    g_tree = planned_tree(problem.g, 3 * n)
+    k_tree = None if g_tree is None else planned_tree(
+        problem.kernel, _kernel_calls(n, problem.kernel_x_rate)
+    )
+    if k_tree is not None:
+        try:
+            _inlined_steps(problem, traj, g_tree, k_tree)
+            return traj
+        except (_NonFinite, ValueError, ZeroDivisionError, OverflowError):
+            del traj._values[grid.delay_steps + 1 :]
     return run_steps(problem, traj, _dgj_closure)
+
+
+def _kernel_calls(n: int, rate: float | None) -> int:
+    """Kernel calls of run_steps over n steps, kernel_x_rate rate."""
+    return n + 1 if rate is not None else n * (n + 3) // 2
 
 
 def run_steps(
@@ -203,8 +242,8 @@ def run_steps(
 
     g and K are planned (problem.planned) for the calls the DGJ loop
     makes: 3 of g a step, one for M1 and two in the closure, and N + 1 of K
-    with a rate, N (N + 3) / 2 without.  The oracle's closure makes at least
-    one g call a step and in practice more.
+    with a rate, N (N + 3) / 2 without (_kernel_calls).  The oracle's
+    closure makes at least one g call a step and in practice more.
     """
     grid = traj.grid
     h = grid.h
@@ -214,7 +253,7 @@ def run_steps(
     rate = problem.kernel_x_rate
     recur = rate is not None
     g = planned(problem.g, 3 * n)
-    K = planned(problem.kernel, n + 1 if recur else n * (n + 3) // 2)
+    K = planned(problem.kernel, _kernel_calls(n, rate))
     close = closure(g, h)
     rho = math.exp(rate * h) if recur else 1.0
     half_h = 0.5 * h
@@ -268,3 +307,139 @@ def run_steps(
         exc.x = x_j
         raise
     return traj
+
+
+def _inlined_steps(
+    problem: DelayProblem, traj: Trajectory, g_tree: Expression, k_tree: Expression
+) -> None:
+    """Fill traj as run_steps(problem, traj, _dgj_closure) does, bit for
+    bit, in the loop _loop_source generates for g_tree and k_tree, the
+    trees of problem.g and problem.kernel.
+
+    A failure raises whatever the generated lines raise, unlocated, and
+    leaves the values appended so far; solve reruns run_steps for the
+    reference exception.
+    """
+    grid = traj.grid
+    h = grid.h
+    rate = problem.kernel_x_rate
+    source, names = _loop_source(
+        g_tree, k_tree, traj.mode is FirstStepMode.LITERAL, rate is not None
+    )
+    namespace: dict = {}
+    exec(_code(source), namespace)
+    u = traj._values
+    # popped, so the function and its globals do not refer to each other
+    namespace.pop("_steps")(
+        u, grid.steps, grid.x0, h, grid.point(0), u[0], u[grid.delay_steps],
+        math.exp(rate * h) if rate is not None else 1.0,
+        0.5 * h, 0.5 * h * h, h * h / 4.0,
+        *names.values(),
+    )
+
+
+def _loop_source(
+    g_tree: Expression, k_tree: Expression, literal: bool, recur: bool
+) -> tuple[str, dict]:
+    """The source of run_steps' loop with g and K written out, and the
+    values of the further names it takes.
+
+    _steps(u, n, x0, h, x_start, u_oldest, u_j, rho, half_h, half_h2,
+    quarter_h2, *names) mirrors run_steps line for line: its branches on
+    the first-step mode and the row path are taken here, every g and K
+    call is the expression's own lines (expressions._emit) with its
+    variables mapped to the call's arguments, and the closure is inlined.
+    g's maximal subtrees without u are evaluated once per grid point, at
+    x_0 before the loop and at x_{j+1} after M1, which reuses them at x_j.
+    Compiled code's isfinite checks where a later node could hide a
+    non-finite value stay, and a failed one raises _NonFinite.  Those of
+    the values of g and K themselves go: such a value reaches M1, M2 or
+    u_{j+1} of the same step through + and * only, and the closure's
+    check stops it there.  Numbers, constants and functions are
+    parameters, so the source depends only on the trees' shapes and the
+    two branches, and CPython compiles each source once (expressions._code).
+    """
+    names = {"_isfinite": math.isfinite, "_pow": math.pow, "_NonFinite": _NonFinite}
+    k_body: list[str] = []
+    k_out = _emit(k_tree, k_body, names, False, {"x": "{x}", "t": "{t}", "v": "{v}"})
+    g_body: list[str] = []
+    g_free: list[str] = []
+    g_out = _emit(g_tree, g_body, names, False, {"x": "{x}", "u": "{u}"}, g_free)
+    # each call site's lines are one of these filled in, {i} its indent
+    k_lines, g_lines, free_lines = (
+        "".join(f"{{i}}{line}\n" for line in body) for body in (k_body, g_body, g_free)
+    )
+
+    def K(i, target, x, t, v):
+        """The lines of target = K(x, t, v), or of s2 += K(x, t, v)."""
+        lines = k_lines.format(i=i, x=x, t=t, v=v)
+        return f"{lines}{i}{target} {k_out.format(x=x, t=t, v=v)}\n"
+
+    def g(i, x, u):
+        """(lines, value) of g(x, u)."""
+        return g_lines.format(i=i, x=x, u=u), g_out.format(x=x, u=u)
+
+    def rows(i):
+        """The K samples and row sums of a step other than the corrected j = 0."""
+        if recur:
+            src = f"{i}k_start_next = rho * k_start\n"
+        else:
+            src = K(i, "k_start_next =", "x_next", "x_start", "u_oldest")
+        src += K(i, "k_diag_next =", "x_next", "x_next", "v_next")
+        src += (
+            f"{i}corner = quarter_h2 * "
+            "(k_start + k_diag + k_start_next + k_diag_next)\n"
+            f"{i}s1 = s2\n"
+        )
+        if not recur:
+            src += f"{i}s2 = 0.0\n{i}for t, v in zip(row_x, row_v):\n"
+            src += K(i + "    ", "s2 +=", "x_next", "t", "v")
+        elif literal:
+            src += f"{i}if j > 0:\n{i}    s2 = rho * (s1 + k_diag)\n"
+        else:
+            src += f"{i}s2 = rho * (s1 + k_diag)\n"
+        return src + f"{i}k_start, k_diag = k_start_next, k_diag_next\n"
+
+    a, b, c = "    ", " " * 8, " " * 12
+    src = (
+        "def _steps(u, n, x0, h, x_start, u_oldest, u_j, rho, half_h, half_h2, "
+        f"quarter_h2, {', '.join(names)}):\n"
+        f"{a}x_j = x_start\n"
+        f"{a}append = u.append\n"
+        f"{a}s2 = 0.0\n"
+    )
+    if not recur:
+        src += f"{a}row_x = []\n{a}row_v = []\n"
+    if literal:
+        src += K(a, "k_start =", "x_start", "x_start", "u_oldest")
+        src += f"{a}k_diag = k_start\n"
+    src += free_lines.format(i=a, x="x_j")
+    src += (
+        f"{a}for j in range(n):\n"
+        f"{b}x_next = x0 + (j + 1) * h\n"
+        f"{b}v_next = u[j + 1]\n"
+    )
+    if literal:
+        src += rows(b)
+    else:
+        src += f"{b}if j == 0:\n"
+        src += K(c, "k_start =", "x_next", "x_start", "u_oldest")
+        src += K(c, "k_diag =", "x_next", "x_next", "v_next")
+        src += f"{c}corner = quarter_h2 * (k_start + k_diag)\n{c}s1 = 0.0\n{b}else:\n"
+        src += rows(c)
+    if not recur:
+        src += f"{b}row_x.append(x_next)\n{b}row_v.append(v_next)\n"
+    lines, value = g(b, "x_j", "u_j")
+    src += f"{lines}{b}m1 = u_j + half_h * {value} + corner + half_h2 * (s1 + s2)\n"
+    src += free_lines.format(i=b, x="x_next")
+    lines, value = g(b, "x_next", "m1")
+    src += f"{lines}{b}m2 = m1 + half_h * {value}\n"
+    lines, value = g(b, "x_next", "m2")
+    src += (
+        f"{lines}{b}u_j = m1 + half_h * {value}\n"
+        f"{b}if not (_isfinite(m1) and _isfinite(m2) and _isfinite(u_j)):\n"
+        f"{c}raise _NonFinite\n"
+        f"{b}append(u_j)\n"
+        f"{b}x_j = x_next\n"
+    )
+    return src, names

@@ -278,21 +278,29 @@ NUMBERS = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 3.5, 1e-300, 1e200, -1e200, 1e3
 HUGE = [1e200, -1e200, 1e308]
 PARAMS = ("x", "t", "u", "v")
 
-leaves = st.one_of(
-    st.sampled_from(NUMBERS).map(Num),
-    st.sampled_from(HUGE).map(Num),
-    st.sampled_from(["e", "pi"]).map(Const),
-    st.sampled_from(PARAMS).map(Var),
-)
-trees = st.recursive(
-    leaves,
-    lambda sub: st.one_of(
-        sub.map(Neg),
-        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
-        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
-    ),
-    max_leaves=5,
-)
+
+
+def trees_over(params, numbers=NUMBERS, huge=HUGE, max_leaves=5):
+    """Random trees in the variables params, leaves drawn from numbers and,
+    more often than their share, huge."""
+    leaves = st.one_of(
+        st.sampled_from(numbers).map(Num),
+        st.sampled_from(huge).map(Num),
+        st.sampled_from(["e", "pi"]).map(Const),
+        st.sampled_from(params).map(Var),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+trees = trees_over(PARAMS)
 
 # Bindings add inf and nan to the leaf values, which evaluate passes through
 # a leaf unchecked.

@@ -9,7 +9,7 @@ import pytest
 
 import vdide
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
-from vdide import cli, registry
+from vdide import cli, registry, stepper
 from vdide.cli import main
 from vdide.problem import init_trajectory
 from vdide.registry import resolve_problem
@@ -572,7 +572,33 @@ FAILING_CONFIGS = {
         "name = logexacthalf\ng = u\nK = 0\nphi = exp(x)\nexact = log(0.5 - x)\n"
         "tau = 1\nx0 = 0\nX = 1\n"
     ),
+    # failures of g and K inside the solve loop: on [0, 1], h = 0.1 walks
+    # both and h = 0.005 runs the loop generated for them (600 and 201
+    # planned calls); on [0, 5], h = 0.5 walks and h = 0.01 generates
+    "log_g": (
+        "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
+    "log_g_mid": (
+        "name = loggmid\ng = log(0.5 - x) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
+    "k_overflow": (
+        "name = koverflow\ng = -u\nK = exp(800*t)*v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
 }
+
+# the first g(x_0, u_0) fails on every grid
+LOG_G_FAILS = (
+    "evaluation failed during solve at step 0 (x = 0): cannot evaluate "
+    "'log(x - 0.5)' at argument -0.5: math domain error"
+)
+LOG_G_MID_FAILS = (
+    "evaluation failed during solve at step {step} (x = {x}): cannot evaluate "
+    "'log(0.5 - x)' at argument 0.0: math domain error"
+)
+K_OVERFLOW_FAILS = (
+    "evaluation failed during solve at step {step} (x = {x}): cannot evaluate "
+    "'exp(800.0 * t)' at argument {arg}: math range error"
+)
 
 # the table's first point and the order study's first grid point, x_1 at
 # h = 0.1, are both 0.1
@@ -747,6 +773,50 @@ FAILURES = [
         id="DomainError-solve",
     ),
     row(
+        "solve --problem {blowup} --h 0.01", 3,
+        "evaluation failed during solve at step 13 (x = 0.13): cannot evaluate "
+        "'u^2.0': math range error",
+        id="DomainError-solve-generated",
+    ),
+    row(
+        "solve --problem {log_g} --h 0.1", 3, LOG_G_FAILS,
+        id="DomainError-g-walked",
+    ),
+    row(
+        "solve --problem {log_g} --h 0.005", 3, LOG_G_FAILS,
+        id="DomainError-g-generated",
+    ),
+    row(
+        "solve --problem {log_g_mid} --h 0.1", 3,
+        LOG_G_MID_FAILS.format(step=4, x="0.40000000000000002"),
+        id="DomainError-g-mid-walked",
+    ),
+    row(
+        "solve --problem {log_g_mid} --h 0.005", 3,
+        LOG_G_MID_FAILS.format(step=99, x="0.495"),
+        id="DomainError-g-mid-generated",
+    ),
+    row(
+        "solve --problem {k_overflow} --h 0.1", 3,
+        K_OVERFLOW_FAILS.format(step=8, x="0.80000000000000004", arg="720.0"),
+        id="DomainError-K-walked",
+    ),
+    row(
+        "solve --problem {k_overflow} --h 0.005", 3,
+        K_OVERFLOW_FAILS.format(step=177, x="0.88500000000000001", arg="712.0"),
+        id="DomainError-K-generated",
+    ),
+    row(
+        "solve --problem {overflow} --h 0.5", 3,
+        "non-finite value while advancing from step 5 (x = 2.5)",
+        id="NonFiniteState-walked",
+    ),
+    row(
+        "solve --problem {overflow} --h 0.01", 3,
+        "non-finite value while advancing from step 288 (x = 2.8799999999999999)",
+        id="NonFiniteState-generated",
+    ),
+    row(
         "table --problem {log_exact} --h 0.1", 3, LOG_EXACT_FAILS,
         id="DomainError-exact-table",
     ),
@@ -797,13 +867,55 @@ def run_process(*argv):
 def test_each_failure_class_has_one_exit_code_and_message(
     capsys, tmp_path, command, code, message, process
 ):
-    paths = {"dir": str(tmp_path)}
-    for name, text in FAILING_CONFIGS.items():
-        paths[name] = str(tmp_path / f"{name}.cfg")
-        (tmp_path / f"{name}.cfg").write_text(text)
+    paths = {"dir": str(tmp_path), **write_failing_configs(tmp_path)}
     argv = [arg.format(**paths) for arg in command.split()]
     got = run_process(*argv) if process else run(capsys, *argv)
     assert got == (code, "", f"vdide: {message.format(**paths)}\n")
+
+
+def write_failing_configs(tmp_path):
+    """{name: path} of every FAILING_CONFIGS file, written to tmp_path."""
+    paths = {}
+    for name, text in FAILING_CONFIGS.items():
+        paths[name] = str(tmp_path / f"{name}.cfg")
+        (tmp_path / f"{name}.cfg").write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+@pytest.mark.parametrize(
+    "name, h",
+    [
+        ("log_g", "0.005"),
+        ("log_g_mid", "0.005"),
+        ("k_overflow", "0.005"),
+        ("blowup", "0.01"),
+        ("overflow", "0.01"),
+    ],
+)
+def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
+    capsys, tmp_path, monkeypatch, name, h, mode
+):
+    # at these h the plans of g and K reach COMPILE_AFTER and the solve runs
+    # its generated loop, which fails; with the threshold out of reach both
+    # walk, and exit code, stdout and stderr are the same
+    path = write_failing_configs(tmp_path)[name]
+    argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
+    generated = []
+
+    def spy(*args):
+        generated.append(args)
+        return inlined_steps(*args)
+
+    inlined_steps = stepper._inlined_steps
+    monkeypatch.setattr(stepper, "_inlined_steps", spy)
+    outputs = []
+    for compile_after in (registry.COMPILE_AFTER, 10**9):
+        monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
+        outputs.append(run(capsys, *argv))
+        assert len(generated) == 1
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 3 and outputs[0][2].startswith("vdide: ")
 
 
 def at_depth(frames, fn):
@@ -814,7 +926,8 @@ def at_depth(frames, fn):
 # Trees at the depth bound in the two shapes whose walkers take two frames a
 # level: x_rate walks the kernel sum at build, and the parser the "^" chain
 # of g at load; compile_expression walks it too, once solves have planned
-# COMPILE_AFTER calls of g.
+# COMPILE_AFTER calls of g, and so does the solve loop generated at
+# h = 0.005, which writes g and K out at every call site.
 # Each maps to (g, K); "0*v" is two levels deep.
 DEEPEST = registry._MAX_DEPTH
 AT_THE_BOUND = {
@@ -825,7 +938,13 @@ AT_THE_BOUND = {
 
 @pytest.mark.parametrize("shape", sorted(AT_THE_BOUND))
 @pytest.mark.parametrize(
-    "command, h", [("compare", "0.01"), ("order", "0.02,0.01"), ("table", "0.01")]
+    "command, h",
+    [
+        ("compare", "0.01"),
+        ("order", "0.02,0.01"),
+        ("table", "0.01"),
+        ("solve", "0.005"),
+    ],
 )
 def test_trees_at_the_depth_bound_run_from_100_frames_down(
     capsys, tmp_path, shape, command, h

@@ -35,8 +35,14 @@ from vdide.expressions import (
     parse,
     unparse,
 )
-from vdide.analysis import order_study
-from vdide.problem import FirstStepMode, build_grid, planned
+from vdide.analysis import max_abs_error, order_study
+from vdide.problem import (
+    FirstStepMode,
+    Trajectory,
+    build_grid,
+    init_trajectory,
+    planned,
+)
 from vdide.registry import COMPILE_AFTER, parse_config_text
 from vdide.oracle import solve_implicit
 from vdide.stepper import solve
@@ -181,7 +187,8 @@ def assert_a_dropped_problem_leaves_no_reference_cycles(h, compiles):
 
 
 def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
-    # at h = 0.005 the loops' plans compile g, K and phi
+    # at h = 0.005 the plans reach COMPILE_AFTER: phi compiles, the solve
+    # writes g and K into its generated loop, and for_calls(0) compiles g
     assert_a_dropped_problem_leaves_no_reference_cycles(0.005, True)
 
 
@@ -284,22 +291,48 @@ def test_a_plain_callable_is_its_own_plan():
     assert planned(g, 10**6) is g
 
 
-@pytest.mark.parametrize("slot", ["phi", "exact"])
-def test_a_planned_phi_or_exact_names_its_slot_and_x_on_failure(slot):
-    problem = parse_config_text(
-        "name = stamp\ng = u\nK = v\nphi = log(x)\nexact = log(x)\n"
-        "tau = 1\nx0 = 0\nX = 1\n"
-    ).build()
+STAMP_TEXT = (
+    "name = stamp\ng = u\nK = v\nphi = log(x + 0.5)\nexact = log(0.5 - x)\n"
+    "tau = 1\nx0 = 0\nX = 1\n"
+)
+
+
+def stamp_failure(slot, h):
+    """(message, slot, x, whether the slot compiled) of the DomainError
+    that init_trajectory (phi) or max_abs_error (exact) raises at step h."""
+    problem = parse_config_text(STAMP_TEXT).build()
+    fn = problem.history if slot == "phi" else problem.exact
+    grid = build_grid(0.0, 1.0, 1.0, h)
+    with pytest.raises(DomainError) as info:
+        if slot == "phi":
+            init_trajectory(problem, grid)
+        else:
+            history = [0.0] * (grid.delay_steps + 1)
+            traj = Trajectory(grid, FirstStepMode.LITERAL, history)
+            for _ in range(grid.steps):
+                traj.append(0.0)
+            max_abs_error(traj, fn)
+    exc = info.value
+    return str(exc), exc.slot, exc.x, planned(fn, 0) is not fn
+
+
+@pytest.mark.parametrize(
+    "slot, x", [pytest.param("phi", -1.0, id="phi"), pytest.param("exact", 0.5, id="exact")]
+)
+def test_a_planned_phi_or_exact_names_its_slot_and_x_on_failure(slot, x):
+    # compiled code raises the walk's message unstamped, and the loop that
+    # plans the slot stamps slot and x: at h = 0.005 its M + 1 or N = 201 or
+    # 200 planned calls compile the slot, at h = 0.1 the slot walks
+    problem = parse_config_text(STAMP_TEXT).build()
     fn = problem.history if slot == "phi" else problem.exact
     direct = planned(fn, COMPILE_AFTER)
-    assert direct is not fn
-    assert direct(2.0) == fn(2.0) == math.log(2.0)
-    failures = []
-    for variant in (direct, fn, lambda x: evaluate(parse("log(x)"), {"x": x})):
-        with pytest.raises(DomainError) as info:
-            variant(-0.25)
-        failures.append((str(info.value), info.value.slot, info.value.x))
-    assert failures[0] == failures[1] == (failures[2][0], slot, -0.25)
+    with pytest.raises(DomainError) as info:
+        direct(x)
+    assert (info.value.slot, info.value.x) == (None, None)
+    compiled = stamp_failure(slot, 0.005)
+    walked = stamp_failure(slot, 0.1)
+    assert compiled == (str(info.value), slot, x, True)
+    assert walked == (str(info.value), slot, x, False)
 
 
 def sweep_text(tau, delays, a=0.1234, c=0.3):
@@ -477,8 +510,9 @@ def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
 def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
     compiles, code_cache
 ):
-    # three problems of one shape, at h = tau/80: each problem's first solve
-    # compiles g (720 planned calls) and K (241), its second phi (162)
+    # three problems of one shape, at h = tau/80: each problem's solve writes
+    # g (720 planned calls) and K (241) into one generated loop shape, the
+    # oracle compiles them, and a problem's second run phi (162)
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
@@ -486,7 +520,8 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
             (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
     problems = [parse_config_text(text).build() for text in texts]
     shared = [run(problems[i], grid).values for run, i in runs]
-    assert len(compiles) == 9 and code_cache.cache_info()[:2] == (6, 3)
+    # the three loops share one source: one miss and two hits more
+    assert len(compiles) == 9 and code_cache.cache_info()[:2] == (8, 4)
     afresh = []
     for run, i in runs:
         code_cache.cache_clear()
