@@ -11,6 +11,8 @@ Subcommands:
 
 Each is an entry of COMMANDS, name -> (help, add_flags, handler).  main
 builds only the one argv[0] names, or all five, for the same help and errors.
+Each such parser is built once per process and reused by every later main
+call, so main may be called repeatedly in-process.
 
 Exit codes, decided in main alone: 0 on success; 2 for usage and config
 problems (bad flags, bad config files, incommensurate grids, off-grid sample
@@ -28,6 +30,7 @@ preserves the exact float.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional
@@ -243,11 +246,17 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The vdide parser, with every command's subparser or only command's.
 
     The latter takes the full parser's metavar, for the same usage line; the
     full parser sets none, so its errors name the argument 'command'.
+
+    Built once per command per process and shared by every later call, so
+    do not mutate the result; build_parser.__wrapped__ builds a fresh one.
+    argparse reads the terminal width when it formats help or an error, not
+    here, so COLUMNS still applies on every call.
     """
     parser = argparse.ArgumentParser(
         prog="vdide",

@@ -128,7 +128,8 @@ def build_grid(x0: float, x_end: float, tau: float, h: float) -> GridSpec:
     (x_end - x0)/h and tau/h must both be integers to within 1e-9 relative.
     The second condition is what lets delayed lookups stay on-grid; violating
     either, or a ratio that overflows, is a hard error rather than a silent
-    rounding.
+    rounding.  So is an h below the spacing of doubles over the grid, from
+    x0 - tau to x_end.
     """
     if not h > 0:
         raise ValueError(f"h must be positive, got {h!r}")
@@ -153,6 +154,15 @@ def build_grid(x0: float, x_end: float, tau: float, h: float) -> GridSpec:
         raise ZeroDelaySteps(
             f"tau = {tau!r} spans zero steps of h = {h!r}; delayed lookups "
             "would reference the future"
+        )
+    # below the spacing of doubles, neighbouring grid points would be the
+    # same number; the checks above pass such an h, since n*h still rounds
+    # to the span
+    extent = max(abs(x0 - tau), abs(x_end))
+    if h < math.ulp(extent):
+        raise ValueError(
+            f"h = {h!r} is below the spacing of doubles near {extent!r}; "
+            "neighbouring grid points would be the same number"
         )
     return GridSpec(h=h, steps=n, delay_steps=m, x0=x0)
 

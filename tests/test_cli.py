@@ -1,4 +1,5 @@
 import argparse
+import gc
 import math
 import os
 import re
@@ -404,6 +405,64 @@ def test_a_named_command_builds_only_its_subparser(capsys, monkeypatch):
     assert list(subparsers.choices) == ["solve"]
 
 
+SOLVE = ("solve", "--problem", "example1", "--h", "0.1")
+
+
+@pytest.mark.parametrize("argv", PARSER_TEXTS, ids=" ".join)
+def test_a_shared_parser_answers_as_a_fresh_one_does(
+    capsys, monkeypatch, tmp_path, argv
+):
+    # each line twice, between a solve, a failing solve and a usage error,
+    # through the parsers main keeps and through freshly built ones
+    monkeypatch.setenv("COLUMNS", "80")
+    blowup = write_failing_configs(tmp_path)["blowup"]
+    calls = [
+        argv, SOLVE, ("solve", "--problem", blowup, "--h", "0.5"),
+        ("solve", "--problem", "example1"),
+    ] * 2
+    shared = [run(capsys, *call) for call in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == [run(capsys, *call) for call in calls]
+    assert [code for code, _, _ in shared[1:4]] == [0, 3, 2]
+    assert shared[0] == shared[4]
+
+
+def test_a_shared_parser_rewraps_help_when_columns_change(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run(capsys, "solve", "-h")
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = run(capsys, "solve", "-h")
+    assert wide[0] == narrow[0] == 0
+    assert len(narrow[1].splitlines()) > len(wide[1].splitlines())
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run(capsys, "solve", "-h") == narrow
+
+
+def test_each_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run(capsys, *SOLVE)[0] == 0
+        assert run(capsys, "table", "-h")[0] == 0
+        assert run(capsys, "bogus")[0] == 2
+    info = cli.build_parser.cache_info()
+    # solve's, table's and the full parser, each built on its first call
+    assert (info.misses, info.hits) == (3, 6)
+
+
+def test_a_repeated_main_call_leaves_no_reference_cycles(capsys):
+    # a parser is a web of actions and groups that point back at it; built
+    # once, it is not left to the cyclic collector after every call
+    run(capsys, *SOLVE)
+    gc.collect()
+    gc.disable()
+    try:
+        code = run(capsys, *SOLVE)[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == 0
+
+
 # X = 4 tau and an x-dependent kernel, so rows past the first delay read
 # computed values through the O(N^2) row path
 FOUR_DELAYS = (
@@ -658,6 +717,17 @@ FAILURES = [
         "(x_end - x0)/h = inf is not a whole number of steps",
         id="NonCommensurateInterval-overflow-order",
     ),
+    *[
+        row(
+            f"{command} --problem example1 --h {hs}", 2,
+            "h = 1e-300 is below the spacing of doubles near 1.0; "
+            "neighbouring grid points would be the same number",
+            id=f"below-double-spacing-{command}",
+        )
+        for command, hs in [
+            ("solve", "1e-300"), ("table", "1e-300"), ("order", "0.1,1e-300")
+        ]
+    ],
     row(
         "solve --problem {huge} --h 1e-10", 2,
         "(x_end - x0)/h = inf is not a whole number of steps",

@@ -70,6 +70,31 @@ class TestBuildGrid:
             build_grid(x0, x_end, tau, h)
         assert str(info.value).endswith("/h = inf is not a whole number of steps")
 
+    @pytest.mark.parametrize(
+        "x0,x_end,tau,h,extent",
+        [
+            (0.0, 1.0, 1.0, 1e-300, 1.0),
+            (0.0, 1.0, 1.0, 2e-16, 1.0),
+            # the history start x0 - tau = -1024 sets the spacing, not x_end
+            (0.0, 1.0, 1024.0, 2.0**-60, 1024.0),
+        ],
+    )
+    def test_a_step_below_the_spacing_of_doubles_is_refused(
+        self, x0, x_end, tau, h, extent
+    ):
+        # each ratio is a whole number that rounds back to the span, so only
+        # the spacing check stops a grid of about 1/h points
+        with pytest.raises(ValueError) as info:
+            build_grid(x0, x_end, tau, h)
+        assert str(info.value) == (
+            f"h = {h!r} is below the spacing of doubles near {extent!r}; "
+            "neighbouring grid points would be the same number"
+        )
+
+    def test_a_step_at_the_spacing_of_doubles_is_a_grid(self):
+        grid = build_grid(0.0, 1.0, 1.0, 2.0**-52)
+        assert (grid.steps, grid.delay_steps) == (2**52, 2**52)
+
     def test_delay_spanning_zero_steps(self):
         # tau tiny enough to round to zero steps yet pass the relative check
         with pytest.raises(ZeroDelaySteps):
