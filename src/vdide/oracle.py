@@ -7,17 +7,20 @@ to tolerance, which gives a ground truth for measuring what the truncated
 closure costs.  The iteration map has contraction factor (h/2) dg/du, so it
 converges for the same step sizes the explicit closure is accurate at, and
 NoConvergence on a sane problem is a sign h is far too large.
+
+solve_implicit runs the stepper's step loop (stepper._fill), tree loop
+included, closed by this iteration; implicit_step stays the stateless
+reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import NoConvergence, NonFiniteState
 from .problem import DelayProblem, FirstStepMode, GridSpec, Trajectory, init_trajectory
-from .stepper import Closure, predictor, run_steps
+from .stepper import _fill, predictor
 
 
 @dataclass(frozen=True)
@@ -28,39 +31,16 @@ class OracleConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        # an infinite tol accepts the seed M1 as every step's value
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not isinstance(self.max_iter, int):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
 DEFAULT_CONFIG = OracleConfig()
-
-
-def _fixed_point_closure(
-    g: Callable[[float, float], float], h: float, config: OracleConfig
-) -> Closure:
-    """close(j, x_next, M1): iterate u <- M1 + (h/2) g(x_next, u) from
-    u = M1 to tolerance."""
-    half_h = 0.5 * h
-
-    def close(j: int, x_next: float, m1: float) -> float:
-        u = m1
-        for _ in range(config.max_iter):
-            fu = m1 + half_h * g(x_next, u)
-            if abs(fu - u) <= config.tol:
-                return u
-            if not math.isfinite(fu):
-                raise NonFiniteState(
-                    f"non-finite iterate in implicit step {j}", step_index=j
-                )
-            u = fu
-        raise NoConvergence(
-            f"implicit step {j} did not reach tol={config.tol!r} in "
-            f"{config.max_iter} iterations; h may be too large for this g"
-        )
-
-    return close
 
 
 def implicit_step(
@@ -76,9 +56,22 @@ def implicit_step(
     NonFiniteState as soon as an iterate is NaN or infinite, and
     NoConvergence after max_iter sweeps without meeting the bound.
     """
-    grid = traj.grid
-    close = _fixed_point_closure(problem.g, grid.h, config)
-    return close(j, grid.point(j + 1), predictor(problem, traj, j))
+    m1 = predictor(problem, traj, j)
+    half_h, x_next = 0.5 * traj.grid.h, traj.grid.point(j + 1)
+    u = m1
+    for _ in range(config.max_iter):
+        fu = m1 + half_h * problem.g(x_next, u)
+        if abs(fu - u) <= config.tol:
+            return u
+        if not math.isfinite(fu):
+            raise NonFiniteState(
+                f"non-finite iterate in implicit step {j}", step_index=j
+            )
+        u = fu
+    raise NoConvergence(
+        f"implicit step {j} did not reach tol={config.tol!r} in "
+        f"{config.max_iter} iterations; h may be too large for this g"
+    )
 
 
 def step_residual(problem: DelayProblem, traj: Trajectory, j: int) -> float:
@@ -105,4 +98,4 @@ def solve_implicit(
     bit for bit unless the problem declares a nonzero kernel_x_rate.
     """
     traj = init_trajectory(problem, grid, mode)
-    return run_steps(problem, traj, lambda g, h: _fixed_point_closure(g, h, config))
+    return _fill(problem, traj, (config.tol, config.max_iter))

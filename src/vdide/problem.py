@@ -176,9 +176,9 @@ class Trajectory:
 
     The values live in the list _values, where index i holds u_{i-M}: the
     history u_{-M} .. u_0 first, then u_1, u_2, ...; values is a snapshot of
-    it.  The solve loop, stepper.run_steps, reads and appends to that list
-    directly, without the bounds checks of value and append, and the CLI
-    slices it for output.
+    it.  The step loop of both solvers (stepper._loop_source) reads and
+    appends to that list directly, without the bounds checks of value and
+    append, and the CLI slices it for output.
     """
 
     def __init__(self, grid: GridSpec, mode: FirstStepMode, history: list[float]):

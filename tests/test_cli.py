@@ -616,6 +616,11 @@ FAILING_CONFIGS = {
     ),
     "overflow": "name = overflow\ng = u\nK = 0\nphi = 1e307\ntau = 1\nx0 = 0\nX = 5\n",
     "stiff": "name = stiff\ng = u\nK = 0\nphi = 1\ntau = 2.5\nx0 = 0\nX = 2.5\n",
+    # at h = 1/128 the plans of g (384 calls) and K (129) reach
+    # COMPILE_AFTER, so the oracle runs its tree loop, which fails at step 0
+    "stiff400": (
+        "name = stiff400\ng = -400*u\nK = 0*v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+    ),
     "blowup": "name = blowup\ng = u^2\nK = 0\nphi = 10\ntau = 0.5\nx0 = 0\nX = 5\n",
     "log_exact": (
         "name = logexact\ng = u\nK = 0\nphi = exp(x)\nexact = log(x - 0.5)\n"
@@ -817,6 +822,11 @@ FAILURES = [
         id="ValueError-oracle-config",
     ),
     row(
+        "compare --problem example1 --h 0.1 --tol inf", 2,
+        "tol must be positive and finite, got inf",
+        id="ValueError-oracle-tol",
+    ),
+    row(
         "solve --problem {dir} --h 0.1", 2,
         "[Errno 21] Is a directory: '{dir}'",
         id="OSError",
@@ -830,6 +840,11 @@ FAILURES = [
         "compare --problem {stiff} --h 2.5", 3,
         NOT_CONVERGED.format(iterations=100),
         id="NoConvergence",
+    ),
+    row(
+        "compare --problem {stiff400} --h 0.0078125", 3,
+        NOT_CONVERGED.format(iterations=100),
+        id="NoConvergence-generated",
     ),
     row(
         "compare --problem example1 --h 0.1 --max-iter 1", 3,
@@ -967,18 +982,20 @@ def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
     capsys, tmp_path, monkeypatch, name, h, mode
 ):
     # at these h the plans of g and K reach COMPILE_AFTER and the solve runs
-    # its generated loop, which fails; with the threshold out of reach both
-    # walk, and exit code, stdout and stderr are the same
+    # its tree loop, which fails and hands over to the call-site loop; with
+    # the threshold out of reach only the call-site loop runs, and exit
+    # code, stdout and stderr are the same
     path = write_failing_configs(tmp_path)[name]
     argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
     generated = []
 
-    def spy(*args):
-        generated.append(args)
-        return inlined_steps(*args)
+    def spy(literal, recur, implicit, g_tree=None, k_tree=None):
+        if g_tree is not None:
+            generated.append((g_tree, k_tree))
+        return loop_source(literal, recur, implicit, g_tree, k_tree)
 
-    inlined_steps = stepper._inlined_steps
-    monkeypatch.setattr(stepper, "_inlined_steps", spy)
+    loop_source = stepper._loop_source
+    monkeypatch.setattr(stepper, "_loop_source", spy)
     outputs = []
     for compile_after in (registry.COMPILE_AFTER, 10**9):
         monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)

@@ -510,9 +510,9 @@ def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
 def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
     compiles, code_cache
 ):
-    # three problems of one shape, at h = tau/80: each problem's solve writes
-    # g (720 planned calls) and K (241) into one generated loop shape, the
-    # oracle compiles them, and a problem's second run phi (162)
+    # three problems of one shape, at h = tau/80: each problem's solve and
+    # oracle write g (720 planned calls) and K (241) into one generated loop
+    # shape each, and a problem's second run compiles phi (162)
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
@@ -520,11 +520,30 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
             (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
     problems = [parse_config_text(text).build() for text in texts]
     shared = [run(problems[i], grid).values for run, i in runs]
-    # the three loops share one source: one miss and two hits more
-    assert len(compiles) == 9 and code_cache.cache_info()[:2] == (8, 4)
+    # each closure's three loops share one source, and the three phis one:
+    # one miss and two hits each
+    assert len(compiles) == 3 and code_cache.cache_info()[:2] == (6, 3)
     afresh = []
     for run, i in runs:
         code_cache.cache_clear()
         afresh.append(run(parse_config_text(texts[i]).build(), grid).values)
     assert shared == afresh
     assert len(set(shared)) == 6
+
+
+def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
+    code_cache,
+):
+    # at h = tau/2 no plan reaches COMPILE_AFTER (g: 4 x 18 calls), so both
+    # solvers run their call-site loops: one per closure, built on its
+    # first solve and kept
+    problem = parse_config_text(sweep_text(0.5, 3)).build()
+    grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
+    stepper._call_site_loop.cache_clear()
+    try:
+        shared = [run(problem, grid).values for run in (solve, solve_implicit) * 2]
+        assert stepper._call_site_loop.cache_info()[:2] == (2, 2)  # hits, misses
+    finally:
+        stepper._call_site_loop.cache_clear()
+    assert code_cache.cache_info()[:2] == (0, 0)
+    assert shared[:2] == shared[2:]

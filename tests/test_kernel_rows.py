@@ -1,9 +1,10 @@
 """The solvers' reused kernel rows against the stateless single-step functions.
 
-solve and solve_implicit run the loop of stepper.run_steps, which evaluates
-each trapezium row once, or, for a kernel with a declared kernel_x_rate lam,
-scales the previous row by e^(lam h) and adds one sample; nnm_step and
-implicit_step recompute every row from scratch through kernel_terms.  They
+solve and solve_implicit run the step loop of stepper._loop_source, which
+evaluates each trapezium row once, or, for a kernel with a declared
+kernel_x_rate lam, scales the previous row by e^(lam h) and adds one sample;
+nnm_step and implicit_step recompute every row from scratch through
+kernel_terms.  They
 must agree bit for bit when the rate is None or 0.0, and within 1e-12
 relative to the largest value compared when lam < 0, where the recurrence
 rounds differently.  Either way a failing kernel must fail at the

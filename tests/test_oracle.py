@@ -75,6 +75,14 @@ class TestImplicitStep:
             OracleConfig(tol=0.0)
         with pytest.raises(ValueError):
             OracleConfig(max_iter=0)
+        # an infinite tol would accept every step's seed M1 unchanged, and a
+        # fractional max_iter would fail only inside the solve
+        for tol in (math.inf, math.nan, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                OracleConfig(tol=tol)
+        with pytest.raises(ValueError, match="an integer"):
+            OracleConfig(max_iter=2.5)
+        assert OracleConfig(tol=1e300, max_iter=1).max_iter == 1
 
     @pytest.mark.parametrize(
         "g, u0",

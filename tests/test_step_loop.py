@@ -1,11 +1,21 @@
-"""The step loop solve generates for compiled g and K, against run_steps with
-the DGJ closure: the same doubles, bit for bit, or the same exception.
+"""Both solvers' step loops, generated from one template, against each other
+and against the stateless single steps.
 
-The generated loop (stepper._inlined_steps) raises whatever its lines raise;
-solve then reruns run_steps, which raises the reference exception.  Both are
-checked: the bare loop must return run_steps' values whenever it returns,
-and solve must match run_steps in every outcome, exception class, message,
-step_index and x included.
+A solve runs the tree loop, with g's and K's own lines written in, when the
+plans of both reach compiled code, and otherwise the call-site loop, which
+calls g and K; if the tree loop raises, the solve reruns the call-site loop,
+which raises the reference exception (stepper._fill).  For solve and
+solve_implicit alike these check that
+
+- the bare tree loop, whenever it returns, returns the call-site loop's
+  values;
+- a solve whose g and K walk the trees, which runs the call-site loop, ends
+  as one that runs the tree loop first, whether handed the trees or planning
+  them with COMPILE_AFTER = 1: the same doubles, or the same exception
+  class, message, step_index and x;
+- with no kernel_x_rate or a zero one, the call-site loop ends as appending
+  nnm_step or implicit_step for each j does: the same doubles, or the same
+  exception class and message.
 """
 
 import dataclasses
@@ -17,27 +27,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import trees_over
-from vdide import registry
+from vdide import registry, stepper
 from vdide.errors import VdideError
-from vdide.expressions import (
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Var,
-    _NonFinite,
-    evaluate,
-    parse,
-    x_rate,
-)
+from vdide.expressions import BinOp, Call, Neg, Num, Var, evaluate, parse, x_rate
+from vdide.oracle import implicit_step, solve_implicit
 from vdide.problem import DelayProblem, FirstStepMode, build_grid, init_trajectory
-from vdide.stepper import _dgj_closure, _inlined_steps, run_steps, solve
+from vdide.stepper import nnm_step, solve
 
 # Leaves of trees that mostly stay finite over a solve; the helpers' own
 # leaves add the values that overflow or leave the domain.
 TAME = [0.0, -0.0, 0.25, 0.5, -0.75, 1.0, 2.0]
 PHIS = ["1 + x/2", "exp(-x)", "cos(3*x) - 0.5"]
 ROW_PATHS = ("rate-0", "rate-negative", "direct")
+# each solver with the single step it equals
+SOLVERS = {
+    "solve": (solve, nnm_step),
+    "solve_implicit": (solve_implicit, implicit_step),
+}
 
 
 def slot_problem(g, K, phi, rate, x0, x_end, tau):
@@ -63,6 +69,10 @@ def walking(problem, g, K):
     )
 
 
+def packed(values):
+    return "values", struct.pack(f"{len(values)}d", *values)
+
+
 def outcome(run):
     """("values", the trajectory packed as doubles) or ("error", class,
     message, step_index, x) of run()."""
@@ -70,31 +80,51 @@ def outcome(run):
         values = run()._values
     except VdideError as exc:
         return "error", type(exc), str(exc), exc.step_index, exc.x
-    return "values", struct.pack(f"{len(values)}d", *values)
+    return packed(values)
 
 
-def check_against_run_steps(g, K, phi, rate, x0, delays, m, mode):
+def replay(step, problem, grid, mode):
+    """The trajectory of step(problem, traj, j) appended for each j."""
+    traj = init_trajectory(problem, grid, mode)
+    for j in range(grid.steps):
+        traj.append(step(problem, traj, j))
+    return traj
+
+
+class TreeLoopRaised(Exception):
+    """Raised in place of running the call-site loop after the tree loop."""
+
+
+def no_call_sites(*shape):
+    raise TreeLoopRaised
+
+
+def check_loops(solver, g, K, phi, rate, x0, delays, m, mode):
+    """The outcome of solver on the walked problem, after checking it against
+    the tree loop, a planned solve and the single-step replay."""
+    run, step = SOLVERS[solver]
     tau = 0.25
     x_end = x0 + delays * tau
     problem = slot_problem(g, K, phi, rate, x0, x_end, tau)
     grid = build_grid(x0, x_end, tau, tau / m)
     reference = walking(problem, g, K)
+    want = outcome(lambda: run(reference, grid, mode))
 
-    want = outcome(
-        lambda: run_steps(
-            reference, init_trajectory(reference, grid, mode), _dgj_closure
-        )
-    )
-    traj = init_trajectory(reference, grid, mode)
-    try:
-        _inlined_steps(reference, traj, g, K)
-    except (_NonFinite, ValueError, ZeroDivisionError, OverflowError):
-        assert want[0] == "error", "the generated loop raised where run_steps ran"
-    else:
-        assert ("values", struct.pack(f"{len(traj._values)}d", *traj._values)) == want
-    # every plan reaches compiled code, so solve generates its loop
+    trees = {reference.g: g, reference.kernel: K}
+    with mock.patch.object(stepper, "planned_tree", lambda fn, calls: trees[fn]):
+        with mock.patch.object(stepper, "_call_site_loop", no_call_sites):
+            try:
+                values = run(reference, grid, mode)._values
+            except TreeLoopRaised:
+                assert want[0] == "error", "the tree loop raised where call sites ran"
+            else:
+                assert packed(values) == want
+        assert outcome(lambda: run(reference, grid, mode)) == want
+    # every plan reaches compiled code, so the solve writes the trees in
     with mock.patch.object(registry, "COMPILE_AFTER", 1):
-        assert outcome(lambda: solve(problem, grid, mode)) == want
+        assert outcome(lambda: run(problem, grid, mode)) == want
+    if rate is None or rate == 0.0:
+        assert outcome(lambda: replay(step, reference, grid, mode))[:3] == want[:3]
     return want
 
 
@@ -160,8 +190,9 @@ def cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
-def test_the_generated_loop_matches_run_steps(case):
-    check_against_run_steps(**case)
+def test_the_tree_loop_matches_the_call_site_loop(case):
+    for solver in SOLVERS:
+        check_loops(solver, **case)
 
 
 # Named cases on every row path and in both modes: values over four delays,
@@ -175,10 +206,11 @@ NAMED = {
 }
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 @pytest.mark.parametrize("path", ROW_PATHS)
 @pytest.mark.parametrize("name", sorted(NAMED))
-def test_named_cases_match_run_steps(name, path, mode):
+def test_named_cases_match_the_call_site_loop(name, path, mode, solver):
     g, K, phi, runs = NAMED[name]
     K = parse(K)
     if path == "direct":
@@ -189,7 +221,7 @@ def test_named_cases_match_run_steps(name, path, mode):
         assert rate == -1.0
     else:
         rate = 0.0
-    want = check_against_run_steps(parse(g), K, parse(phi), rate, 0.0, 4, 40, mode)
+    want = check_loops(solver, parse(g), K, parse(phi), rate, 0.0, 4, 40, mode)
     assert (want[0] == "values") == runs
     if not runs:
         assert want[3] > 0  # a failure past the first step
