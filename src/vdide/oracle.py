@@ -8,7 +8,7 @@ closure costs.  The iteration map has contraction factor (h/2) dg/du, so it
 converges for the same step sizes the explicit closure is accurate at, and
 NoConvergence on a sane problem is a sign h is far too large.
 
-solve_implicit runs the stepper's step loop (stepper._fill), tree loop
+solve_implicit runs the stepper's step loop (stepper._step_loop), tree loop
 included, closed by this iteration; implicit_step stays the stateless
 reference.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import NoConvergence, NonFiniteState
 from .problem import DelayProblem, FirstStepMode, GridSpec, Trajectory, init_trajectory
-from .stepper import _fill, predictor
+from .stepper import _step_loop, predictor
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,8 @@ def implicit_step(
         u = fu
     raise NoConvergence(
         f"implicit step {j} did not reach tol={config.tol!r} in "
-        f"{config.max_iter} iterations; h may be too large for this g"
+        f"{config.max_iter} iterations; h may be too large for this g",
+        step_index=j,
     )
 
 
@@ -98,4 +99,4 @@ def solve_implicit(
     bit for bit unless the problem declares a nonzero kernel_x_rate.
     """
     traj = init_trajectory(problem, grid, mode)
-    return _fill(problem, traj, (config.tol, config.max_iter))
+    return _step_loop(problem, grid, mode, (config.tol, config.max_iter))(traj)

@@ -26,10 +26,13 @@ from .errors import (
     NonCommensurateInterval,
     ZeroDelaySteps,
 )
-from .expressions import DomainError, Expression
+from .expressions import DomainError, Expression, _code, _emit, _NonFinite
 
 # Relative slack when checking that a ratio is a whole number of steps.
 COMMENSURABILITY_RTOL = 1e-9
+
+# What a generated loop raises where evaluate raises a DomainError.
+LOOP_FAILURES = (_NonFinite, ValueError, ZeroDivisionError, OverflowError)
 
 
 class FirstStepMode(enum.Enum):
@@ -213,6 +216,14 @@ class Trajectory:
             )
         return self._values[j + self.grid.delay_steps]
 
+    @classmethod
+    def _holding(cls, grid: GridSpec, mode: FirstStepMode, values: list[float]):
+        """A trajectory whose _values is values itself, the M + 1 history
+        floats, neither checked nor copied."""
+        traj = cls.__new__(cls)
+        traj.grid, traj.mode, traj._values = grid, mode, values
+        return traj
+
     def append(self, u: float) -> None:
         """Store the next forward value."""
         if self.last_index >= self.grid.steps:
@@ -228,27 +239,73 @@ def init_trajectory(
     """Create a trajectory with the history segment prefilled.
 
     values[j] = history(x_j) for j = -M .. 0; in particular the initial value
-    u_0 is history(x0), whatever the problem's g would say about it.  Its
-    M + 1 calls of history are planned (see planned), and a DomainError
-    they raise leaves with slot "phi" and the x it failed at.
+    u_0 is history(x0), whatever the problem's g would say about it.  A
+    built problem's phi runs its grid loop (grid_loop), whose list becomes
+    the trajectory's own; a plain callable is called M + 1 times.  A
+    DomainError leaves with slot "phi" and the x it failed at: if the grid
+    loop fails, the calls rerun and raise it.
     """
     _check_grid_matches(problem, grid)
-    history = planned(problem.history, grid.delay_steps + 1)
+    history, m = problem.history, grid.delay_steps
     x0, h = grid.x0, grid.h
+    on_grid = getattr(history, "on_grid", None)
+    if on_grid is not None:
+        try:
+            # floats, so the loop's values are floats on an integer grid too
+            values = on_grid()(-m, 0, float(x0), float(h))
+            return Trajectory._holding(grid, mode, values)
+        except LOOP_FAILURES:
+            pass
     try:
-        hist = [history(x := x0 + j * h) for j in range(-grid.delay_steps, 1)]
+        hist = [history(x := x0 + j * h) for j in range(-m, 1)]
     except DomainError as exc:
         exc.slot, exc.x = "phi", x
         raise
     return Trajectory(grid, mode, hist)
 
 
+def grid_loop(tree: Expression, error: bool = False) -> Callable:
+    """A loop over the grid points x = x0 + j h, j = first .. last, with
+    tree, an expression in x, written in.
+
+    The history loop, loop(first, last, x0, h), returns the list of the
+    values; the error loop, loop(u, m, first, last, x0, h), the largest
+    |value - u[j + m]|, the first of equal ones as max takes it, with u a
+    Trajectory's _values and m its delay_steps.  The lines are those
+    compile_expression writes (expressions._emit), so the values are
+    evaluate's, bit for bit; but a failure leaves as one of LOOP_FAILURES,
+    and only evaluate, rerun at the same points, raises the DomainError.
+    The source depends only on the tree's shape and the tail, so CPython
+    compiles it once per process (expressions._code).  A built problem's
+    phi and exact make theirs once (registry._slot_function).
+    """
+    names = {"_isfinite": math.isfinite, "_pow": math.pow, "_NonFinite": _NonFinite}
+    body: list[str] = []
+    value = _emit(tree, body, names, checked=True)
+    lines = "\n        ".join(["x = x0 + j * h", *body])
+    if error:
+        head = "def _loop(u, m, first, last, x0, h):\n    top = 0.0\n"
+        tail = (
+            f"        d = abs({value} - u[j + m])\n"
+            "        if d > top or j == first:\n"
+            "            top = d\n"
+            "    return top\n"
+        )
+    else:
+        head = "def _loop(first, last, x0, h):\n    out = []\n    append = out.append\n"
+        tail = f"        append({value})\n    return out\n"
+    source = f"{head}    for j in range(first, last + 1):\n        {lines}\n{tail}"
+    exec(_code(source), names)
+    # popped, so the function and its globals do not refer to each other
+    return names.pop("_loop")
+
+
 def planned(fn: Callable, calls: int) -> Callable:
     """The function a loop making `calls` calls of fn should call.
 
-    fn itself, unless fn is a built problem's slot function whose planned
-    calls, these included, reach registry.COMPILE_AFTER: then the slot's
-    compiled code, made once.  Calls that no loop plans never compile.
+    fn itself, unless fn is a built problem's g or K whose planned calls,
+    these included, reach registry.COMPILE_AFTER: then the slot's compiled
+    code, made once.  Calls that no loop plans never compile.
     """
     plan = getattr(fn, "for_calls", None)
     return (plan and plan(calls)) or fn

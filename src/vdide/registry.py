@@ -40,7 +40,7 @@ from .expressions import (
     parse,
     x_rate,
 )
-from .problem import DelayProblem
+from .problem import DelayProblem, grid_loop
 
 _REQUIRED_KEYS = ("name", "g", "K", "phi", "tau", "x0", "X")
 _OPTIONAL_KEYS = ("exact",)
@@ -55,7 +55,7 @@ SLOT_VARIABLES = {
 }
 
 
-# Calls that loops plan on a built expression (problem.planned) before it
+# Calls that loops plan on a built g or K (problem.planned) before it
 # compiles.  The first compile of a shape costs about as much as 80 to 210
 # walks, a repeat one _emit and an exec (compile_expression), so set-up and
 # short solves never pay for it.
@@ -70,37 +70,29 @@ COMPILE_AFTER = 128
 _MAX_DEPTH = 400
 
 
-def _stamped(fn, slot):
-    """fn of x, stamping slot and x on a DomainError it raises."""
-
-    def of_x(x: float) -> float:
-        try:
-            return fn(x)
-        except DomainError as exc:
-            exc.slot, exc.x = slot, x
-            raise
-
-    return of_x
-
-
 def _slot_function(tree, slot):
     """The function a built problem calls for slot: a walk of tree with
-    evaluate, which plans its compiling through for_calls.
+    evaluate.
 
     It takes its variables by position and builds the bindings dict as a
     display: a *args function using dict(zip(...)) measured about 25% slower
-    on an example2 solve.  The walk of phi and exact stamps a DomainError
-    with its slot and x; the loops that plan those slots (init_trajectory,
-    analysis.max_abs_error) stamp their own, and a solve locates those of g
-    and K.  A loop about to make n calls asks for_calls(n) once
-    (problem.planned).  The slot adds n to its planned total and, once that
-    reaches COMPILE_AFTER, compiles tree, once, and hands the compiled
-    function, with the same values and DomainError text, to this and every
-    later plan.  A loop that writes the expression into its own code asks
-    for_calls(n, inline=True) (problem.planned_tree) and gets tree instead,
-    and nothing compiles until a plan asks for the function.  Unplanned
-    calls walk and count nothing.  Nothing for_calls holds refers back to
-    the slot function.
+    on an example2 solve.  Single calls walk, however many there are.
+
+    phi and exact walk stamping a DomainError with their slot and x, and
+    carry on_grid(): their grid loop (problem.grid_loop), the history loop
+    for phi and the error loop for exact, made on the first call and kept.
+    init_trajectory and analysis.max_abs_error run it, for every problem,
+    and rerun the walk when it fails.
+
+    g and K plan their compiling through for_calls.  A loop about to make n
+    calls asks for_calls(n) once (problem.planned).  The slot adds n to its
+    planned total and, once that reaches COMPILE_AFTER, compiles tree, once,
+    and hands the compiled function, with the same values and DomainError
+    text, to this and every later plan.  A loop that writes the expression
+    into its own code asks for_calls(n, inline=True) (problem.planned_tree)
+    and gets tree instead, and nothing compiles until a plan asks for the
+    function.  Unplanned calls count nothing.  Nothing that on_grid or
+    for_calls holds refers back to the slot function.
     """
     if slot == "g":
         params = ("x", "u")
@@ -115,8 +107,24 @@ def _slot_function(tree, slot):
             return evaluate(tree, {"x": x, "t": t, "v": v})
 
     else:
-        params = ("x",)
-        walk = _stamped(lambda x: evaluate(tree, {"x": x}), slot)
+        loop = None
+
+        def walk(x: float) -> float:
+            try:
+                return evaluate(tree, {"x": x})
+            except DomainError as exc:
+                exc.slot, exc.x = slot, x
+                raise
+
+        def on_grid():
+            """This slot's grid loop, made now if it is not yet."""
+            nonlocal loop
+            if loop is None:
+                loop = grid_loop(tree, error=slot == "exact")
+            return loop
+
+        walk.on_grid = on_grid
+        return walk
     planned, compiled = 0, None
 
     def for_calls(n: int, inline: bool = False):

@@ -44,17 +44,19 @@ compiled code for both g and K, the tree loop writes their lines in
 instead, so a step calls no Python function, and evaluates the parts of g
 that do not contain u once per grid point.  It makes the same float
 operations in the same order, and if it raises, the call-site loop reruns
-and raises the reference exception (_fill).
+and raises the reference exception (_step_loop).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 
 from .errors import NoConvergence, NonFiniteState, NumericalError, _Located
 from .expressions import Expression, _code, _emit, _NonFinite
 from .problem import (
+    LOOP_FAILURES,
     DelayProblem,
     FirstStepMode,
     GridSpec,
@@ -164,48 +166,66 @@ def solve(
     Equal to appending nnm_step(problem, traj, j) for each j: bit for bit
     unless the problem declares a nonzero kernel_x_rate.
     """
-    return _fill(problem, init_trajectory(problem, grid, mode))
+    traj = init_trajectory(problem, grid, mode)
+    return _step_loop(problem, grid, mode)(traj)
 
 
-def _fill(
+def _step_loop(
     problem: DelayProblem,
-    traj: Trajectory,
+    grid: GridSpec,
+    mode: FirstStepMode,
     fixed_point: tuple[float, int] | None = None,
-) -> Trajectory:
-    """Fill traj, holding u_{-M} .. u_0, from u_0 on, closed by the DGJ
-    pair, or by the oracle's iteration with fixed_point = (tol, max_iter).
+) -> Callable[[Trajectory], Trajectory]:
+    """fill(traj), which fills traj, holding u_{-M} .. u_0, from u_0 on and
+    returns it, closed by the DGJ pair, or by the oracle's iteration with
+    fixed_point = (tol, max_iter).
 
     g and K are planned (problem.planned) for the calls the DGJ loop makes:
     3 of g a step, and N + 1 of K with a rate, N (N + 3) / 2 without.  When
-    both plans reach compiled code the tree loop runs; if it raises, traj
-    goes back to its history and the call-site loop raises the reference
-    exception.
+    both plans reach compiled code fill runs the tree loop; if it raises,
+    traj goes back to its history and the call-site loop raises the
+    reference exception.  The plans, and the compile of the loop fill runs
+    first, happen here, so a caller can time fill alone.
     """
-    grid = traj.grid
-    h, n, u = grid.h, grid.steps, traj._values
+    h, n, m = grid.h, grid.steps, grid.delay_steps
     rate = problem.kernel_x_rate
-    literal = traj.mode is FirstStepMode.LITERAL
-    shape = (literal, rate is not None, fixed_point is not None)
-    args = (
-        u, n, grid.x0, h, grid.point(0), u[0], u[grid.delay_steps],
+    shape = (mode is FirstStepMode.LITERAL, rate is not None, fixed_point is not None)
+    constants = (
+        n, grid.x0, h, grid.point(0),
         math.exp(rate * h) if rate is not None else 1.0,
         0.5 * h, 0.5 * h * h, h * h / 4.0, *(fixed_point or (None, None)),
     )
     k_calls = n + 1 if rate is not None else n * (n + 3) // 2
+
+    def call_sites():
+        """The call-site loop and the names it takes after constants."""
+        steps, names = _call_site_loop(*shape)
+        return steps, (
+            *names, planned(problem.g, 3 * n), planned(problem.kernel, k_calls)
+        )
+
     g_tree = planned_tree(problem.g, 3 * n)
     k_tree = None if g_tree is None else planned_tree(problem.kernel, k_calls)
-    if k_tree is not None:
-        source, names = _loop_source(*shape, g_tree, k_tree)
+    if k_tree is None:
+        steps, names = call_sites()
+    else:
+        source, tree_names = _loop_source(*shape, g_tree, k_tree)
+        steps, names = _steps(_code(source)), tuple(tree_names.values())
+
+    def fill(traj: Trajectory) -> Trajectory:
+        u = traj._values
+        args = (u, u[0], u[m], *constants)
         try:
-            _steps(_code(source))(*args, *names.values())
-            return traj
-        except (
-            _NonFinite, NumericalError, ValueError, ZeroDivisionError, OverflowError
-        ):
-            del u[grid.delay_steps + 1 :]
-    steps, names = _call_site_loop(*shape)
-    steps(*args, *names, planned(problem.g, 3 * n), planned(problem.kernel, k_calls))
-    return traj
+            steps(*args, *names)
+        except (NumericalError, *LOOP_FAILURES):
+            if k_tree is None:
+                raise
+            del u[m + 1 :]
+            reference, reference_names = call_sites()
+            reference(*args, *reference_names)
+        return traj
+
+    return fill
 
 
 def _steps(code):
@@ -239,7 +259,7 @@ def _loop_source(
     """The source of a step loop, and the values of the further names it
     takes.
 
-    _steps(u, n, x0, h, x_start, u_oldest, u_j, rho, half_h, half_h2,
+    _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2,
     quarter_h2, tol, max_iter, *names) fills u, the Trajectory's list, from
     u_0 on.  literal is the first-step mode, recur the row path of a
     kernel_x_rate and implicit the closure: the oracle's iteration to tol in
@@ -319,7 +339,7 @@ def _loop_source(
 
     a, b, c, d, e = (" " * k for k in (4, 8, 12, 16, 20))
     src = (
-        "def _steps(u, n, x0, h, x_start, u_oldest, u_j, rho, half_h, half_h2, "
+        "def _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2, "
         f"quarter_h2, tol, max_iter, {', '.join(names)}{tail}):\n"
         f"{a}x_j = x_start\n"
         f"{a}append = u.append\n"

@@ -1,8 +1,12 @@
+import builtins
 import math
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from vdide import analysis, expressions, stepper
 from vdide import (
     DelayProblem,
     FirstStepMode,
@@ -106,6 +110,32 @@ class TestErrorTable:
         traj, elapsed = timed_solve(problem, grid, FirstStepMode.LITERAL)
         assert traj.values == solve(problem, grid, FirstStepMode.LITERAL).values
         assert elapsed >= 0.0
+
+    @pytest.mark.parametrize("h", [0.1, 0.005])
+    def test_timed_solve_compiles_before_its_clock_starts(self, monkeypatch, h):
+        # from cleared caches a solve compiles phi's grid loop and its step
+        # loop, the call-site loop at h = 0.1 and the tree loop at h = 0.005;
+        # the clock reads the solve alone
+        expressions._code.cache_clear()
+        stepper._call_site_loop.cache_clear()
+        events = []
+        compile_ = builtins.compile
+
+        def compile(*args, **kwargs):
+            events.append("compile")
+            return compile_(*args, **kwargs)
+
+        def perf_counter():
+            events.append("clock")
+            return time.perf_counter()
+
+        monkeypatch.setattr(builtins, "compile", compile)
+        monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=perf_counter))
+        problem = builtin_problem("example2").build()
+        grid = build_grid(0.0, 1.0, 1.0, h)
+        traj, _ = timed_solve(problem, grid, FirstStepMode.LITERAL)
+        assert events == ["compile", "compile", "clock", "clock"]
+        assert traj.values == solve(problem, grid).values
 
     def test_builtin_errors_grow_monotonically(self):
         # for the built-in problems the error accumulates along x

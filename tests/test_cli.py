@@ -627,8 +627,8 @@ FAILING_CONFIGS = {
         "tau = 1\nx0 = 0\nX = 1\n"
     ),
     "log_phi": "name = logphi\ng = u\nK = 0\nphi = log(x)\ntau = 1\nx0 = 0\nX = 1\n",
-    # phi and exact fail at a point on every grid below, so a walked and a
-    # compiled slot must print the same line
+    # phi and exact fail at a point on every grid below, so grid loops of
+    # every length must print the same line
     "log_phi_half": (
         "name = logphihalf\ng = u\nK = 0\nphi = log(x + 0.5)\ntau = 1\nx0 = 0\nX = 1\n"
     ),
@@ -676,8 +676,8 @@ LOG_PHI_FAILS = (
     "argument -1.0: math domain error"
 )
 # x_{-M} = -1 at h = 0.1 and 0.005, and the exact solution's first failure,
-# x_j = 0.5, lies on both grids; at h = 0.005 phi's M + 1 = 201 calls and
-# exact's N = 200 are planned, so each compiles before its first call
+# x_j = 0.5, lies on both grids; phi's history loop and exact's error loop
+# fail there, over 11 or 201 and 10 or 200 points, and the walk reruns
 LOG_PHI_HALF_FAILS = (
     "evaluation of phi failed at x = -1: cannot evaluate 'log(x + 0.5)' at "
     "argument -0.5: math domain error"

@@ -1,5 +1,6 @@
 """compile_expression and the slot functions of a built problem, against
-evaluate, and the plans through which loops compile before their first call.
+evaluate, and the plans through which loops compile g and K before their
+first call.
 
 evaluate is the reference: on every tree and every bindings, the compiled
 function must return the same float, bit for bit and with the same sign of
@@ -187,14 +188,15 @@ def assert_a_dropped_problem_leaves_no_reference_cycles(h, compiles):
 
 
 def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
-    # at h = 0.005 the plans reach COMPILE_AFTER: phi compiles, the solve
-    # writes g and K into its generated loop, and for_calls(0) compiles g
+    # at h = 0.005 the plans reach COMPILE_AFTER: the solve writes g and K
+    # into its generated loop, and for_calls(0) compiles g; phi runs its
+    # grid loop at every h
     assert_a_dropped_problem_leaves_no_reference_cycles(0.005, True)
 
 
 def test_a_dropped_walking_problem_leaves_no_reference_cycles():
-    # at h = 0.05 the solve plans 60 calls of g and 21 each of K and phi,
-    # so every slot holds a planned total and none compiles
+    # at h = 0.05 the solve plans 60 calls of g and 21 of K, so both hold a
+    # planned total and neither compiles
     assert_a_dropped_problem_leaves_no_reference_cycles(0.05, False)
 
 
@@ -244,6 +246,7 @@ def test_plans_add_up_and_compile_once_when_they_reach_compile_after(compiles):
 
 @pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
 def test_unplanned_calls_compile_nothing(compiles, slot):
+    # phi and exact plan nothing at all: a loop over the grid writes them in
     problem = parse_config_text(
         "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
         "tau = 1\nx0 = 0\nX = 1\n"
@@ -298,41 +301,48 @@ STAMP_TEXT = (
 
 
 def stamp_failure(slot, h):
-    """(message, slot, x, whether the slot compiled) of the DomainError
-    that init_trajectory (phi) or max_abs_error (exact) raises at step h."""
+    """(message, slot, x) of the DomainError that init_trajectory (phi) or
+    max_abs_error (exact) raises at step h."""
     problem = parse_config_text(STAMP_TEXT).build()
-    fn = problem.history if slot == "phi" else problem.exact
     grid = build_grid(0.0, 1.0, 1.0, h)
     with pytest.raises(DomainError) as info:
         if slot == "phi":
             init_trajectory(problem, grid)
         else:
-            history = [0.0] * (grid.delay_steps + 1)
-            traj = Trajectory(grid, FirstStepMode.LITERAL, history)
-            for _ in range(grid.steps):
-                traj.append(0.0)
-            max_abs_error(traj, fn)
+            max_abs_error(zero_trajectory(grid), problem.exact)
     exc = info.value
-    return str(exc), exc.slot, exc.x, planned(fn, 0) is not fn
+    return str(exc), exc.slot, exc.x
+
+
+def zero_trajectory(grid):
+    """A filled trajectory of zeros on grid."""
+    history = [0.0] * (grid.delay_steps + 1)
+    traj = Trajectory(grid, FirstStepMode.LITERAL, history)
+    for _ in range(grid.steps):
+        traj.append(0.0)
+    return traj
 
 
 @pytest.mark.parametrize(
     "slot, x", [pytest.param("phi", -1.0, id="phi"), pytest.param("exact", 0.5, id="exact")]
 )
 def test_a_planned_phi_or_exact_names_its_slot_and_x_on_failure(slot, x):
-    # compiled code raises the walk's message unstamped, and the loop that
-    # plans the slot stamps slot and x: at h = 0.005 its M + 1 or N = 201 or
-    # 200 planned calls compile the slot, at h = 0.1 the slot walks
+    # the slot's grid loop raises math.log's bare ValueError, and the walk
+    # that reruns raises the DomainError with slot and x, on a grid of 201
+    # or 200 points (h = 0.005) as on one of 11 or 10 (h = 0.1)
     problem = parse_config_text(STAMP_TEXT).build()
     fn = problem.history if slot == "phi" else problem.exact
-    direct = planned(fn, COMPILE_AFTER)
     with pytest.raises(DomainError) as info:
-        direct(x)
-    assert (info.value.slot, info.value.x) == (None, None)
-    compiled = stamp_failure(slot, 0.005)
-    walked = stamp_failure(slot, 0.1)
-    assert compiled == (str(info.value), slot, x, True)
-    assert walked == (str(info.value), slot, x, False)
+        fn(x)
+    assert (info.value.slot, info.value.x) == (slot, x)
+    grid = build_grid(0.0, 1.0, 1.0, 0.005)
+    with pytest.raises(ValueError, match="^math domain error$"):
+        if slot == "phi":
+            fn.on_grid()(-grid.delay_steps, 0, 0.0, 0.005)
+        else:
+            fn.on_grid()(zero_trajectory(grid)._values, 200, 1, 200, 0.0, 0.005)
+    want = (str(info.value), slot, x)
+    assert stamp_failure(slot, 0.005) == stamp_failure(slot, 0.1) == want
 
 
 def sweep_text(tau, delays, a=0.1234, c=0.3):
@@ -353,7 +363,7 @@ def test_a_sweep_op_compiles_g_once_and_k_phi_and_exact_never(
     # an op's plans reach COMPILE_AFTER for g (3 calls a step: in the order
     # study at four delays, 24 + 48 + 96, and only in solve at two and three)
     # and fall short of it for K (at most 9 + 17 + 33 + 33 + 33 = 125 at
-    # four delays), phi and exact
+    # four delays); phi and exact run their grid loops and plan nothing
     problem = parse_config_text(sweep_text(tau, delays)).build()
     hs = [tau / 2, tau / 4, tau / 8]
     estimate = order_study(problem, FirstStepMode.LITERAL, hs)
@@ -424,9 +434,10 @@ def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
 def test_planned_commands_print_what_walking_commands_print(
     capsys, monkeypatch, argv
 ):
-    # at h = 0.005 the plans of g, K, phi and exact (600, 201, 201 and 200
-    # calls) each reach COMPILE_AFTER, so all four compile before their
-    # loops' first calls; with the threshold out of reach every call walks
+    # at h = 0.005 the plans of g and K (600 and 201 calls) reach
+    # COMPILE_AFTER, so the solve runs its tree loop; with the threshold out
+    # of reach it runs the call-site loop, whose calls walk.  phi and exact
+    # run their grid loops either way
     outputs = []
     for compile_after in (COMPILE_AFTER, 10**9):
         monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
@@ -491,20 +502,22 @@ def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
 ):
     def build_and_plan(a):
         problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
-        slots = (problem.g, problem.kernel, problem.history, problem.exact)
-        return [planned(fn, COMPILE_AFTER) is not fn for fn in slots]
+        compiled = [planned(fn, COMPILE_AFTER) for fn in (problem.g, problem.kernel)]
+        loops = [problem.history.on_grid(), problem.exact.on_grid()]
+        return [fn.__name__ for fn in compiled + loops]
 
-    assert build_and_plan(0.1) == [True] * 4
+    made = ["_compiled", "_compiled", "_loop", "_loop"]
+    assert build_and_plan(0.1) == made
     gc.collect()
     gc.disable()
     try:
         for a in (0.2, 0.3, 0.4):
-            assert build_and_plan(a) == [True] * 4
+            assert build_and_plan(a) == made
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # g, K, and phi with exact: three shapes
-    assert code_cache.cache_info()[:2] == (13, 3)
+    # g, K, phi's history loop and exact's error loop: four shapes
+    assert code_cache.cache_info()[:2] == (12, 4)
 
 
 def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
@@ -512,7 +525,7 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
 ):
     # three problems of one shape, at h = tau/80: each problem's solve and
     # oracle write g (720 planned calls) and K (241) into one generated loop
-    # shape each, and a problem's second run compiles phi (162)
+    # shape each, and phi runs its grid loop, made on the problem's first run
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
@@ -521,8 +534,8 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
     problems = [parse_config_text(text).build() for text in texts]
     shared = [run(problems[i], grid).values for run, i in runs]
     # each closure's three loops share one source, and the three phis one:
-    # one miss and two hits each
-    assert len(compiles) == 3 and code_cache.cache_info()[:2] == (6, 3)
+    # one miss and two hits each; nothing calls compile_expression
+    assert compiles == [] and code_cache.cache_info()[:2] == (6, 3)
     afresh = []
     for run, i in runs:
         code_cache.cache_clear()
@@ -536,7 +549,8 @@ def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
 ):
     # at h = tau/2 no plan reaches COMPILE_AFTER (g: 4 x 18 calls), so both
     # solvers run their call-site loops: one per closure, built on its
-    # first solve and kept
+    # first solve and kept.  The code cache sees only phi's grid loop, which
+    # the problem makes on its first solve and keeps
     problem = parse_config_text(sweep_text(0.5, 3)).build()
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
     stepper._call_site_loop.cache_clear()
@@ -545,5 +559,5 @@ def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
         assert stepper._call_site_loop.cache_info()[:2] == (2, 2)  # hits, misses
     finally:
         stepper._call_site_loop.cache_clear()
-    assert code_cache.cache_info()[:2] == (0, 0)
+    assert code_cache.cache_info()[:2] == (0, 1)
     assert shared[:2] == shared[2:]

@@ -63,6 +63,18 @@ class TestImplicitStep:
         with pytest.raises(NoConvergence):
             implicit_step(problem, traj, 0)
 
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_no_convergence_names_its_step(self, j):
+        # as NonFiniteState does; a solve also stamps x_j, a single step not
+        problem = pure_ode_problem(lambda x, u: u, tau=2.5, x_end=5.0)
+        grid = build_grid(0.0, 5.0, 2.5, 2.5)
+        traj = init_trajectory(problem, grid)
+        traj.append(1.0)
+        with pytest.raises(NoConvergence) as info:
+            implicit_step(problem, traj, j)
+        assert (info.value.step_index, info.value.x) == (j, None)
+        assert str(info.value).startswith(f"implicit step {j} did not reach")
+
     def test_iteration_cap_is_configurable(self):
         problem = pure_ode_problem(lambda x, u: u)
         grid = build_grid(0.0, 1.0, 1.0, 0.1)

@@ -4,7 +4,7 @@ and against the stateless single steps.
 A solve runs the tree loop, with g's and K's own lines written in, when the
 plans of both reach compiled code, and otherwise the call-site loop, which
 calls g and K; if the tree loop raises, the solve reruns the call-site loop,
-which raises the reference exception (stepper._fill).  For solve and
+which raises the reference exception (stepper._step_loop).  For solve and
 solve_implicit alike these check that
 
 - the bare tree loop, whenever it returns, returns the call-site loop's
