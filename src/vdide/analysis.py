@@ -155,9 +155,9 @@ def timed_solve(
 ) -> tuple[Trajectory, float]:
     """Solve and return (trajectory, elapsed seconds on a monotonic clock).
 
-    The clock times the solve alone: the step loop is planned and phi's
-    grid loop made first, so their compiles, once per process and shape,
-    fall before it starts.
+    The clock times the solve alone: the step loop and phi's grid loop are
+    made first, so their compiles, once per process and shape, fall before
+    it starts.
     """
     fill = _step_loop(problem, grid, mode)
     on_grid = getattr(problem.history, "on_grid", None)

@@ -24,7 +24,7 @@ import operator
 import re
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import VdideError, _Located
 
@@ -387,7 +387,8 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
     nonpositive number, a fractional power of a negative base, division by
     zero, overflow to infinity) raises DomainError naming the offending
     sub-expression; results are guaranteed finite.  Node types are tested
-    by identity, most frequent first: every uncompiled call walks here.
+    by identity, most frequent first: every single call of a built problem's
+    g, K, phi or exact walks here.
     """
     kind = type(expr)
     if kind is BinOp:
@@ -430,65 +431,7 @@ _HIDING_FUNCTIONS = frozenset({"exp", "tanh"})
 
 
 class _NonFinite(Exception):
-    """A compiled expression met a value its checks reject."""
-
-
-def compile_expression(
-    expr: Expression, params: tuple[str, ...]
-) -> Callable[..., float]:
-    """A Python function f with f(*args) == evaluate(expr, dict(zip(params, args))).
-
-    The function is generated source run through compile and exec.  It
-    makes the same math.* calls and float operations in the same order as
-    evaluate, so its values are bit-identical, but it checks isfinite only
-    where a later node could hide a non-finite value: the right operand of
-    "/" (a / inf = 0), both operands of "^" (1^inf = inf^0 = 1), the
-    arguments of exp and tanh, and the result.  Everywhere else inf and nan
-    carry through +, -, *, unary minus, the left operand of "/" and the
-    other functions, or make them raise.  Operands that are numbers,
-    constants or variables are not checked, as evaluate does not check
-    them.  On any failure, a check or a ValueError, ZeroDivisionError or
-    OverflowError, f returns evaluate(expr, bindings) on the same bindings,
-    which raises the reference DomainError, so the message is identical by
-    construction.
-
-    Each operation gets its own line and local, so the source never nests
-    however deep the tree is.  Numbers, constants and functions enter the
-    source only as generated names (_c0, _f1, ...) bound in the function's
-    globals, so no text of the tree reaches the source and the bytecode
-    compiler folds nothing.  The source thus depends only on the tree's
-    shape and params, and CPython compiles each source once per process
-    (_code, a bounded cache): the first compile of a shape costs about 80
-    to 210 walks, a repeat one _emit and an exec into a fresh namespace
-    holding this tree's literals, about 5 to 15 walks.  params are names
-    from VARIABLES and must cover every variable of expr.  Nothing the
-    generator makes refers back to itself, so a dropped function is freed
-    without the cyclic collector.
-    """
-    if not set(params) <= VARIABLES or len(set(params)) != len(params):
-        raise ValueError(f"params must be distinct names of VARIABLES, got {params!r}")
-    unbound = variables(expr) - set(params)
-    if unbound:
-        raise UnboundVariable(
-            f"variable(s) {', '.join(sorted(unbound))} are not among the "
-            f"parameters {', '.join(params)}"
-        )
-    namespace = {
-        "_evaluate": evaluate, "_isfinite": isfinite, "_pow": math.pow,
-        "_NonFinite": _NonFinite, "_tree": expr,
-    }
-    body: list[str] = []
-    result = _emit(expr, body, namespace, checked=True)
-    bindings = ", ".join(f"{p!r}: {p}" for p in params)
-    lines = [f"def _compiled({', '.join(params)}):", "    try:"]
-    lines += [f"        {line}" for line in body]
-    lines += [
-        f"        return {result}",
-        "    except (_NonFinite, ValueError, ZeroDivisionError, OverflowError):",
-        f"        return _evaluate(_tree, {{{bindings}}})",
-    ]
-    exec(_code("\n".join(lines)), namespace)
-    return namespace.pop("_compiled")
+    """A generated loop met a value its checks reject."""
 
 
 @functools.lru_cache(maxsize=256)
@@ -508,13 +451,31 @@ def _emit(
 ) -> str:
     """The name holding node's value, after the lines it appends to body.
 
-    Numbers, constants and functions go into bound under fresh names, and
-    each line's own local is named local + its index in body.  A checked
-    node that is not a leaf gets a line raising _NonFinite when its value
-    is not finite.  names maps each variable to the name the code holds it
-    in, the variable's own name by default.  With split, a list, every
-    maximal subtree that is not a leaf and contains no u writes its lines,
-    its check included, to split instead, with locals _s0, _s1, ...: a loop
+    Every generated loop writes its expressions with these lines
+    (problem.grid_loop, stepper._loop_source).  They make the same math.*
+    calls and float operations in the same order as evaluate, so their
+    values are bit-identical, and each operation gets its own line and
+    local, so the source never nests however deep the tree is.  Numbers,
+    constants and functions go into bound under fresh names (_c0, _f1,
+    ...), so no text of the tree reaches the source and the bytecode
+    compiler folds nothing: the source depends only on the tree's shape,
+    and CPython compiles it once per process (_code).  Each line's own
+    local is named local + its index in body.
+
+    A checked node that is not a leaf gets a line raising _NonFinite when
+    its value is not finite.  A node is checked where a later node could
+    hide a non-finite value: the right operand of "/" (a / inf = 0), both
+    operands of "^" (1^inf = inf^0 = 1) and the arguments of exp and tanh.
+    Everywhere else inf and nan carry through +, -, *, unary minus, the
+    left operand of "/" and the other functions, or make them raise
+    ValueError, ZeroDivisionError or OverflowError, and the caller checks
+    the result.  On any failure the caller reruns evaluate, which raises
+    the reference DomainError.
+
+    names maps each variable to the name the code holds it in, the
+    variable's own name by default.  With split, a list, every maximal
+    subtree that is not a leaf and contains no u writes its lines, its
+    check included, to split instead, with locals _s0, _s1, ...: a loop
     that calls g three times at two abscissae (stepper) evaluates them once
     per abscissa and body once per call.
     """

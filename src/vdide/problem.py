@@ -271,10 +271,10 @@ def grid_loop(tree: Expression, error: bool = False) -> Callable:
     The history loop, loop(first, last, x0, h), returns the list of the
     values; the error loop, loop(u, m, first, last, x0, h), the largest
     |value - u[j + m]|, the first of equal ones as max takes it, with u a
-    Trajectory's _values and m its delay_steps.  The lines are those
-    compile_expression writes (expressions._emit), so the values are
-    evaluate's, bit for bit; but a failure leaves as one of LOOP_FAILURES,
-    and only evaluate, rerun at the same points, raises the DomainError.
+    Trajectory's _values and m its delay_steps.  The lines are tree's
+    checked lines (expressions._emit), so the values are evaluate's, bit
+    for bit; but a failure leaves as one of LOOP_FAILURES, and only
+    evaluate, rerun at the same points, raises the DomainError.
     The source depends only on the tree's shape and the tail, so CPython
     compiles it once per process (expressions._code).  A built problem's
     phi and exact make theirs once (registry._slot_function).
@@ -298,29 +298,6 @@ def grid_loop(tree: Expression, error: bool = False) -> Callable:
     exec(_code(source), names)
     # popped, so the function and its globals do not refer to each other
     return names.pop("_loop")
-
-
-def planned(fn: Callable, calls: int) -> Callable:
-    """The function a loop making `calls` calls of fn should call.
-
-    fn itself, unless fn is a built problem's g or K whose planned calls,
-    these included, reach registry.COMPILE_AFTER: then the slot's compiled
-    code, made once.  Calls that no loop plans never compile.
-    """
-    plan = getattr(fn, "for_calls", None)
-    return (plan and plan(calls)) or fn
-
-
-def planned_tree(fn: Callable, calls: int) -> Optional[Expression]:
-    """The expression tree of fn, for a loop making `calls` calls of fn
-    that writes its code into its own instead, or None.
-
-    The tree when planned(fn, calls) would return compiled code, but
-    nothing compiles.  None for a plain callable or a plan that falls
-    short, which counts nothing: the loop that calls fn then plans it.
-    """
-    plan = getattr(fn, "for_calls", None)
-    return plan(calls, inline=True) if plan else None
 
 
 def delayed_value(traj: Trajectory, j: int) -> float:

@@ -35,7 +35,6 @@ from .expressions import (
     DomainError,
     _TooDeep,
     _variables_within,
-    compile_expression,
     evaluate,
     parse,
     x_rate,
@@ -55,18 +54,12 @@ SLOT_VARIABLES = {
 }
 
 
-# Calls that loops plan on a built g or K (problem.planned) before it
-# compiles.  The first compile of a shape costs about as much as 80 to 210
-# walks, a repeat one _emit and an exec (compile_expression), so set-up and
-# short solves never pay for it.
-COMPILE_AFTER = 128
-
-
 # The deepest expression tree a config may hold, in nodes on a root-to-leaf
 # path.  The deepest walkers, x_rate on a sum and the parser on a "^" chain,
 # take two frames per level, so a tree at the bound costs them 800 of
 # Python's default limit of 1000 frames and leaves 200 for the caller's
-# stack; evaluate, compile_expression, unparse and the load walk take one.
+# stack; evaluate, unparse, the load walk and expressions._emit, which
+# writes every generated loop, take one.
 _MAX_DEPTH = 400
 
 
@@ -78,30 +71,21 @@ def _slot_function(tree, slot):
     display: a *args function using dict(zip(...)) measured about 25% slower
     on an example2 solve.  Single calls walk, however many there are.
 
-    phi and exact walk stamping a DomainError with their slot and x, and
-    carry on_grid(): their grid loop (problem.grid_loop), the history loop
-    for phi and the error loop for exact, made on the first call and kept.
-    init_trajectory and analysis.max_abs_error run it, for every problem,
-    and rerun the walk when it fails.
-
-    g and K plan their compiling through for_calls.  A loop about to make n
-    calls asks for_calls(n) once (problem.planned).  The slot adds n to its
-    planned total and, once that reaches COMPILE_AFTER, compiles tree, once,
-    and hands the compiled function, with the same values and DomainError
-    text, to this and every later plan.  A loop that writes the expression
-    into its own code asks for_calls(n, inline=True) (problem.planned_tree)
-    and gets tree instead, and nothing compiles until a plan asks for the
-    function.  Unplanned calls count nothing.  Nothing that on_grid or
-    for_calls holds refers back to the slot function.
+    g and K carry tree: a solve of a problem whose g and K both carry theirs
+    writes them into its step loop (stepper._step_loop).  phi and exact walk
+    stamping a DomainError with their slot and x, and carry on_grid(): their
+    grid loop (problem.grid_loop), the history loop for phi and the error
+    loop for exact, made on the first call and kept.  init_trajectory and
+    analysis.max_abs_error run it, for every problem, and rerun the walk
+    when it fails.  Nothing that tree or on_grid holds refers back to the
+    slot function.
     """
     if slot == "g":
-        params = ("x", "u")
 
         def walk(x: float, u: float) -> float:
             return evaluate(tree, {"x": x, "u": u})
 
     elif slot == "K":
-        params = ("x", "t", "v")
 
         def walk(x: float, t: float, v: float) -> float:
             return evaluate(tree, {"x": x, "t": t, "v": v})
@@ -125,27 +109,7 @@ def _slot_function(tree, slot):
 
         walk.on_grid = on_grid
         return walk
-    planned, compiled = 0, None
-
-    def for_calls(n: int, inline: bool = False):
-        """What a loop making n calls uses once the planned calls, these
-        included, reach COMPILE_AFTER: tree if inline, else the compiled
-        function, made now if it is not yet.  Before that, None: keep
-        calling the slot function.  An inline plan that falls short counts
-        nothing, as the loop that then runs plans its calls itself."""
-        nonlocal planned, compiled
-        if planned + n < COMPILE_AFTER:
-            if not inline:
-                planned += n
-            return None
-        planned += n
-        if inline:
-            return tree
-        if compiled is None:
-            compiled = compile_expression(tree, params)
-        return compiled
-
-    walk.for_calls = for_calls
+    walk.tree = tree
     return walk
 
 
@@ -201,7 +165,7 @@ class ProblemConfig:
         The expressions are parsed and slot-checked once per config: a
         config from parse_config_text was checked at load, and later builds
         of the same config reuse its trees.  g, kernel, history and exact
-        are slot functions, which compile as _slot_function says.
+        are slot functions, which run in loops as _slot_function says.
         """
         trees = self._trees
         exact_tree = trees.get("exact")

@@ -37,14 +37,13 @@ and agrees with kernel_terms to about 1e-12 relative.
 Both solvers, this one and the oracle, fill the trajectory in a loop
 generated from one template (_loop_source) and closed by the DGJ pair or by
 the oracle's fixed-point iteration; kernel_terms, predictor, nnm_step and
-oracle.implicit_step stay the stateless reference.  The call-site loop
-calls g and K, and its source, one per first-step mode, row path and
-closure, compiles once per process.  When the plans of a solve reach
-compiled code for both g and K, the tree loop writes their lines in
-instead, so a step calls no Python function, and evaluates the parts of g
+oracle.implicit_step stay the stateless reference.  A built problem's g and
+K carry their trees, and its solve runs the tree loop, which writes their
+lines in, so a step calls no Python function, and evaluates the parts of g
 that do not contain u once per grid point.  It makes the same float
-operations in the same order, and if it raises, the call-site loop reruns
-and raises the reference exception (_step_loop).
+operations in the same order as the call-site loop, which calls g and K and
+runs for a problem of plain callables; if the tree loop raises, the
+call-site loop reruns and raises the reference exception (_step_loop).
 """
 
 from __future__ import annotations
@@ -63,8 +62,6 @@ from .problem import (
     Trajectory,
     delayed_value,
     init_trajectory,
-    planned,
-    planned_tree,
 )
 
 
@@ -180,12 +177,12 @@ def _step_loop(
     returns it, closed by the DGJ pair, or by the oracle's iteration with
     fixed_point = (tol, max_iter).
 
-    g and K are planned (problem.planned) for the calls the DGJ loop makes:
-    3 of g a step, and N + 1 of K with a rate, N (N + 3) / 2 without.  When
-    both plans reach compiled code fill runs the tree loop; if it raises,
-    traj goes back to its history and the call-site loop raises the
-    reference exception.  The plans, and the compile of the loop fill runs
-    first, happen here, so a caller can time fill alone.
+    fill runs the tree loop when problem.g and problem.kernel both carry
+    their trees, as a built problem's do (registry._slot_function), and
+    the call-site loop otherwise.  If the tree loop raises, traj goes back
+    to its history and the call-site loop raises the reference exception.
+    The loop fill runs first is made, and compiled once per process and
+    shape, here, so a caller can time fill alone.
     """
     h, n, m = grid.h, grid.steps, grid.delay_steps
     rate = problem.kernel_x_rate
@@ -195,22 +192,15 @@ def _step_loop(
         math.exp(rate * h) if rate is not None else 1.0,
         0.5 * h, 0.5 * h * h, h * h / 4.0, *(fixed_point or (None, None)),
     )
-    k_calls = n + 1 if rate is not None else n * (n + 3) // 2
-
-    def call_sites():
-        """The call-site loop and the names it takes after constants."""
-        steps, names = _call_site_loop(*shape)
-        return steps, (
-            *names, planned(problem.g, 3 * n), planned(problem.kernel, k_calls)
-        )
-
-    g_tree = planned_tree(problem.g, 3 * n)
-    k_tree = None if g_tree is None else planned_tree(problem.kernel, k_calls)
-    if k_tree is None:
-        steps, names = call_sites()
-    else:
-        source, tree_names = _loop_source(*shape, g_tree, k_tree)
+    functions = (problem.g, problem.kernel)
+    trees = [getattr(fn, "tree", None) for fn in functions]
+    tree_loop = None not in trees
+    if tree_loop:
+        source, tree_names = _loop_source(*shape, *trees)
         steps, names = _steps(_code(source)), tuple(tree_names.values())
+    else:
+        steps, names = _call_site_loop(*shape)
+        names += functions
 
     def fill(traj: Trajectory) -> Trajectory:
         u = traj._values
@@ -218,11 +208,11 @@ def _step_loop(
         try:
             steps(*args, *names)
         except (NumericalError, *LOOP_FAILURES):
-            if k_tree is None:
+            if not tree_loop:
                 raise
             del u[m + 1 :]
-            reference, reference_names = call_sites()
-            reference(*args, *reference_names)
+            reference, reference_names = _call_site_loop(*shape)
+            reference(*args, *reference_names, *functions)
         return traj
 
     return fill
@@ -284,7 +274,7 @@ def _loop_source(
     With them, every call site is the expression's own lines
     (expressions._emit), and g's maximal subtrees without u are evaluated
     once per grid point, at x_0 before the loop and at x_{j+1} after M1.
-    Compiled code's isfinite checks stay and raise _NonFinite, but for
+    The generated lines' isfinite checks stay and raise _NonFinite, but for
     those on the values of g and K: such a value reaches M1, M2 or u_{j+1}
     of the same step through + and * only, and the closure's check stops
     it there.  Numbers, constants and functions are names, so the source

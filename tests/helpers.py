@@ -1,14 +1,19 @@
 """Shared test data and references: error tables, random problems, the
-expression corpus, and the DGJ series the stepper's closure telescopes."""
+expression corpus, the DGJ series the stepper's closure telescopes, and
+the walked solves a built problem's tree loop must end as."""
 
+import dataclasses
 import math
 import random
+import struct
 from dataclasses import dataclass
 from typing import Callable
+from unittest import mock
 
 from hypothesis import strategies as st
 
-from vdide import DelayProblem
+from vdide import DelayProblem, registry, stepper
+from vdide.errors import VdideError
 from vdide.expressions import (
     CONSTANTS,
     FUNCTIONS,
@@ -23,6 +28,7 @@ from vdide.expressions import (
     UnknownFunction,
     UnknownVariable,
     Var,
+    evaluate,
     unparse,
 )
 
@@ -411,3 +417,74 @@ def _require_finite(value, expr):
     if not math.isfinite(value):
         raise DomainError(f"{unparse(expr)!r} evaluated to a non-finite value")
     return value
+
+
+# ---------------------------------------------------------------------------
+# A built problem's g and K carry their trees, and its solves run the tree
+# loop, which writes the trees' lines in; a problem of plain callables runs
+# the call-site loop, and so does a tree loop that raises, to raise the
+# reference exception (stepper._step_loop).  The walked problem, whose g and
+# K are plain walks of the same trees, is the reference.
+
+
+def walking(problem, g, K):
+    """problem with g and K as plain walks of the trees g and K, which carry
+    no tree: its solves run the call-site loop."""
+    return dataclasses.replace(
+        problem,
+        g=lambda x, u: evaluate(g, {"x": x, "u": u}),
+        kernel=lambda x, t, v: evaluate(K, {"x": x, "t": t, "v": v}),
+    )
+
+
+def walking_builds(monkeypatch):
+    """Have every ProblemConfig.build return the walked problem, so the
+    commands run the call-site loop."""
+    build = registry.ProblemConfig.build
+
+    def walked(config):
+        problem = build(config)
+        return walking(problem, problem.g.tree, problem.kernel.tree)
+
+    monkeypatch.setattr(registry.ProblemConfig, "build", walked)
+
+
+def packed(values):
+    return "values", struct.pack(f"{len(values)}d", *values)
+
+
+def solve_outcome(run):
+    """("values", the trajectory packed as doubles) or ("error", class,
+    message, step_index, x) of run()."""
+    try:
+        values = run()._values
+    except VdideError as exc:
+        return "error", type(exc), str(exc), exc.step_index, exc.x
+    return packed(values)
+
+
+class TreeLoopRaised(Exception):
+    """Raised in place of running the call-site loop after the tree loop."""
+
+
+def _no_call_sites(*shape):
+    raise TreeLoopRaised
+
+
+def tree_loop_ends_as_walking(run, problem, g, K, *args):
+    """The outcome of run(walking(problem, g, K), *args), after checking
+    that run(problem, *args), whose g and K carry the trees g and K, ends
+    the same, and that its bare tree loop, with no call-site loop to rerun,
+    returns the same values or raises where the walk raises: the fallback
+    would hide a tree loop that raises."""
+    assert problem.g.tree is g and problem.kernel.tree is K
+    want = solve_outcome(lambda: run(walking(problem, g, K), *args))
+    with mock.patch.object(stepper, "_call_site_loop", _no_call_sites):
+        try:
+            got = solve_outcome(lambda: run(problem, *args))
+        except TreeLoopRaised:
+            assert want[0] == "error", "the tree loop raised where call sites ran"
+        else:
+            assert got == want
+    assert solve_outcome(lambda: run(problem, *args)) == want
+    return want

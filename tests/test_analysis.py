@@ -114,8 +114,7 @@ class TestErrorTable:
     @pytest.mark.parametrize("h", [0.1, 0.005])
     def test_timed_solve_compiles_before_its_clock_starts(self, monkeypatch, h):
         # from cleared caches a solve compiles phi's grid loop and its step
-        # loop, the call-site loop at h = 0.1 and the tree loop at h = 0.005;
-        # the clock reads the solve alone
+        # loop, the tree loop at every h; the clock reads the solve alone
         expressions._code.cache_clear()
         stepper._call_site_loop.cache_clear()
         events = []

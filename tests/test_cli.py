@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import vdide
+from helpers import walking_builds
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
 from vdide import cli, registry, stepper
 from vdide.cli import main
@@ -563,8 +564,8 @@ ROW_PATHS = {
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 @pytest.mark.parametrize("path", sorted(ROW_PATHS))
 def test_solve_prints_the_nnm_step_replay(capsys, tmp_path, path, mode):
-    # 80 steps: the solve plans 240 calls of g and compiles it before the
-    # loop, and the replay's unplanned calls walk throughout
+    # 80 steps: the solve runs its tree loop, with g and K written in, and
+    # the replay's single steps walk throughout
     kernel, rate = ROW_PATHS[path]
     cfg = tmp_path / "rows.cfg"
     cfg.write_text(
@@ -616,8 +617,8 @@ FAILING_CONFIGS = {
     ),
     "overflow": "name = overflow\ng = u\nK = 0\nphi = 1e307\ntau = 1\nx0 = 0\nX = 5\n",
     "stiff": "name = stiff\ng = u\nK = 0\nphi = 1\ntau = 2.5\nx0 = 0\nX = 2.5\n",
-    # at h = 1/128 the plans of g (384 calls) and K (129) reach
-    # COMPILE_AFTER, so the oracle runs its tree loop, which fails at step 0
+    # at h = 1/128 the oracle's tree loop does not converge at step 0, and
+    # the call-site loop reruns to raise
     "stiff400": (
         "name = stiff400\ng = -400*u\nK = 0*v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
     ),
@@ -636,9 +637,9 @@ FAILING_CONFIGS = {
         "name = logexacthalf\ng = u\nK = 0\nphi = exp(x)\nexact = log(0.5 - x)\n"
         "tau = 1\nx0 = 0\nX = 1\n"
     ),
-    # failures of g and K inside the solve loop: on [0, 1], h = 0.1 walks
-    # both and h = 0.005 runs the loop generated for them (600 and 201
-    # planned calls); on [0, 5], h = 0.5 walks and h = 0.01 generates
+    # failures of g and K inside the solve loop, which the tree loop meets
+    # first at every h, on [0, 1] at h = 0.1 and 0.005, and on [0, 5] at
+    # h = 0.5 and 0.01
     "log_g": (
         "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
     ),
@@ -971,8 +972,11 @@ def write_failing_configs(tmp_path):
 @pytest.mark.parametrize(
     "name, h",
     [
+        ("log_g", "0.1"),
         ("log_g", "0.005"),
+        ("log_g_mid", "0.1"),
         ("log_g_mid", "0.005"),
+        ("k_overflow", "0.1"),
         ("k_overflow", "0.005"),
         ("blowup", "0.01"),
         ("overflow", "0.01"),
@@ -981,10 +985,9 @@ def write_failing_configs(tmp_path):
 def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
     capsys, tmp_path, monkeypatch, name, h, mode
 ):
-    # at these h the plans of g and K reach COMPILE_AFTER and the solve runs
-    # its tree loop, which fails and hands over to the call-site loop; with
-    # the threshold out of reach only the call-site loop runs, and exit
-    # code, stdout and stderr are the same
+    # the built problem's solve runs its tree loop, which fails and hands
+    # over to the call-site loop; the walked problem's solve runs only the
+    # call-site loop, and exit code, stdout and stderr are the same
     path = write_failing_configs(tmp_path)[name]
     argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
     generated = []
@@ -996,11 +999,11 @@ def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
 
     loop_source = stepper._loop_source
     monkeypatch.setattr(stepper, "_loop_source", spy)
-    outputs = []
-    for compile_after in (registry.COMPILE_AFTER, 10**9):
-        monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
-        outputs.append(run(capsys, *argv))
-        assert len(generated) == 1
+    outputs = [run(capsys, *argv)]
+    assert len(generated) == 1
+    walking_builds(monkeypatch)
+    outputs.append(run(capsys, *argv))
+    assert len(generated) == 1
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 3 and outputs[0][2].startswith("vdide: ")
 
@@ -1012,9 +1015,8 @@ def at_depth(frames, fn):
 
 # Trees at the depth bound in the two shapes whose walkers take two frames a
 # level: x_rate walks the kernel sum at build, and the parser the "^" chain
-# of g at load; compile_expression walks it too, once solves have planned
-# COMPILE_AFTER calls of g, and so does the solve loop generated at
-# h = 0.005, which writes g and K out at every call site.
+# of g at load; expressions._emit walks both too, at every h, as every
+# solve's tree loop writes g and K out at every call site.
 # Each maps to (g, K); "0*v" is two levels deep.
 DEEPEST = registry._MAX_DEPTH
 AT_THE_BOUND = {
@@ -1027,9 +1029,13 @@ AT_THE_BOUND = {
 @pytest.mark.parametrize(
     "command, h",
     [
+        ("compare", "0.1"),
         ("compare", "0.01"),
+        ("order", "0.2,0.1"),
         ("order", "0.02,0.01"),
+        ("table", "0.1"),
         ("table", "0.01"),
+        ("solve", "0.1"),
         ("solve", "0.005"),
     ],
 )

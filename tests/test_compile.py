@@ -1,10 +1,13 @@
-"""compile_expression and the slot functions of a built problem, against
-evaluate, and the plans through which loops compile g and K before their
-first call.
+"""The code generated from expression trees (expressions._emit) against
+evaluate, in the loops that write it: a grid loop (problem.grid_loop) and a
+solve's tree loop (stepper._step_loop).
 
-evaluate is the reference: on every tree and every bindings, the compiled
-function must return the same float, bit for bit and with the same sign of
-zero, or raise a DomainError with the same text.
+evaluate is the reference.  Wherever it returns, a grid loop over the one
+point x returns the same float, bit for bit and with the same sign of zero,
+and wherever it raises a DomainError, the loop raises one of LOOP_FAILURES.
+The solve of a built problem, whose g and K carry their trees, ends as the
+solve of the walked problem (helpers.walking): the same doubles, or the
+same exception, message, step_index and x.
 """
 
 import dataclasses
@@ -21,7 +24,10 @@ from helpers import (
     EVAL_CASES,
     HIDDEN_OVERFLOWS,
     PARAMS,
+    tree_loop_ends_as_walking,
     trees,
+    walking,
+    walking_builds,
 )
 from vdide import expressions, registry, stepper
 from vdide.cli import main
@@ -30,21 +36,23 @@ from vdide.expressions import (
     Call,
     DomainError,
     Neg,
-    UnboundVariable,
-    compile_expression,
+    Num,
+    Var,
     evaluate,
     parse,
     unparse,
 )
 from vdide.analysis import max_abs_error, order_study
 from vdide.problem import (
+    LOOP_FAILURES,
+    DelayProblem,
     FirstStepMode,
     Trajectory,
     build_grid,
+    grid_loop,
     init_trajectory,
-    planned,
 )
-from vdide.registry import COMPILE_AFTER, parse_config_text
+from vdide.registry import parse_config_text
 from vdide.oracle import solve_implicit
 from vdide.stepper import solve
 
@@ -67,58 +75,107 @@ def assert_same(got, want):
     assert math.copysign(1.0, a) == math.copysign(1.0, b), (a, b)
 
 
-def assert_compiles_like_evaluate(tree, bindings):
-    params = tuple(bindings)
-    args = tuple(bindings.values())
-    compiled = compile_expression(tree, params)
-    assert_same(outcome(compiled, *args), outcome(evaluate, tree, bindings))
+def pinned(tree, bindings, keep=("x",)):
+    """tree with every variable not in keep replaced by its value in
+    bindings.  A variable and a number are both leaves, which neither
+    evaluate nor the generated code checks, so the operations stay the
+    same."""
+    kind = type(tree)
+    if kind is Var:
+        return tree if tree.name in keep else Num(bindings[tree.name])
+    if kind is BinOp:
+        left, right = (pinned(side, bindings, keep) for side in (tree.left, tree.right))
+        return BinOp(tree.op, left, right)
+    if kind is Call:
+        return Call(tree.func, pinned(tree.arg, bindings, keep))
+    if kind is Neg:
+        return Neg(pinned(tree.operand, bindings, keep))
+    return tree
+
+
+def assert_grid_loop_matches_evaluate(tree, bindings):
+    """The history loop of tree, its variables but x pinned, over the one
+    point x, against evaluate at bindings."""
+    want = outcome(evaluate, tree, bindings)
+    loop = grid_loop(pinned(tree, bindings))
+    try:
+        # x0 + 0 * -0.0 is x0 itself, -0.0 included
+        [value] = loop(0, 0, bindings.get("x", 0.0), -0.0)
+    except LOOP_FAILURES:
+        assert want[0] == "error", "the grid loop raised where evaluate returned"
+    else:
+        assert_same(("value", value), want)
+
+
+def assert_one_step_solves_like_walking(tree, bindings):
+    """The outcome of one step whose g is tree, its t and v pinned, and
+    whose K is 0, from x_0 = x and u_0 = u, so that the first evaluation
+    is g at bindings: the built problem's solve against the walked one's."""
+    x0 = bindings.get("x", 0.0)
+    h = max(1.0, abs(x0)) / 1024
+    g, K = pinned(tree, bindings, keep=("x", "u")), Num(0.0)
+    problem = DelayProblem(
+        g=registry._slot_function(g, "g"),
+        kernel=registry._slot_function(K, "K"),
+        history=registry._slot_function(Num(bindings.get("u", 1.0)), "phi"),
+        tau=h,
+        x0=x0,
+        x_end=x0 + h,
+    )
+    want = tree_loop_ends_as_walking(solve, problem, g, K, build_grid(x0, x0 + h, h, h))
+    if outcome(evaluate, tree, bindings)[0] == "error":
+        assert want[0] == "error" and want[3:] == (0, x0)
+    return want
 
 
 @pytest.mark.parametrize(
     "text,bindings", [(t, b) for t, b, _ in EVAL_CASES] + DOMAIN_ERROR_CASES
 )
-def test_corpus_compiles_like_evaluate(text, bindings):
-    assert_compiles_like_evaluate(parse(text), bindings)
+def test_the_corpus_runs_in_generated_loops_as_evaluate_runs(text, bindings):
+    assert_grid_loop_matches_evaluate(parse(text), bindings)
+    assert_one_step_solves_like_walking(parse(text), bindings)
 
 
 @pytest.mark.parametrize("text", HIDDEN_OVERFLOWS)
 def test_an_overflow_a_later_node_would_hide_is_reported(text):
-    compiled = compile_expression(parse(text), ("x",))
-    with pytest.raises(DomainError) as info:
-        compiled(1e200)
-    assert str(info.value) == "'x * x' evaluated to a non-finite value"
+    tree = parse(text)
+    with pytest.raises(LOOP_FAILURES):
+        grid_loop(tree)(0, 0, 1e200, -0.0)
+    assert assert_one_step_solves_like_walking(tree, {"x": 1e200}) == (
+        "error", DomainError, "'x * x' evaluated to a non-finite value", 0, 1e200
+    )
 
 
-def test_params_must_cover_the_tree():
-    with pytest.raises(UnboundVariable):
-        compile_expression(parse("x + u"), ("x",))
-    with pytest.raises(ValueError):
-        compile_expression(parse("x"), ("x", "x"))
-    with pytest.raises(ValueError):
-        compile_expression(parse("x"), ("x", "y"))
-
-
-# A left-associative sum is a tree as deep as it is long; its compiled
+# A left-associative sum is a tree as deep as it is long; its generated
 # source must not nest with it, or CPython refuses more than 200 levels of
 # parentheses.
 LONG_SUM = " + ".join(["x"] * 299 + ["u"])
 
 
-def test_a_long_sum_compiles_like_evaluate():
-    assert_compiles_like_evaluate(parse(LONG_SUM), {"x": 0.25, "u": -3.0})
-    assert_compiles_like_evaluate(parse(LONG_SUM), {"x": 1e306, "u": 0.0})
+def test_a_long_sum_runs_in_generated_loops_as_evaluate_runs():
+    for bindings in ({"x": 0.25, "u": -3.0}, {"x": 1e306, "u": 0.0}):
+        assert_grid_loop_matches_evaluate(parse(LONG_SUM), bindings)
+        assert_one_step_solves_like_walking(parse(LONG_SUM), bindings)
 
 
 def test_no_tree_text_reaches_the_source():
-    # a number is bound by name, so the compiled function holds no constant
-    compiled = compile_expression(parse("2*x + 3.5"), ("x",))
-    assert compiled(1.0) == 5.5
-    assert not any(isinstance(c, float) for c in compiled.__code__.co_consts)
+    # a number is bound by name, so the grid loop holds no constant, and two
+    # g of one shape write one step loop
+    loop = grid_loop(parse("2*x + 3.5"))
+    assert loop(0, 0, 1.0, -0.0) == [5.5]
+    assert not any(isinstance(c, float) for c in loop.__code__.co_consts)
+    K = parse("v")
+    sources = {
+        stepper._loop_source(True, False, False, parse(g), K)[0]
+        for g in ("2*x + 3.5*u", "4*x + 1.25*u")
+    }
+    assert len(sources) == 1
+    assert "3.5" not in sources.pop()
 
 
 # A node that can hide a non-finite operand, over an operand that can
-# overflow to inf without raising, so that each check compile_expression
-# places is exercised often.
+# overflow to inf without raising, so that each check _emit places is
+# exercised often.
 overflowing = st.builds(BinOp, st.sampled_from("*+-/"), trees, trees)
 hiding_trees = st.one_of(
     st.builds(BinOp, st.just("/"), trees, overflowing),
@@ -134,8 +191,8 @@ hiding_trees = st.one_of(
     st.one_of(trees, overflowing, hiding_trees),
     st.tuples(*[BINDING_VALUES] * len(PARAMS)),
 )
-def test_generated_trees_compile_like_evaluate(tree, values):
-    assert_compiles_like_evaluate(tree, dict(zip(PARAMS, values)))
+def test_generated_trees_run_in_grid_loops_as_evaluate_runs(tree, values):
+    assert_grid_loop_matches_evaluate(tree, dict(zip(PARAMS, values)))
 
 
 def slot_problem(g="log(u) + x", x_end=1.0):
@@ -144,133 +201,64 @@ def slot_problem(g="log(u) + x", x_end=1.0):
     ).build()
 
 
-def assert_walk_and_plan_match_evaluate(text, inputs):
-    """A fresh slot's walk, and the code a plan compiles for it, against
-    evaluate on every (x, u) of inputs."""
+def assert_walk_and_tree_loop_match_evaluate(text, inputs):
+    """A built g's walk against evaluate, and one step from each (x, u)
+    against the walked step, on every (x, u) of inputs."""
     g = slot_problem(text).g
-    direct = planned(g, COMPILE_AFTER)
-    assert direct is not g
     tree = parse(text)
     for x, u in inputs:
-        want = outcome(evaluate, tree, {"x": x, "u": u})
-        assert_same(outcome(g, x, u), want)
-        assert_same(outcome(direct, x, u), want)
+        bindings = {"x": x, "u": u}
+        assert_same(outcome(g, x, u), outcome(evaluate, tree, bindings))
+        assert_one_step_solves_like_walking(tree, bindings)
 
 
-def test_the_walk_and_the_planned_code_match_evaluate_on_every_input():
+def test_the_walk_and_the_tree_loop_match_evaluate_on_every_input():
     # every third input leaves the domain, so error text is checked on both
     # paths, and so is a value
-    assert_walk_and_plan_match_evaluate(
+    assert_walk_and_tree_loop_match_evaluate(
         "log(u) + x",
         [(k * 0.125, -1.0 if k % 3 == 0 else k * 0.5) for k in range(1, 40)],
     )
 
 
-def assert_a_dropped_problem_leaves_no_reference_cycles(h, compiles):
-    """A problem, its trees, its slot functions and its compiled code are
-    freed by reference counting alone, so a sweep of many problems leaves
-    the cyclic collector nothing to find."""
+@pytest.mark.parametrize("h", [0.005, 0.05])
+def test_a_dropped_problem_leaves_no_reference_cycles(h):
+    """A problem, its trees, its slot functions and the loops its solve
+    makes are freed by reference counting alone, so a sweep of many
+    problems leaves the cyclic collector nothing to find."""
 
     def build_and_solve():
         problem = slot_problem()
         solve(problem, build_grid(0.0, 1.0, 1.0, h))
-        return problem.g.for_calls(0) is not None
 
-    assert build_and_solve() == compiles
+    build_and_solve()
     gc.collect()
     gc.disable()
     try:
-        compiled = build_and_solve()
+        build_and_solve()
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert compiled == compiles
-
-
-def test_a_dropped_compiled_problem_leaves_no_reference_cycles():
-    # at h = 0.005 the plans reach COMPILE_AFTER: the solve writes g and K
-    # into its generated loop, and for_calls(0) compiles g; phi runs its
-    # grid loop at every h
-    assert_a_dropped_problem_leaves_no_reference_cycles(0.005, True)
-
-
-def test_a_dropped_walking_problem_leaves_no_reference_cycles():
-    # at h = 0.05 the solve plans 60 calls of g and 21 of K, so both hold a
-    # planned total and neither compiles
-    assert_a_dropped_problem_leaves_no_reference_cycles(0.05, False)
-
-
-@pytest.fixture
-def compiles(monkeypatch):
-    """The params of each compile_expression call a built problem makes."""
-    made = []
-
-    def counted(tree, params):
-        made.append(params)
-        return compile_expression(tree, params)
-
-    monkeypatch.setattr(registry, "compile_expression", counted)
-    return made
-
-
-@pytest.mark.parametrize("walked", [0, 60, COMPILE_AFTER - 1])
-def test_a_plan_reaching_compile_after_compiles_before_the_first_call(
-    compiles, walked
-):
-    # unplanned calls before the plan neither count towards it nor compile
-    g = slot_problem().g
-    for _ in range(walked):
-        g(0.5, 2.0)
-    assert compiles == []
-    direct = planned(g, COMPILE_AFTER)
-    assert compiles == [("x", "u")]
-    assert direct is not g and direct.__name__ == "_compiled"
-    assert planned(g, 1) is direct  # compiled once, handed to every loop
-    want = evaluate(parse("log(u) + x"), {"x": 0.5, "u": 2.0})
-    assert direct(0.5, 2.0) == g(0.5, 2.0) == want
-    assert compiles == [("x", "u")]
-
-
-def test_plans_add_up_and_compile_once_when_they_reach_compile_after(compiles):
-    g = slot_problem().g
-    assert planned(g, 50) is g
-    assert planned(g, 50) is g
-    for _ in range(100):
-        g(0.5, 2.0)
-    assert compiles == []
-    direct = planned(g, 50)  # 150 planned calls
-    assert compiles == [("x", "u")] and direct is not g
-    assert planned(g, 50) is planned(g, 0) is direct
-    assert compiles == [("x", "u")]
 
 
 @pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
-def test_unplanned_calls_compile_nothing(compiles, slot):
-    # phi and exact plan nothing at all: a loop over the grid writes them in
+def test_single_calls_walk_and_generate_nothing(code_cache, slot):
+    # only loops generate code: a single call walks, however many there are
     problem = parse_config_text(
         "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
         "tau = 1\nx0 = 0\nX = 1\n"
     ).build()
     fn = getattr(problem, slot)
     args = {"g": (0.5, 2.0), "kernel": (0.5, 0.25, 2.0)}.get(slot, (0.5,))
-    for _ in range(10 * COMPILE_AFTER):
+    for _ in range(1280):
         fn(*args)
-    assert compiles == []
-    assert planned(fn, 0) is fn
-    assert compiles == []
+    assert code_cache.cache_info()[:2] == (0, 0)  # hits, misses
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_a_solve_plans_the_g_calls_it_makes(monkeypatch, mode):
-    # counting plain callables see every call; the DGJ loop makes 3 a step,
-    # the oracle at least that many on example2
-    plans = {}
-
-    def recording(fn, calls):
-        plans[fn] = calls
-        return planned(fn, calls)
-
-    monkeypatch.setattr(stepper, "planned", recording)
+def test_a_solve_of_plain_callables_calls_g_three_times_a_step(mode):
+    # a plain g runs the call-site loop, which calls it for M1 and for the
+    # DGJ pair's two substitutions; the oracle at least that often
     problem = registry.builtin_problem("example2").build()
     made = []
 
@@ -281,17 +269,10 @@ def test_a_solve_plans_the_g_calls_it_makes(monkeypatch, mode):
     counted = dataclasses.replace(problem, g=g)
     grid = build_grid(0.0, 1.0, 1.0, 0.025)
     solve(counted, grid, mode)
-    assert len(made) == plans[g] == 3 * grid.steps
+    assert len(made) == 3 * grid.steps
     made.clear()
     solve_implicit(counted, grid, mode)
-    assert len(made) >= plans[g] == 3 * grid.steps
-
-
-def test_a_plain_callable_is_its_own_plan():
-    def g(x, u):
-        return x + u
-
-    assert planned(g, 10**6) is g
+    assert len(made) >= 3 * grid.steps
 
 
 STAMP_TEXT = (
@@ -326,7 +307,7 @@ def zero_trajectory(grid):
 @pytest.mark.parametrize(
     "slot, x", [pytest.param("phi", -1.0, id="phi"), pytest.param("exact", 0.5, id="exact")]
 )
-def test_a_planned_phi_or_exact_names_its_slot_and_x_on_failure(slot, x):
+def test_a_failing_phi_or_exact_grid_loop_names_its_slot_and_x(slot, x):
     # the slot's grid loop raises math.log's bare ValueError, and the walk
     # that reruns raises the DomainError with slot and x, on a grid of 201
     # or 200 points (h = 0.005) as on one of 11 or 10 (h = 0.1)
@@ -356,70 +337,54 @@ def sweep_text(tau, delays, a=0.1234, c=0.3):
     )
 
 
-@pytest.mark.parametrize("tau, delays", [(1.0, 2), (0.5, 3), (0.25, 4)])
-def test_a_sweep_op_compiles_g_once_and_k_phi_and_exact_never(
-    compiles, tau, delays
-):
-    # an op's plans reach COMPILE_AFTER for g (3 calls a step: in the order
-    # study at four delays, 24 + 48 + 96, and only in solve at two and three)
-    # and fall short of it for K (at most 9 + 17 + 33 + 33 + 33 = 125 at
-    # four delays); phi and exact run their grid loops and plan nothing
-    problem = parse_config_text(sweep_text(tau, delays)).build()
-    hs = [tau / 2, tau / 4, tau / 8]
-    estimate = order_study(problem, FirstStepMode.LITERAL, hs)
-    grid = build_grid(0.0, delays * tau, tau, tau / 8)
-    solve(problem, grid)
-    solve_implicit(problem, grid)
-    assert compiles == [("x", "u")]
-    assert abs(estimate.slope - 2.0) < 0.2
-
-
 @pytest.mark.parametrize("run", [solve, solve_implicit])
-def test_a_solve_failing_on_compiled_code_reports_what_evaluate_would(run):
+def test_a_solve_failing_in_its_tree_loop_reports_what_evaluate_would(run):
     # log(2 - x) fails at x = 2, first as g(x_{j+1}, .) of step 199, after
-    # hundreds of g calls on the compiled path
+    # hundreds of g evaluations in the tree loop
     problem = slot_problem("log(2 - x) + 0*u", x_end=3.0)
-    tree = parse("log(2 - x) + 0*u")
-    walking = dataclasses.replace(
-        problem, g=lambda x, u: evaluate(tree, {"x": x, "u": u})
-    )
     grid = build_grid(0.0, 3.0, 1.0, 0.01)
-    failures = []
-    for variant in (problem, walking):
-        with pytest.raises(DomainError) as info:
-            run(variant, grid)
-        failures.append((str(info.value), info.value.step_index, info.value.x))
-    assert failures[0] == failures[1]
-    assert failures[0][1:] == (199, 1.99)
-    assert "log(2.0 - x)" in failures[0][0]
+    trees = problem.g.tree, problem.kernel.tree
+    failure = tree_loop_ends_as_walking(run, problem, *trees, grid)
+    assert failure[:2] == ("error", DomainError)
+    assert failure[3:] == (199, 1.99)
+    assert "log(2.0 - x)" in failure[2]
 
 
-def test_the_walk_and_the_planned_code_match_evaluate_on_a_long_sum():
+def test_the_walk_and_the_tree_loop_match_evaluate_on_a_long_sum():
     # every third input the sum overflows part way, at about 180 terms
-    assert_walk_and_plan_match_evaluate(
+    assert_walk_and_tree_loop_match_evaluate(
         LONG_SUM,
         [(1e306, 0.0) if k % 3 == 0 else (k * 0.125, -k * 0.5) for k in range(1, 40)],
     )
 
 
+def commands_print_what_walking_commands_print(capsys, monkeypatch, argv):
+    """The output lines of argv, but # elapsed ones, after checking that
+    it exits 0 without stderr and prints them with walked builds too."""
+    outputs = []
+    for walked in (False, True):
+        if walked:
+            walking_builds(monkeypatch)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        lines = captured.out.splitlines()
+        outputs.append([ln for ln in lines if not ln.startswith("# elapsed")])
+    assert outputs[0] == outputs[1]
+    return outputs[0]
+
+
 def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
     capsys, tmp_path, monkeypatch
 ):
-    # 80 steps plan 240 calls of g, so g compiles before the loop; a solve
-    # whose g never compiles prints the reference output
+    # 80 steps, each with the 300 terms of g written in at three call sites;
+    # the walked solve prints the reference output: a header and 81 points
     config = tmp_path / "long.cfg"
     config.write_text(
         f"name = long\ng = {LONG_SUM}\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 0.5\n"
     )
-    outputs = []
-    for compile_after in (COMPILE_AFTER, 10**9):
-        monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
-        code = main(["solve", "--problem", str(config), "--h", "0.00625"])
-        captured = capsys.readouterr()
-        assert (code, captured.err) == (0, "")
-        outputs.append(captured.out)
-    assert outputs[0] == outputs[1]
-
+    argv = ["solve", "--problem", str(config), "--h", "0.00625"]
+    assert len(commands_print_what_walking_commands_print(capsys, monkeypatch, argv)) == 82
 
 
 @pytest.mark.parametrize(
@@ -427,26 +392,15 @@ def test_solve_on_a_long_sum_prints_what_a_walking_solve_prints(
     [
         "solve --problem example2 --h 0.005 --first-step corrected",
         "compare --problem example2 --h 0.005",
+        "compare --problem example1 --h 0.1",
         "order --problem example2 --h 0.01,0.005",
         "table --problem example2 --h 0.005",
     ],
 )
-def test_planned_commands_print_what_walking_commands_print(
-    capsys, monkeypatch, argv
-):
-    # at h = 0.005 the plans of g and K (600 and 201 calls) reach
-    # COMPILE_AFTER, so the solve runs its tree loop; with the threshold out
-    # of reach it runs the call-site loop, whose calls walk.  phi and exact
-    # run their grid loops either way
-    outputs = []
-    for compile_after in (COMPILE_AFTER, 10**9):
-        monkeypatch.setattr(registry, "COMPILE_AFTER", compile_after)
-        code = main(argv.split())
-        captured = capsys.readouterr()
-        assert (code, captured.err) == (0, "")
-        lines = captured.out.splitlines()
-        outputs.append([ln for ln in lines if not ln.startswith("# elapsed")])
-    assert outputs[0] == outputs[1]
+def test_built_commands_print_what_walking_commands_print(capsys, monkeypatch, argv):
+    # a built problem's solves run their tree loops, a walked one's the
+    # call-site loop; phi and exact run their grid loops either way
+    commands_print_what_walking_commands_print(capsys, monkeypatch, argv.split())
 
 
 # CPython compiles each generated source once per process: the source names
@@ -464,27 +418,28 @@ def code_cache():
 # One shape: neither log nor sqrt can hide a non-finite argument, so their
 # generated lines agree; the literals differ.
 ONE_SHAPE = ["log(x - 0.5)*u + 2", "sqrt(x - 1.5)*u + 0.25", "log(x - 2.5)*u + 4"]
+# values, a domain error of the call and an overflow of the product
+ONE_SHAPE_INPUTS = [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]
 
 
 def test_trees_of_one_shape_compile_once_and_keep_their_own_values(code_cache):
-    compiled = [compile_expression(parse(text), ("x", "u")) for text in ONE_SHAPE]
-    assert code_cache.cache_info()[:2] == (2, 1)  # hits, misses
-    assert len({fn.__code__ for fn in compiled}) == 1
-    for text, fn in zip(ONE_SHAPE, compiled):
-        tree = parse(text)
-        # values, a domain error of the call and an overflow of the product
-        for x, u in [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]:
-            want = outcome(evaluate, tree, {"x": x, "u": u})
-            assert_same(outcome(fn, x, u), want)
+    # twelve one-step problems, each solved twice with g and K written in
+    # (helpers.tree_loop_ends_as_walking) and making one history loop for
+    # its constant phi: the 24 step loops share one source, and so do the
+    # 12 history loops
+    for x, u in ONE_SHAPE_INPUTS:
+        for text in ONE_SHAPE:
+            assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
+    assert code_cache.cache_info()[:2] == (34, 2)  # hits, misses
 
 
 def test_a_domain_error_names_its_own_trees_text(code_cache):
-    compiled = [compile_expression(parse(text), ("x", "u")) for text in ONE_SHAPE]
-    for text, fn in zip(ONE_SHAPE, compiled):
+    for text in ONE_SHAPE:
         call = unparse(parse(text).left.left)
-        with pytest.raises(DomainError) as info:
-            fn(0.25, 1.0)
-        assert str(info.value).startswith(f"cannot evaluate {call!r} at argument")
+        failure = assert_one_step_solves_like_walking(parse(text), {"x": 0.25, "u": 1.0})
+        assert failure[1] is DomainError
+        assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
+    assert code_cache.cache_info()[1] == 2
 
 
 def test_the_code_cache_stays_within_its_bound(code_cache):
@@ -492,7 +447,7 @@ def test_the_code_cache_stays_within_its_bound(code_cache):
     bound = code_cache.cache_info().maxsize
     for i in range(bound + 20):
         ops = ["+-*/"[(i >> (2 * k)) & 3] for k in range(5)]
-        compile_expression(parse("x" + "".join(f" {op} x" for op in ops)), ("x",))
+        grid_loop(parse("x" + "".join(f" {op} x" for op in ops)))
     info = code_cache.cache_info()
     assert (info.misses, info.currsize) == (bound + 20, bound)
 
@@ -500,32 +455,31 @@ def test_the_code_cache_stays_within_its_bound(code_cache):
 def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
     code_cache,
 ):
-    def build_and_plan(a):
+    def build_and_make_loops(a):
         problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
-        compiled = [planned(fn, COMPILE_AFTER) for fn in (problem.g, problem.kernel)]
+        grid = build_grid(0.0, 2.0, 1.0, 0.125)
+        fill = stepper._step_loop(problem, grid, FirstStepMode.LITERAL)
         loops = [problem.history.on_grid(), problem.exact.on_grid()]
-        return [fn.__name__ for fn in compiled + loops]
+        return [fn.__name__ for fn in [fill, *loops]]
 
-    made = ["_compiled", "_compiled", "_loop", "_loop"]
-    assert build_and_plan(0.1) == made
+    made = ["fill", "_loop", "_loop"]
+    assert build_and_make_loops(0.1) == made
     gc.collect()
     gc.disable()
     try:
         for a in (0.2, 0.3, 0.4):
-            assert build_and_plan(a) == made
+            assert build_and_make_loops(a) == made
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # g, K, phi's history loop and exact's error loop: four shapes
-    assert code_cache.cache_info()[:2] == (12, 4)
+    # the step loop, phi's history loop and exact's error loop: three shapes
+    assert code_cache.cache_info()[:2] == (9, 3)
 
 
-def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
-    compiles, code_cache
-):
+def test_solves_sharing_cached_code_match_solves_that_compile_afresh(code_cache):
     # three problems of one shape, at h = tau/80: each problem's solve and
-    # oracle write g (720 planned calls) and K (241) into one generated loop
-    # shape each, and phi runs its grid loop, made on the problem's first run
+    # oracle write g and K into one generated loop shape each, and phi runs
+    # its grid loop, made on the problem's first run
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
@@ -534,8 +488,8 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
     problems = [parse_config_text(text).build() for text in texts]
     shared = [run(problems[i], grid).values for run, i in runs]
     # each closure's three loops share one source, and the three phis one:
-    # one miss and two hits each; nothing calls compile_expression
-    assert compiles == [] and code_cache.cache_info()[:2] == (6, 3)
+    # one miss and two hits each
+    assert code_cache.cache_info()[:2] == (6, 3)
     afresh = []
     for run, i in runs:
         code_cache.cache_clear()
@@ -547,17 +501,18 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
 def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
     code_cache,
 ):
-    # at h = tau/2 no plan reaches COMPILE_AFTER (g: 4 x 18 calls), so both
-    # solvers run their call-site loops: one per closure, built on its
-    # first solve and kept.  The code cache sees only phi's grid loop, which
-    # the problem makes on its first solve and keeps
+    # a walked problem's solves run their call-site loops: one per closure,
+    # built on its first solve and kept.  The code cache sees only phi's
+    # grid loop, which the problem makes on its first solve and keeps
     problem = parse_config_text(sweep_text(0.5, 3)).build()
+    walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
     stepper._call_site_loop.cache_clear()
     try:
-        shared = [run(problem, grid).values for run in (solve, solve_implicit) * 2]
+        shared = [run(walked, grid).values for run in (solve, solve_implicit) * 2]
         assert stepper._call_site_loop.cache_info()[:2] == (2, 2)  # hits, misses
     finally:
         stepper._call_site_loop.cache_clear()
     assert code_cache.cache_info()[:2] == (0, 1)
     assert shared[:2] == shared[2:]
+    assert shared == [run(problem, grid).values for run in (solve, solve_implicit) * 2]

@@ -1,35 +1,29 @@
 """Both solvers' step loops, generated from one template, against each other
 and against the stateless single steps.
 
-A solve runs the tree loop, with g's and K's own lines written in, when the
-plans of both reach compiled code, and otherwise the call-site loop, which
-calls g and K; if the tree loop raises, the solve reruns the call-site loop,
-which raises the reference exception (stepper._step_loop).  For solve and
-solve_implicit alike these check that
+A built problem's g and K carry their trees, and its solve runs the tree
+loop, with their own lines written in; a problem of plain callables runs
+the call-site loop, which calls g and K.  If the tree loop raises, the
+solve reruns the call-site loop, which raises the reference exception
+(stepper._step_loop).  For solve and solve_implicit alike these check that
 
 - the bare tree loop, whenever it returns, returns the call-site loop's
   values;
-- a solve whose g and K walk the trees, which runs the call-site loop, ends
-  as one that runs the tree loop first, whether handed the trees or planning
-  them with COMPILE_AFTER = 1: the same doubles, or the same exception
-  class, message, step_index and x;
+- the built problem's solve ends as the solve of walking(problem, g, K),
+  whose plain callables walk the trees in the call-site loop: the same
+  doubles, or the same exception class, message, step_index and x;
 - with no kernel_x_rate or a zero one, the call-site loop ends as appending
   nnm_step or implicit_step for each j does: the same doubles, or the same
   exception class and message.
 """
 
-import dataclasses
-import struct
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import trees_over
-from vdide import registry, stepper
-from vdide.errors import VdideError
-from vdide.expressions import BinOp, Call, Neg, Num, Var, evaluate, parse, x_rate
+from helpers import solve_outcome, tree_loop_ends_as_walking, trees_over, walking
+from vdide import registry
+from vdide.expressions import BinOp, Call, Neg, Num, Var, parse, x_rate
 from vdide.oracle import implicit_step, solve_implicit
 from vdide.problem import DelayProblem, FirstStepMode, build_grid, init_trajectory
 from vdide.stepper import nnm_step, solve
@@ -60,29 +54,6 @@ def slot_problem(g, K, phi, rate, x0, x_end, tau):
     )
 
 
-def walking(problem, g, K):
-    """problem with g and K as plain walks of the trees: nothing plans them."""
-    return dataclasses.replace(
-        problem,
-        g=lambda x, u: evaluate(g, {"x": x, "u": u}),
-        kernel=lambda x, t, v: evaluate(K, {"x": x, "t": t, "v": v}),
-    )
-
-
-def packed(values):
-    return "values", struct.pack(f"{len(values)}d", *values)
-
-
-def outcome(run):
-    """("values", the trajectory packed as doubles) or ("error", class,
-    message, step_index, x) of run()."""
-    try:
-        values = run()._values
-    except VdideError as exc:
-        return "error", type(exc), str(exc), exc.step_index, exc.x
-    return packed(values)
-
-
 def replay(step, problem, grid, mode):
     """The trajectory of step(problem, traj, j) appended for each j."""
     traj = init_trajectory(problem, grid, mode)
@@ -91,40 +62,20 @@ def replay(step, problem, grid, mode):
     return traj
 
 
-class TreeLoopRaised(Exception):
-    """Raised in place of running the call-site loop after the tree loop."""
-
-
-def no_call_sites(*shape):
-    raise TreeLoopRaised
-
-
 def check_loops(solver, g, K, phi, rate, x0, delays, m, mode):
-    """The outcome of solver on the walked problem, after checking it against
-    the tree loop, a planned solve and the single-step replay."""
+    """The outcome of solver on the walked problem, after checking the built
+    problem's solve and its bare tree loop against it, and it against the
+    single-step replay."""
     run, step = SOLVERS[solver]
     tau = 0.25
     x_end = x0 + delays * tau
     problem = slot_problem(g, K, phi, rate, x0, x_end, tau)
     grid = build_grid(x0, x_end, tau, tau / m)
-    reference = walking(problem, g, K)
-    want = outcome(lambda: run(reference, grid, mode))
-
-    trees = {reference.g: g, reference.kernel: K}
-    with mock.patch.object(stepper, "planned_tree", lambda fn, calls: trees[fn]):
-        with mock.patch.object(stepper, "_call_site_loop", no_call_sites):
-            try:
-                values = run(reference, grid, mode)._values
-            except TreeLoopRaised:
-                assert want[0] == "error", "the tree loop raised where call sites ran"
-            else:
-                assert packed(values) == want
-        assert outcome(lambda: run(reference, grid, mode)) == want
-    # every plan reaches compiled code, so the solve writes the trees in
-    with mock.patch.object(registry, "COMPILE_AFTER", 1):
-        assert outcome(lambda: run(problem, grid, mode)) == want
+    want = tree_loop_ends_as_walking(run, problem, g, K, grid, mode)
     if rate is None or rate == 0.0:
-        assert outcome(lambda: replay(step, reference, grid, mode))[:3] == want[:3]
+        reference = walking(problem, g, K)
+        got = solve_outcome(lambda: replay(step, reference, grid, mode))
+        assert got[:3] == want[:3]
     return want
 
 
