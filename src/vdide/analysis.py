@@ -3,20 +3,20 @@
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateError, OffGridSample
-from .expressions import DomainError
 from .problem import (
     COMMENSURABILITY_RTOL,
-    LOOP_FAILURES,
     DelayProblem,
     FirstStepMode,
     GridSpec,
     Trajectory,
     build_grid,
+    grid_values,
     init_trajectory,
 )
 from .stepper import _step_loop, solve
@@ -74,28 +74,18 @@ def error_table(
 def max_abs_error(traj: Trajectory, exact: Callable[[float], float]) -> float:
     """Largest error over the forward grid points j = 1 .. N.
 
-    A built problem's exact runs its grid loop (problem.grid_loop) over a
-    filled trajectory; a plain callable is called N times.  A DomainError
-    leaves with slot "exact" and the x it failed at: if the grid loop
-    fails, the calls rerun and raise it.
+    exact's values come from problem.grid_values, a built problem's from its
+    grid loop, so a DomainError leaves with slot "exact" and the x it failed
+    at.  On a trajectory that stops at u_k short of N, exact is taken at
+    j = 1 .. k + 1 and u_{k+1} then raises IndexNotYetComputed, the order
+    in which a walk over the points meets the two.
     """
     grid = traj.grid
-    n = grid.steps
-    on_grid = getattr(exact, "on_grid", None)
-    if on_grid is not None and traj.last_index == n:
-        try:
-            return on_grid()(
-                traj._values, grid.delay_steps, 1, n, float(grid.x0), float(grid.h)
-            )
-        except LOOP_FAILURES:
-            pass
-    try:
-        return max(
-            abs(exact(x := grid.point(j)) - traj.value(j)) for j in range(1, n + 1)
-        )
-    except DomainError as exc:
-        exc.slot, exc.x = "exact", x
-        raise
+    last = min(grid.steps, traj.last_index + 1)
+    values = grid_values(exact, "exact", 1, last, grid)
+    traj.value(last)  # IndexNotYetComputed if traj stops short of N
+    u = traj._values[grid.delay_steps + 1 :]
+    return max(map(abs, map(operator.sub, values, u)))
 
 
 def observed_order(e1: float, e2: float, ratio: float) -> float:
@@ -155,14 +145,13 @@ def timed_solve(
 ) -> tuple[Trajectory, float]:
     """Solve and return (trajectory, elapsed seconds on a monotonic clock).
 
-    The clock times the solve alone: the step loop and phi's grid loop are
-    made first, so their compiles, once per process and shape, fall before
-    it starts.
+    The clock times the solve alone: the step loop is made first, and a
+    built problem's phi fills one untimed history, so their compiles, once
+    per process and shape, fall before it starts.
     """
     fill = _step_loop(problem, grid, mode)
-    on_grid = getattr(problem.history, "on_grid", None)
-    if on_grid is not None:
-        on_grid()
+    if hasattr(problem.history, "tree"):
+        init_trajectory(problem, grid, mode)
     start = time.perf_counter()
     traj = fill(init_trajectory(problem, grid, mode))
     return traj, time.perf_counter() - start

@@ -434,10 +434,51 @@ class _NonFinite(Exception):
     """A generated loop met a value its checks reject."""
 
 
+# What a generated loop raises where evaluate raises a DomainError.
+LOOP_FAILURES = (_NonFinite, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _loop_names() -> dict:
+    """A fresh dict of the names every generated loop's lines use (_emit),
+    to which _emit adds a tree's numbers, constants and functions."""
+    return {"_isfinite": isfinite, "_pow": math.pow, "_NonFinite": _NonFinite}
+
+
 @functools.lru_cache(maxsize=256)
 def _code(source: str):
     """CPython's compile of a generated source, made once per shape."""
     return compile(source, "<vdide expression>", "exec")
+
+
+def _define(code, name: str, names: dict):
+    """The function called name that code defines, with names as its
+    globals; popped, so the function and its globals do not refer to each
+    other."""
+    exec(code, names)
+    return names.pop(name)
+
+
+def grid_loop(tree: Expression):
+    """loop(first, last, x0, h), the list of tree's values at the grid
+    points x = x0 + j h, j = first .. last, for a tree in x.
+
+    The lines are tree's checked lines (_emit), so the values are
+    evaluate's, bit for bit; but a failure leaves as one of LOOP_FAILURES,
+    and only evaluate, rerun at the same points, raises the DomainError.
+    The source depends only on the tree's shape, so CPython compiles it
+    once per process (_code); the loop itself is made anew on every call,
+    which takes a few microseconds.
+    """
+    names = _loop_names()
+    body: list[str] = []
+    value = _emit(tree, body, names, checked=True)
+    lines = "\n        ".join(["x = x0 + j * h", *body])
+    source = (
+        "def _loop(first, last, x0, h):\n    out = []\n    append = out.append\n"
+        f"    for j in range(first, last + 1):\n        {lines}\n"
+        f"        append({value})\n    return out\n"
+    )
+    return _define(_code(source), "_loop", names)
 
 
 def _emit(
@@ -447,20 +488,19 @@ def _emit(
     checked: bool = False,
     names: Mapping[str, str] | None = None,
     split: list[str] | None = None,
-    local: str = "_v",
 ) -> str:
     """The name holding node's value, after the lines it appends to body.
 
     Every generated loop writes its expressions with these lines
-    (problem.grid_loop, stepper._loop_source).  They make the same math.*
-    calls and float operations in the same order as evaluate, so their
-    values are bit-identical, and each operation gets its own line and
-    local, so the source never nests however deep the tree is.  Numbers,
-    constants and functions go into bound under fresh names (_c0, _f1,
-    ...), so no text of the tree reaches the source and the bytecode
-    compiler folds nothing: the source depends only on the tree's shape,
-    and CPython compiles it once per process (_code).  Each line's own
-    local is named local + its index in body.
+    (grid_loop, stepper._loop_source).  They make the same math.* calls and
+    float operations in the same order as evaluate, so their values are
+    bit-identical, and each operation gets its own line and local, so the
+    source never nests however deep the tree is.  Numbers, constants and
+    functions go into bound under fresh names (_c0, _f1, ...), so no text
+    of the tree reaches the source and the bytecode compiler folds nothing:
+    the source depends only on the tree's shape, and CPython compiles it
+    once per process (_code).  Each line's own local is _v + its index in
+    body.
 
     A checked node that is not a leaf gets a line raising _NonFinite when
     its value is not finite.  A node is checked where a later node could
@@ -473,11 +513,12 @@ def _emit(
     the reference DomainError.
 
     names maps each variable to the name the code holds it in, the
-    variable's own name by default.  With split, a list, every maximal
-    subtree that is not a leaf and contains no u writes its lines, its
-    check included, to split instead, with locals _s0, _s1, ...: a loop
-    that calls g three times at two abscissae (stepper) evaluates them once
-    per abscissa and body once per call.
+    variable's own name by default.  With split, a list, a node that is not
+    a leaf and whose line names neither u nor a body local writes its line,
+    and its check, to split instead, as _s + its index there: so every
+    maximal subtree without u lands in split, decided bottom-up in one
+    pass.  A loop that calls g three times at two abscissae (stepper)
+    evaluates split once per abscissa and body once per call.
     """
     kind = type(node)
     if kind is Num or kind is Const:
@@ -486,27 +527,31 @@ def _emit(
         return name
     if kind is Var:
         return node.name if names is None else names[node.name]
-    if split is not None and "u" not in variables(node):
-        return _emit(node, split, bound, checked, names, local="_s")
     if kind is BinOp:
-        left = _emit(node.left, body, bound, node.op == "^", names, split, local)
-        right = _emit(node.right, body, bound, node.op in "^/", names, split, local)
+        left = _emit(node.left, body, bound, node.op == "^", names, split)
+        right = _emit(node.right, body, bound, node.op in "^/", names, split)
         if node.op == "^":
             source = f"_pow({left}, {right})"
         else:
             source = f"{left} {node.op} {right}"
     elif kind is Call:
         hides = node.func in _HIDING_FUNCTIONS
-        arg = _emit(node.arg, body, bound, hides, names, split, local)
+        arg = _emit(node.arg, body, bound, hides, names, split)
         function = f"_f{len(bound)}"
         bound[function] = FUNCTIONS[node.func]
         source = f"{function}({arg})"
     else:
-        source = f"-{_emit(node.operand, body, bound, False, names, split, local)}"
-    name = f"{local}{len(body)}"
-    body.append(f"{name} = {source}")
+        source = f"-{_emit(node.operand, body, bound, False, names, split)}"
+    lines, local = body, "_v"
+    if split is not None:
+        # a line's other names (_c.., _f.., _s.., _pow, x's) contain neither
+        u = "u" if names is None else names["u"]
+        if "_v" not in source and u not in source:
+            lines, local = split, "_s"
+    name = f"{local}{len(lines)}"
+    lines.append(f"{name} = {source}")
     if checked:
-        body.append(f"if not _isfinite({name}): raise _NonFinite")
+        lines.append(f"if not _isfinite({name}): raise _NonFinite")
     return name
 
 

@@ -26,13 +26,10 @@ from .errors import (
     NonCommensurateInterval,
     ZeroDelaySteps,
 )
-from .expressions import DomainError, Expression, _code, _emit, _NonFinite
+from .expressions import LOOP_FAILURES, DomainError, grid_loop
 
 # Relative slack when checking that a ratio is a whole number of steps.
 COMMENSURABILITY_RTOL = 1e-9
-
-# What a generated loop raises where evaluate raises a DomainError.
-LOOP_FAILURES = (_NonFinite, ValueError, ZeroDivisionError, OverflowError)
 
 
 class FirstStepMode(enum.Enum):
@@ -239,65 +236,41 @@ def init_trajectory(
     """Create a trajectory with the history segment prefilled.
 
     values[j] = history(x_j) for j = -M .. 0; in particular the initial value
-    u_0 is history(x0), whatever the problem's g would say about it.  A
-    built problem's phi runs its grid loop (grid_loop), whose list becomes
-    the trajectory's own; a plain callable is called M + 1 times.  A
-    DomainError leaves with slot "phi" and the x it failed at: if the grid
-    loop fails, the calls rerun and raise it.
+    u_0 is history(x0), whatever the problem's g would say about it.  The
+    values come from grid_values, and a built problem's list becomes the
+    trajectory's own; a plain callable's values go through float().
     """
     _check_grid_matches(problem, grid)
-    history, m = problem.history, grid.delay_steps
+    history = problem.history
+    values = grid_values(history, "phi", -grid.delay_steps, 0, grid)
+    if hasattr(history, "tree"):
+        return Trajectory._holding(grid, mode, values)
+    return Trajectory(grid, mode, values)
+
+
+def grid_values(
+    fn: Callable[[float], float], slot: str, first: int, last: int, grid: GridSpec
+) -> list:
+    """[fn(x_j) for j = first .. last], for phi or exact.
+
+    A function that carries its tree, as a built problem's slot functions
+    do (registry._slot_function), runs its grid loop (grid_loop), on float
+    x0 and h, so its values are floats on an integer grid too.  If the loop
+    fails, or fn is a plain callable, fn is called at every point in order,
+    and a DomainError leaves stamped with slot and the x it failed at.
+    """
+    tree = getattr(fn, "tree", None)
     x0, h = grid.x0, grid.h
-    on_grid = getattr(history, "on_grid", None)
-    if on_grid is not None:
+    if tree is not None:
         try:
-            # floats, so the loop's values are floats on an integer grid too
-            values = on_grid()(-m, 0, float(x0), float(h))
-            return Trajectory._holding(grid, mode, values)
+            return grid_loop(tree)(first, last, float(x0), float(h))
         except LOOP_FAILURES:
             pass
     try:
-        hist = [history(x := x0 + j * h) for j in range(-m, 1)]
+        return [fn(x := x0 + j * h) for j in range(first, last + 1)]
     except DomainError as exc:
-        exc.slot, exc.x = "phi", x
+        exc.slot, exc.x = slot, x
         raise
-    return Trajectory(grid, mode, hist)
-
-
-def grid_loop(tree: Expression, error: bool = False) -> Callable:
-    """A loop over the grid points x = x0 + j h, j = first .. last, with
-    tree, an expression in x, written in.
-
-    The history loop, loop(first, last, x0, h), returns the list of the
-    values; the error loop, loop(u, m, first, last, x0, h), the largest
-    |value - u[j + m]|, the first of equal ones as max takes it, with u a
-    Trajectory's _values and m its delay_steps.  The lines are tree's
-    checked lines (expressions._emit), so the values are evaluate's, bit
-    for bit; but a failure leaves as one of LOOP_FAILURES, and only
-    evaluate, rerun at the same points, raises the DomainError.
-    The source depends only on the tree's shape and the tail, so CPython
-    compiles it once per process (expressions._code).  A built problem's
-    phi and exact make theirs once (registry._slot_function).
-    """
-    names = {"_isfinite": math.isfinite, "_pow": math.pow, "_NonFinite": _NonFinite}
-    body: list[str] = []
-    value = _emit(tree, body, names, checked=True)
-    lines = "\n        ".join(["x = x0 + j * h", *body])
-    if error:
-        head = "def _loop(u, m, first, last, x0, h):\n    top = 0.0\n"
-        tail = (
-            f"        d = abs({value} - u[j + m])\n"
-            "        if d > top or j == first:\n"
-            "            top = d\n"
-            "    return top\n"
-        )
-    else:
-        head = "def _loop(first, last, x0, h):\n    out = []\n    append = out.append\n"
-        tail = f"        append({value})\n    return out\n"
-    source = f"{head}    for j in range(first, last + 1):\n        {lines}\n{tail}"
-    exec(_code(source), names)
-    # popped, so the function and its globals do not refer to each other
-    return names.pop("_loop")
 
 
 def delayed_value(traj: Trajectory, j: int) -> float:

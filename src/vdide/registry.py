@@ -39,7 +39,7 @@ from .expressions import (
     parse,
     x_rate,
 )
-from .problem import DelayProblem, grid_loop
+from .problem import DelayProblem
 
 _REQUIRED_KEYS = ("name", "g", "K", "phi", "tau", "x0", "X")
 _OPTIONAL_KEYS = ("exact",)
@@ -65,20 +65,15 @@ _MAX_DEPTH = 400
 
 def _slot_function(tree, slot):
     """The function a built problem calls for slot: a walk of tree with
-    evaluate.
+    evaluate, carrying tree.
 
     It takes its variables by position and builds the bindings dict as a
     display: a *args function using dict(zip(...)) measured about 25% slower
-    on an example2 solve.  Single calls walk, however many there are.
-
-    g and K carry tree: a solve of a problem whose g and K both carry theirs
-    writes them into its step loop (stepper._step_loop).  phi and exact walk
-    stamping a DomainError with their slot and x, and carry on_grid(): their
-    grid loop (problem.grid_loop), the history loop for phi and the error
-    loop for exact, made on the first call and kept.  init_trajectory and
-    analysis.max_abs_error run it, for every problem, and rerun the walk
-    when it fails.  Nothing that tree or on_grid holds refers back to the
-    slot function.
+    on an example2 solve.  Single calls walk, however many there are; phi
+    and exact stamp a DomainError with their slot and x.  Loops over many
+    points write tree in instead: a solve whose g and K both carry theirs
+    runs its tree loop (stepper._step_loop), and phi and exact run their
+    grid loops (problem.grid_values).  tree refers back to nothing.
     """
     if slot == "g":
 
@@ -91,7 +86,6 @@ def _slot_function(tree, slot):
             return evaluate(tree, {"x": x, "t": t, "v": v})
 
     else:
-        loop = None
 
         def walk(x: float) -> float:
             try:
@@ -100,15 +94,6 @@ def _slot_function(tree, slot):
                 exc.slot, exc.x = slot, x
                 raise
 
-        def on_grid():
-            """This slot's grid loop, made now if it is not yet."""
-            nonlocal loop
-            if loop is None:
-                loop = grid_loop(tree, error=slot == "exact")
-            return loop
-
-        walk.on_grid = on_grid
-        return walk
     walk.tree = tree
     return walk
 

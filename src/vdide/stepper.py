@@ -39,11 +39,13 @@ generated from one template (_loop_source) and closed by the DGJ pair or by
 the oracle's fixed-point iteration; kernel_terms, predictor, nnm_step and
 oracle.implicit_step stay the stateless reference.  A built problem's g and
 K carry their trees, and its solve runs the tree loop, which writes their
-lines in, so a step calls no Python function, and evaluates the parts of g
-that do not contain u once per grid point.  It makes the same float
-operations in the same order as the call-site loop, which calls g and K and
-runs for a problem of plain callables; if the tree loop raises, the
-call-site loop reruns and raises the reference exception (_step_loop).
+lines in (expressions._emit), so a step calls no Python function, and
+evaluates the parts of g that do not contain u once per grid point.  It
+makes the same float operations in the same order as the call-site loop,
+which calls g and K and runs for a problem of plain callables; if the tree
+loop raises, the call-site loop reruns and raises the reference exception
+(_step_loop).  phi and exact run in grid loops (expressions.grid_loop),
+outside the step loop, with the same fallback (problem.grid_values).
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ import math
 from typing import Callable
 
 from .errors import NoConvergence, NonFiniteState, NumericalError, _Located
-from .expressions import Expression, _code, _emit, _NonFinite
+from .expressions import LOOP_FAILURES, Expression, _code, _define, _emit, _loop_names
 from .problem import (
-    LOOP_FAILURES,
     DelayProblem,
     FirstStepMode,
     GridSpec,
@@ -225,9 +226,7 @@ def _steps(code):
         "_Located": _Located, "NonFiniteState": NonFiniteState,
         "NoConvergence": NoConvergence,
     }
-    exec(code, namespace)
-    # popped, so the function and its globals do not refer to each other
-    return namespace.pop("_steps")
+    return _define(code, "_steps", namespace)
 
 
 @functools.cache
@@ -280,7 +279,7 @@ def _loop_source(
     it there.  Numbers, constants and functions are names, so the source
     depends only on the trees' shapes and the three branches.
     """
-    names = {"_isfinite": math.isfinite, "_pow": math.pow, "_NonFinite": _NonFinite}
+    names = _loop_names()
     if g_tree is None:
         k_lines = g_lines = free_lines = ""
         k_out, g_out, tail = "K({x}, {t}, {v})", "g({x}, {u})", ", g, K"

@@ -677,7 +677,7 @@ LOG_PHI_FAILS = (
     "argument -1.0: math domain error"
 )
 # x_{-M} = -1 at h = 0.1 and 0.005, and the exact solution's first failure,
-# x_j = 0.5, lies on both grids; phi's history loop and exact's error loop
+# x_j = 0.5, lies on both grids; phi's and exact's grid loops
 # fail there, over 11 or 201 and 10 or 200 points, and the walk reruns
 LOG_PHI_HALF_FAILS = (
     "evaluation of phi failed at x = -1: cannot evaluate 'log(x + 0.5)' at "

@@ -1,6 +1,6 @@
 """The code generated from expression trees (expressions._emit) against
-evaluate, in the loops that write it: a grid loop (problem.grid_loop) and a
-solve's tree loop (stepper._step_loop).
+evaluate, in the loops that write it: a grid loop (expressions.grid_loop)
+and a solve's tree loop (stepper._step_loop).
 
 evaluate is the reference.  Wherever it returns, a grid loop over the one
 point x returns the same float, bit for bit and with the same sign of zero,
@@ -12,6 +12,7 @@ same exception, message, step_index and x.
 
 import dataclasses
 import gc
+import itertools
 import math
 
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
 from vdide import expressions, registry, stepper
 from vdide.cli import main
 from vdide.expressions import (
+    LOOP_FAILURES,
     BinOp,
     Call,
     DomainError,
@@ -39,17 +41,16 @@ from vdide.expressions import (
     Num,
     Var,
     evaluate,
+    grid_loop,
     parse,
     unparse,
 )
 from vdide.analysis import max_abs_error, order_study
 from vdide.problem import (
-    LOOP_FAILURES,
     DelayProblem,
     FirstStepMode,
     Trajectory,
     build_grid,
-    grid_loop,
     init_trajectory,
 )
 from vdide.registry import parse_config_text
@@ -94,7 +95,7 @@ def pinned(tree, bindings, keep=("x",)):
 
 
 def assert_grid_loop_matches_evaluate(tree, bindings):
-    """The history loop of tree, its variables but x pinned, over the one
+    """The grid loop of tree, its variables but x pinned, over the one
     point x, against evaluate at bindings."""
     want = outcome(evaluate, tree, bindings)
     loop = grid_loop(pinned(tree, bindings))
@@ -156,6 +157,38 @@ def test_a_long_sum_runs_in_generated_loops_as_evaluate_runs():
     for bindings in ({"x": 0.25, "u": -3.0}, {"x": 1e306, "u": 0.0}):
         assert_grid_loop_matches_evaluate(parse(LONG_SUM), bindings)
         assert_one_step_solves_like_walking(parse(LONG_SUM), bindings)
+
+
+# g trees that _emit splits: a sum of 200 terms each with u, and the "^"
+# chain at the depth bound, every level of which holds u.
+SUM_OF_200 = " + ".join(["u*sin(x)"] * 200)
+POWER_CHAIN = "^".join(["u"] + ["1"] * (registry._MAX_DEPTH - 1))
+
+
+def test_g_is_split_in_one_pass_without_asking_for_variables(monkeypatch):
+    # _emit decides bottom-up which lines hold no u, from the names on each
+    # node's line, so it never walks a subtree for its variables
+    texts = [(text, bindings) for text, bindings, _ in EVAL_CASES]
+    texts += [(text, {}) for text in (SUM_OF_200, POWER_CHAIN, LONG_SUM)]
+    gs = [pinned(parse(text), bindings, keep=("x", "u")) for text, bindings in texts]
+    K = parse("v")
+
+    def walked(*args):
+        raise AssertionError("_emit walked a subtree for its variables")
+
+    monkeypatch.setattr(expressions, "_variables_within", walked)
+    for g in gs:
+        for shape in itertools.product((True, False), repeat=3):
+            stepper._loop_source(*shape, g, K)
+        body: list[str] = []
+        split: list[str] = []
+        expressions._emit(g, body, {}, False, {"x": "{x}", "u": "{u}"}, split)
+        # split holds no u; every line of body needs u, directly or not
+        assert not any("{u}" in line or "_v" in line for line in split)
+        for line in body:
+            if not line.startswith("if "):
+                value = line.partition(" = ")[2]
+                assert "{u}" in value or "_v" in value, line
 
 
 def test_no_tree_text_reaches_the_source():
@@ -308,20 +341,18 @@ def zero_trajectory(grid):
     "slot, x", [pytest.param("phi", -1.0, id="phi"), pytest.param("exact", 0.5, id="exact")]
 )
 def test_a_failing_phi_or_exact_grid_loop_names_its_slot_and_x(slot, x):
-    # the slot's grid loop raises math.log's bare ValueError, and the walk
-    # that reruns raises the DomainError with slot and x, on a grid of 201
-    # or 200 points (h = 0.005) as on one of 11 or 10 (h = 0.1)
+    # the grid loop of the slot's tree raises math.log's bare ValueError,
+    # and the walk that reruns raises the DomainError with slot and x, on a
+    # grid of 201 or 200 points (h = 0.005) as on one of 11 or 10 (h = 0.1)
     problem = parse_config_text(STAMP_TEXT).build()
     fn = problem.history if slot == "phi" else problem.exact
     with pytest.raises(DomainError) as info:
         fn(x)
     assert (info.value.slot, info.value.x) == (slot, x)
     grid = build_grid(0.0, 1.0, 1.0, 0.005)
+    first, last = (-grid.delay_steps, 0) if slot == "phi" else (1, grid.steps)
     with pytest.raises(ValueError, match="^math domain error$"):
-        if slot == "phi":
-            fn.on_grid()(-grid.delay_steps, 0, 0.0, 0.005)
-        else:
-            fn.on_grid()(zero_trajectory(grid)._values, 200, 1, 200, 0.0, 0.005)
+        grid_loop(fn.tree)(first, last, 0.0, 0.005)
     want = (str(info.value), slot, x)
     assert stamp_failure(slot, 0.005) == stamp_failure(slot, 0.1) == want
 
@@ -423,14 +454,15 @@ ONE_SHAPE_INPUTS = [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]
 
 
 def test_trees_of_one_shape_compile_once_and_keep_their_own_values(code_cache):
-    # twelve one-step problems, each solved twice with g and K written in
-    # (helpers.tree_loop_ends_as_walking) and making one history loop for
-    # its constant phi: the 24 step loops share one source, and so do the
-    # 12 history loops
+    # twelve one-step problems, each solved three times
+    # (helpers.tree_loop_ends_as_walking): twice with g and K written in
+    # and once walked, every solve making a grid loop for its constant phi.
+    # The 24 step loops share one source, and so do the 36 grid loops: 60
+    # lookups, one compile per shape
     for x, u in ONE_SHAPE_INPUTS:
         for text in ONE_SHAPE:
             assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
-    assert code_cache.cache_info()[:2] == (34, 2)  # hits, misses
+    assert code_cache.cache_info()[:2] == (58, 2)  # hits, misses
 
 
 def test_a_domain_error_names_its_own_trees_text(code_cache):
@@ -455,31 +487,31 @@ def test_the_code_cache_stays_within_its_bound(code_cache):
 def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
     code_cache,
 ):
-    def build_and_make_loops(a):
+    def build_and_run_loops(a):
+        # the step loop, phi's grid loop and exact's
         problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
         grid = build_grid(0.0, 2.0, 1.0, 0.125)
         fill = stepper._step_loop(problem, grid, FirstStepMode.LITERAL)
-        loops = [problem.history.on_grid(), problem.exact.on_grid()]
-        return [fn.__name__ for fn in [fill, *loops]]
+        return max_abs_error(fill(init_trajectory(problem, grid)), problem.exact)
 
-    made = ["fill", "_loop", "_loop"]
-    assert build_and_make_loops(0.1) == made
+    assert 0 < build_and_run_loops(0.1) < 0.01
     gc.collect()
     gc.disable()
     try:
         for a in (0.2, 0.3, 0.4):
-            assert build_and_make_loops(a) == made
+            assert 0 < build_and_run_loops(a) < 0.01
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # the step loop, phi's history loop and exact's error loop: three shapes
-    assert code_cache.cache_info()[:2] == (9, 3)
+    # twelve lookups of two shapes: the step loop, and the grid loop that
+    # phi = exp(a*x) and exact = exp(a*x) share
+    assert code_cache.cache_info()[:2] == (10, 2)
 
 
 def test_solves_sharing_cached_code_match_solves_that_compile_afresh(code_cache):
     # three problems of one shape, at h = tau/80: each problem's solve and
-    # oracle write g and K into one generated loop shape each, and phi runs
-    # its grid loop, made on the problem's first run
+    # oracle write g and K into one generated loop shape each, and every
+    # run makes phi's grid loop
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
@@ -487,9 +519,9 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(code_cache)
             (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
     problems = [parse_config_text(text).build() for text in texts]
     shared = [run(problems[i], grid).values for run, i in runs]
-    # each closure's three loops share one source, and the three phis one:
-    # one miss and two hits each
-    assert code_cache.cache_info()[:2] == (6, 3)
+    # each closure's three loops share one source, and the six grid loops
+    # one: twelve lookups, one miss per shape
+    assert code_cache.cache_info()[:2] == (9, 3)
     afresh = []
     for run, i in runs:
         code_cache.cache_clear()
@@ -503,7 +535,7 @@ def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
 ):
     # a walked problem's solves run their call-site loops: one per closure,
     # built on its first solve and kept.  The code cache sees only phi's
-    # grid loop, which the problem makes on its first solve and keeps
+    # grid loop, which each of the four solves makes
     problem = parse_config_text(sweep_text(0.5, 3)).build()
     walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
@@ -513,6 +545,6 @@ def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
         assert stepper._call_site_loop.cache_info()[:2] == (2, 2)  # hits, misses
     finally:
         stepper._call_site_loop.cache_clear()
-    assert code_cache.cache_info()[:2] == (0, 1)
+    assert code_cache.cache_info()[:2] == (3, 1)
     assert shared[:2] == shared[2:]
     assert shared == [run(problem, grid).values for run in (solve, solve_implicit) * 2]

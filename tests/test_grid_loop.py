@@ -1,9 +1,9 @@
 """The grid loops of a built problem's phi and exact against the walk.
 
-init_trajectory runs phi's history loop and max_abs_error exact's error
-loop, each generated from the slot's tree (problem.grid_loop); if a loop
+init_trajectory and max_abs_error run the grid loop of phi's and exact's
+tree (expressions.grid_loop, through problem.grid_values); if a loop
 fails, the walk reruns and raises the reference DomainError.  A plain
-callable, or a wrapper that hides the slot's loop, is called at every
+callable, or a wrapper that hides the slot's tree, is called at every
 point.  On every tree and grid these check that a built problem ends as
 one whose phi and exact are plain walks of the same trees: the same
 doubles, or the same exception class, message, slot and x.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from helpers import trees_over
 from vdide import registry
 from vdide.analysis import max_abs_error
-from vdide.errors import VdideError
+from vdide.errors import IndexNotYetComputed, VdideError
 from vdide.expressions import BinOp, Call, Neg, Num, Var, evaluate, parse
 from vdide.problem import (
     DelayProblem,
@@ -141,7 +141,7 @@ def test_a_failing_phi_names_the_point_it_fails_at(text, x):
 
 
 # exact = log(0.5 - x) fails at x = 0.5, the middle of N = 128; 1/(1 - x)
-# at x = 1, the last point, which the error loop must reach.
+# at x = 1, the last point, which exact's grid loop must reach.
 @pytest.mark.parametrize(
     "text, x", [("log(0.5 - x)", 0.5), ("1/(1 - x)", 1.0)], ids=["middle", "last"]
 )
@@ -182,9 +182,27 @@ def test_a_wrapper_without_a_tree_is_called_at_every_point():
     assert traj.values == init_trajectory(problem, grid).values
 
 
-def test_a_slot_makes_its_grid_loop_once():
-    problem = problem_of(parse("exp(x)"), parse("exp(x)"), 0.0, 4, 4)
-    loops = {problem.history.on_grid(), problem.history.on_grid()}
-    assert len(loops) == 1
-    assert problem.exact.on_grid() is problem.exact.on_grid()
-    assert problem.exact.on_grid() not in loops
+# A trajectory filled to u_5 of N = 10 on h = 0.1: exact = log(0.25 - x)
+# fails at x_3, before the first missing value, and log(0.75 - x) is fine
+# up to x_6 = 0.6, where u_6 is missing, and fails only beyond it.
+@pytest.mark.parametrize("built", [True, False], ids=["built", "plain"])
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("log(0.25 - x)", ("exact", 0.30000000000000004)),
+        ("log(0.75 - x)", IndexNotYetComputed),
+    ],
+    ids=["domain-error", "not-yet-computed"],
+)
+def test_max_abs_error_on_a_trajectory_that_stops_short(text, want, built):
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    traj = Trajectory(grid, FirstStepMode.LITERAL, [0.0] * (grid.delay_steps + 1))
+    for j in range(1, 6):
+        traj.append(0.5 * j)
+    tree = parse(text)
+    exact = registry._slot_function(tree, "exact") if built else walk(tree)
+    if want is IndexNotYetComputed:
+        with pytest.raises(IndexNotYetComputed, match="^u_6 requested but values stop at u_5$"):
+            max_abs_error(traj, exact)
+    else:
+        assert outcome(lambda: max_abs_error(traj, exact))[3:] == want
