@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import (
@@ -65,6 +65,10 @@ class DelayProblem:
     O(N^2).  Results are bit-identical for 0.0 and agree to about 1e-12
     relative for lam < 0.  A rate the kernel does not have gives wrong
     answers; the default None is always safe.
+
+    _loops is the problem's own memo of its tree loops (stepper._step_loop),
+    which equality, hash and repr ignore; dataclasses.replace starts it
+    empty.
     """
 
     g: Callable[[float, float], float]
@@ -75,6 +79,7 @@ class DelayProblem:
     x_end: float
     exact: Optional[Callable[[float], float]] = None
     kernel_x_rate: Optional[float] = None
+    _loops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tau > 0:

@@ -40,10 +40,13 @@ the oracle's fixed-point iteration; kernel_terms, predictor, nnm_step and
 oracle.implicit_step stay the stateless reference.  A built problem's g and
 K carry their trees, and its solve runs the tree loop, which writes their
 lines in (expressions._emit), so a step calls no Python function, and
-evaluates the parts of g that do not contain u once per grid point.  It
-makes the same float operations in the same order as the call-site loop,
-which calls g and K and runs for a problem of plain callables; if the tree
-loop raises, the call-site loop reruns and raises the reference exception
+evaluates the parts of g that do not contain u once per grid point.  The
+lines of g and K are written once per problem, and each tree loop is made
+once per problem and shape, whatever the h, and kept on the problem; the
+call-site loop is made once per process and shape.  The tree loop makes
+the same float operations in the same order as the call-site loop, which
+calls g and K and runs for a problem of plain callables; if the tree loop
+raises, the call-site loop reruns and raises the reference exception
 (_step_loop).  phi and exact run in grid loops (expressions.grid_loop),
 outside the step loop, with the same fallback (problem.grid_values).
 """
@@ -182,8 +185,10 @@ def _step_loop(
     their trees, as a built problem's do (registry._slot_function), and
     the call-site loop otherwise.  If the tree loop raises, traj goes back
     to its history and the call-site loop raises the reference exception.
-    The loop fill runs first is made, and compiled once per process and
-    shape, here, so a caller can time fill alone.
+    The loop fill runs first is made here, so a caller can time fill alone:
+    a tree loop once per problem and shape, kept in problem._loops with the
+    lines of g and K that all its shapes share, and a call-site loop once
+    per process and shape.
     """
     h, n, m = grid.h, grid.steps, grid.delay_steps
     rate = problem.kernel_x_rate
@@ -197,8 +202,13 @@ def _step_loop(
     trees = [getattr(fn, "tree", None) for fn in functions]
     tree_loop = None not in trees
     if tree_loop:
-        source, tree_names = _loop_source(*shape, *trees)
-        steps, names = _steps(_code(source)), tuple(tree_names.values())
+        loops = problem._loops
+        if not loops:
+            loops["written"] = _written(*trees)
+        if shape not in loops:
+            source, tree_names = _loop_source(*shape, loops["written"])
+            loops[shape] = _steps(_code(source)), tuple(tree_names.values())
+        steps, names = loops[shape]
     else:
         steps, names = _call_site_loop(*shape)
         names += functions
@@ -238,12 +248,31 @@ def _call_site_loop(literal: bool, recur: bool, implicit: bool) -> tuple:
     return _steps(code), tuple(names.values())
 
 
+def _written(g_tree: Expression, k_tree: Expression) -> tuple:
+    """(names, k_lines, k_out, g_lines, g_out, free_lines) of the trees g
+    and K, which every shape of _loop_source writes in.
+
+    k_lines, g_lines and free_lines are the lines of K, of g and of g's
+    parts without u (expressions._emit), and k_out and g_out the names
+    holding K's and g's values: each a template that a call site fills in
+    with {i}, its indent, and its arguments.  names maps the further names
+    the lines take to their values.  K is emitted first, so its names come
+    first.
+    """
+    names = _loop_names()
+    k_body: list[str] = []
+    g_body: list[str] = []
+    g_free: list[str] = []
+    k_out = _emit(k_tree, k_body, names, False, dict(x="{x}", t="{t}", v="{v}"))
+    g_out = _emit(g_tree, g_body, names, False, {"x": "{x}", "u": "{u}"}, g_free)
+    k_lines, g_lines, free_lines = (
+        "".join(f"{{i}}{line}\n" for line in body) for body in (k_body, g_body, g_free)
+    )
+    return names, k_lines, k_out, g_lines, g_out, free_lines
+
+
 def _loop_source(
-    literal: bool,
-    recur: bool,
-    implicit: bool,
-    g_tree: Expression | None = None,
-    k_tree: Expression | None = None,
+    literal: bool, recur: bool, implicit: bool, written: tuple | None = None
 ) -> tuple[str, dict]:
     """The source of a step loop, and the values of the further names it
     takes.
@@ -269,32 +298,21 @@ def _loop_source(
     samples at x_0 taken before the loop included, leaves with step_index
     j and x x_j.
 
-    Without trees, every call site calls g or K, the last two parameters.
-    With them, every call site is the expression's own lines
-    (expressions._emit), and g's maximal subtrees without u are evaluated
-    once per grid point, at x_0 before the loop and at x_{j+1} after M1.
+    Without written, every call site calls g or K, the last two parameters.
+    With written = _written(g_tree, k_tree), every call site is the
+    expression's own lines (expressions._emit), and g's maximal subtrees
+    without u are evaluated once per grid point, at x_0 before the loop and
+    at x_{j+1} after M1.
     The generated lines' isfinite checks stay and raise _NonFinite, but for
     those on the values of g and K: such a value reaches M1, M2 or u_{j+1}
     of the same step through + and * only, and the closure's check stops
     it there.  Numbers, constants and functions are names, so the source
     depends only on the trees' shapes and the three branches.
     """
-    names = _loop_names()
-    if g_tree is None:
-        k_lines = g_lines = free_lines = ""
-        k_out, g_out, tail = "K({x}, {t}, {v})", "g({x}, {u})", ", g, K"
-    else:
-        k_body: list[str] = []
-        g_body: list[str] = []
-        g_free: list[str] = []
-        k_out = _emit(k_tree, k_body, names, False, dict(x="{x}", t="{t}", v="{v}"))
-        g_out = _emit(g_tree, g_body, names, False, {"x": "{x}", "u": "{u}"}, g_free)
-        # each call site's lines are one of these filled in, {i} its indent
-        k_lines, g_lines, free_lines = (
-            "".join(f"{{i}}{line}\n" for line in body)
-            for body in (k_body, g_body, g_free)
-        )
-        tail = ""
+    names, k_lines, k_out, g_lines, g_out, free_lines = written or (
+        _loop_names(), "", "K({x}, {t}, {v})", "", "g({x}, {u})", ""
+    )
+    tail = "" if written else ", g, K"
 
     def K(i, target, x, t, v):
         """The lines of target = K(x, t, v), or of s2 += K(x, t, v)."""

@@ -992,10 +992,10 @@ def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
     argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
     generated = []
 
-    def spy(literal, recur, implicit, g_tree=None, k_tree=None):
-        if g_tree is not None:
-            generated.append((g_tree, k_tree))
-        return loop_source(literal, recur, implicit, g_tree, k_tree)
+    def spy(literal, recur, implicit, written=None):
+        if written is not None:
+            generated.append(written)
+        return loop_source(literal, recur, implicit, written)
 
     loop_source = stepper._loop_source
     monkeypatch.setattr(stepper, "_loop_source", spy)

@@ -25,6 +25,7 @@ from helpers import (
     EVAL_CASES,
     HIDDEN_OVERFLOWS,
     PARAMS,
+    solve_outcome,
     tree_loop_ends_as_walking,
     trees,
     walking,
@@ -55,7 +56,7 @@ from vdide.problem import (
 )
 from vdide.registry import parse_config_text
 from vdide.oracle import solve_implicit
-from vdide.stepper import solve
+from vdide.stepper import nnm_step, solve
 
 
 def outcome(fn, *args):
@@ -179,7 +180,7 @@ def test_g_is_split_in_one_pass_without_asking_for_variables(monkeypatch):
     monkeypatch.setattr(expressions, "_variables_within", walked)
     for g in gs:
         for shape in itertools.product((True, False), repeat=3):
-            stepper._loop_source(*shape, g, K)
+            stepper._loop_source(*shape, stepper._written(g, K))
         body: list[str] = []
         split: list[str] = []
         expressions._emit(g, body, {}, False, {"x": "{x}", "u": "{u}"}, split)
@@ -199,7 +200,7 @@ def test_no_tree_text_reaches_the_source():
     assert not any(isinstance(c, float) for c in loop.__code__.co_consts)
     K = parse("v")
     sources = {
-        stepper._loop_source(True, False, False, parse(g), K)[0]
+        stepper._loop_source(True, False, False, stepper._written(parse(g), K))[0]
         for g in ("2*x + 3.5*u", "4*x + 1.25*u")
     }
     assert len(sources) == 1
@@ -254,15 +255,31 @@ def test_the_walk_and_the_tree_loop_match_evaluate_on_every_input():
     )
 
 
-@pytest.mark.parametrize("h", [0.005, 0.05])
-def test_a_dropped_problem_leaves_no_reference_cycles(h):
-    """A problem, its trees, its slot functions and the loops its solve
-    makes are freed by reference counting alone, so a sweep of many
-    problems leaves the cyclic collector nothing to find."""
+@pytest.mark.parametrize(
+    "g, hs",
+    [
+        pytest.param("log(u) + x", (0.005, 0.01), id="0.005"),
+        pytest.param("log(u) + x", (0.05, 0.1), id="0.05"),
+        # fails at g(x_0, u_0), in the tree loop, at every h
+        pytest.param("log(x - 0.5) + u", (0.1, 0.05), id="log_g"),
+    ],
+)
+def test_a_dropped_problem_leaves_no_reference_cycles(g, hs):
+    """A problem, its trees, its slot functions and the loops its solves
+    make and it keeps are freed by reference counting alone, so a sweep of
+    many problems leaves the cyclic collector nothing to find.  Each
+    closure runs at two h, the second time in the loop the problem kept,
+    and ends as the walked solve ends."""
 
     def build_and_solve():
-        problem = slot_problem()
-        solve(problem, build_grid(0.0, 1.0, 1.0, h))
+        problem = slot_problem(g)
+        walked = walking(problem, problem.g.tree, problem.kernel.tree)
+        for h in hs:
+            grid = build_grid(0.0, 1.0, 1.0, h)
+            for run in (solve, solve_implicit):
+                want = solve_outcome(lambda: run(walked, grid))
+                assert solve_outcome(lambda: run(problem, grid)) == want
+        assert len(problem._loops) == 3  # g's and K's lines and two loops
 
     build_and_solve()
     gc.collect()
@@ -457,12 +474,13 @@ def test_trees_of_one_shape_compile_once_and_keep_their_own_values(code_cache):
     # twelve one-step problems, each solved three times
     # (helpers.tree_loop_ends_as_walking): twice with g and K written in
     # and once walked, every solve making a grid loop for its constant phi.
-    # The 24 step loops share one source, and so do the 36 grid loops: 60
-    # lookups, one compile per shape
+    # Each problem makes its step loop on its first solve and keeps it for
+    # the second.  The 12 step loops share one source, and so do the 36
+    # grid loops: 48 lookups, one compile per shape
     for x, u in ONE_SHAPE_INPUTS:
         for text in ONE_SHAPE:
             assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
-    assert code_cache.cache_info()[:2] == (58, 2)  # hits, misses
+    assert code_cache.cache_info()[:2] == (46, 2)  # hits, misses
 
 
 def test_a_domain_error_names_its_own_trees_text(code_cache):
@@ -528,6 +546,93 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(code_cache)
         afresh.append(run(parse_config_text(texts[i]).build(), grid).values)
     assert shared == afresh
     assert len(set(shared)) == 6
+
+
+def sweep_op(problem):
+    """(slope, solve's values, solve_implicit's values) of perfbench's sweep
+    op on problem: an order study at tau/2, tau/4 and tau/8, then solve and
+    solve_implicit at tau/8."""
+    tau = problem.tau
+    estimate = order_study(problem, FirstStepMode.LITERAL, [tau / 2, tau / 4, tau / 8])
+    grid = build_grid(problem.x0, problem.x_end, tau, tau / 8)
+    return (
+        estimate.slope, solve(problem, grid).values, solve_implicit(problem, grid).values
+    )
+
+
+def test_a_problem_writes_g_and_k_once_and_makes_each_loop_once(monkeypatch):
+    # a sweep op solves one problem at three h with the DGJ pair and once
+    # with the oracle: g and K are written once, and each closure's loop is
+    # made once and kept by the problem.  A second build of the same text
+    # makes its own, and every solve gives what a fresh problem's gives
+    sources, emitted = [], []
+    loop_source, emit = stepper._loop_source, stepper._emit
+
+    def counted_source(*args):
+        sources.append(args[:3])
+        return loop_source(*args)
+
+    def counted_emit(node, *args):
+        emitted.append(node)
+        return emit(node, *args)
+
+    monkeypatch.setattr(stepper, "_loop_source", counted_source)
+    monkeypatch.setattr(stepper, "_emit", counted_emit)
+    text = sweep_text(0.5, 3)
+    ops = []
+    for _ in range(2):
+        sources.clear()
+        emitted.clear()
+        problem = parse_config_text(text).build()
+        ops.append(sweep_op(problem))
+        # K's kernel_x_rate is -1: the recurrence's two shapes
+        assert sources == [(True, True, False), (True, True, True)]
+        assert len(emitted) == 2
+        assert emitted[0] is problem.kernel.tree and emitted[1] is problem.g.tree
+        for h in (0.25, 0.125, 0.0625):
+            grid = build_grid(0.0, 1.5, 0.5, h)
+            for run in (solve, solve_implicit):
+                want = run(parse_config_text(text).build(), grid).values
+                assert run(problem, grid).values == want
+    assert ops[0] == ops[1]
+
+
+def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
+    # replaced after the original's solves filled its loops: a loop carried
+    # over would write the original's K, or its row path, into the new solve
+    text, other_text = sweep_text(0.5, 3), sweep_text(0.5, 3, a=0.2, c=0.15)
+    grid = build_grid(0.0, 1.5, 0.5, 0.5 / 8)
+
+    def variants(problem):
+        """problem on the direct row path, and with the other text's K."""
+        other_kernel = parse_config_text(other_text).build().kernel
+        return (
+            dataclasses.replace(problem, kernel_x_rate=None),
+            dataclasses.replace(problem, kernel=other_kernel),
+        )
+
+    problem = parse_config_text(text).build()
+    solved = [run(problem, grid).values for run in (solve, solve_implicit)]
+    assert len(problem._loops) == 3
+    direct, swapped = variants(problem)
+    fresh = variants(parse_config_text(text).build())
+    for variant, built in zip((direct, swapped), fresh):
+        assert variant._loops == {}
+        for run in (solve, solve_implicit):
+            assert run(variant, grid).values == run(built, grid).values
+    assert solve(swapped, grid).values != solved[0]
+    # the direct rows are kernel_terms' rows, bit for bit
+    traj = init_trajectory(direct, grid)
+    for j in range(grid.steps):
+        traj.append(nnm_step(direct, traj, j))
+    assert solve(direct, grid).values == traj.values
+    # equality, hash and repr ignore the loops a problem keeps
+    copy = dataclasses.replace(problem)
+    assert (copy._loops, len(problem._loops)) == ({}, 3)
+    assert copy == problem and hash(copy) == hash(problem)
+    assert repr(copy) == repr(problem) and "_loops" not in repr(problem)
+    with pytest.raises(ValueError):
+        dataclasses.replace(problem, _loops={})
 
 
 def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
