@@ -145,13 +145,12 @@ def timed_solve(
 ) -> tuple[Trajectory, float]:
     """Solve and return (trajectory, elapsed seconds on a monotonic clock).
 
-    The clock times the solve alone: the step loop is made first, and a
-    built problem's phi fills one untimed history, so their compiles, once
-    per process and shape, fall before it starts.
+    The clock times the step loop alone: the loop is made and the history
+    filled before it starts, so no compile and no value of phi falls inside
+    it.
     """
     fill = _step_loop(problem, grid, mode)
-    if hasattr(problem.history, "tree"):
-        init_trajectory(problem, grid, mode)
+    traj = init_trajectory(problem, grid, mode)
     start = time.perf_counter()
-    traj = fill(init_trajectory(problem, grid, mode))
+    fill(traj)
     return traj, time.perf_counter() - start

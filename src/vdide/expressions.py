@@ -292,73 +292,55 @@ def x_rate(expr: Expression, span: float) -> float | None:
     x - t = 2, and so does the inner product of (1e308*(t - x))/10, whose
     own slope is finite.  The work is linear in the size of the tree.
     """
-    if isinstance(expr, Neg):
-        return x_rate(expr.operand, span)
-    if isinstance(expr, BinOp) and expr.op in ("*", "/"):
-        left = x_rate(expr.left, span)
-        if expr.op == "*":
-            right = x_rate(expr.right, span)
-        else:
-            right = None if _x_slope(expr.right, span)[0] else 0.0
-        if left is None or right is None:
-            return None
-        rate = left + right
-        return rate if math.isfinite(rate) else None
-    if isinstance(expr, Call) and expr.func == "exp":
-        mentions_x, c = _x_slope(expr.arg, span)
+    return _x_form(expr, span)[2]
+
+
+def _x_form(expr: Expression, span: float) -> tuple:
+    """(whether x appears, c, x_rate(expr, span)), in one bottom-up walk.
+
+    c is the slope of a tree equal to c*x + (terms free of x): 0.0 when x
+    does not appear (-0.0 under a unary minus), and None when the tree is
+    not of that form with a variable-free constant c, or when c * span, or
+    the same product for any subtree, is not finite.  A variable-free
+    factor is evaluated only when its sibling mentions x, so no ancestor
+    evaluates it again and the work stays linear in the size of the tree.
+    """
+    kind = type(expr)
+    if kind is Var and expr.name == "x":
+        return True, 1.0, None
+    if kind is Neg:
+        mentions_x, c, rate = _x_form(expr.operand, span)
+        return mentions_x, None if c is None else -c, rate
+    if kind is Call:
+        mentions_x, c, _ = _x_form(expr.arg, span)
         if not mentions_x:
-            return 0.0
-        return c if c is not None and c <= 0 else None
-    return None if _x_slope(expr, span)[0] else 0.0
-
-
-def _x_slope(expr: Expression, span: float) -> tuple[bool, float | None]:
-    """(whether x appears, c) for a tree equal to c*x + (terms free of x).
-
-    c is 0.0 when x does not appear and None when the tree is not of that
-    form with a variable-free constant c, or when c * span, or the same
-    product for any subtree, is not finite.
-    """
-    mentions_x, c = _linear_in_x(expr, span)
-    if mentions_x and c is not None and not math.isfinite(abs(c) * span):
-        return True, None
-    return mentions_x, c
-
-
-def _linear_in_x(expr: Expression, span: float) -> tuple[bool, float | None]:
-    """_x_slope without the span check on the tree itself.
-
-    A variable-free factor is evaluated only when its sibling mentions x,
-    so no ancestor evaluates it again and the work stays linear in the size
-    of the tree.
-    """
-    if isinstance(expr, Var):
-        return (True, 1.0) if expr.name == "x" else (False, 0.0)
-    if isinstance(expr, Neg):
-        mentions_x, c = _x_slope(expr.operand, span)
-        return mentions_x, None if c is None else -c
-    if isinstance(expr, Call):
-        return (True, None) if _x_slope(expr.arg, span)[0] else (False, 0.0)
-    if not isinstance(expr, BinOp):
-        return False, 0.0
-    left_x, left_c = _x_slope(expr.left, span)
-    right_x, right_c = _x_slope(expr.right, span)
+            return False, 0.0, 0.0
+        decays = expr.func == "exp" and c is not None and c <= 0
+        return True, None, c if decays else None
+    if kind is not BinOp:
+        return False, 0.0, 0.0
+    left_x, left_c, left_rate = _x_form(expr.left, span)
+    right_x, right_c, right_rate = _x_form(expr.right, span)
     if not (left_x or right_x):
-        return False, 0.0
-    if left_c is None or right_c is None:
-        return True, None
-    if expr.op == "+":
-        return True, left_c + right_c
-    if expr.op == "-":
-        return True, left_c - right_c
-    if expr.op == "*" and not (left_x and right_x):
-        c, factor = (left_c, expr.right) if left_x else (right_c, expr.left)
-        k = _constant(factor)
-        return True, None if k is None else c * k
-    if expr.op == "/" and not right_x:
-        k = _constant(expr.right)
-        return True, None if not k else left_c / k
-    return True, None
+        return False, 0.0, 0.0
+    op, rate = expr.op, None
+    if op == "*" or (op == "/" and not right_x):
+        if left_rate is not None and right_rate is not None:
+            rate = left_rate + right_rate
+            rate = rate if math.isfinite(rate) else None
+    c = None
+    if left_c is not None and right_c is not None:
+        if op in "+-":
+            c = _BINARY[op](left_c, right_c)
+        elif op == "*" and not (left_x and right_x):
+            c, factor = (left_c, expr.right) if left_x else (right_c, expr.left)
+            k = _constant(factor)
+            c = None if k is None else c * k
+        elif op == "/" and not right_x:
+            k = _constant(expr.right)
+            c = None if not k else left_c / k
+    finite = c is not None and math.isfinite(abs(c) * span)
+    return True, c if finite else None, rate
 
 
 def _constant(expr: Expression) -> float | None:

@@ -242,27 +242,26 @@ def init_trajectory(
 
     values[j] = history(x_j) for j = -M .. 0; in particular the initial value
     u_0 is history(x0), whatever the problem's g would say about it.  The
-    values come from grid_values, and a built problem's list becomes the
-    trajectory's own; a plain callable's values go through float().
+    values come from grid_values, as floats, and the list becomes the
+    trajectory's own.
     """
     _check_grid_matches(problem, grid)
-    history = problem.history
-    values = grid_values(history, "phi", -grid.delay_steps, 0, grid)
-    if hasattr(history, "tree"):
-        return Trajectory._holding(grid, mode, values)
-    return Trajectory(grid, mode, values)
+    values = grid_values(problem.history, "phi", -grid.delay_steps, 0, grid)
+    return Trajectory._holding(grid, mode, values)
 
 
 def grid_values(
     fn: Callable[[float], float], slot: str, first: int, last: int, grid: GridSpec
-) -> list:
-    """[fn(x_j) for j = first .. last], for phi or exact.
+) -> list[float]:
+    """[float(fn(x_j)) for j = first .. last], for phi or exact.
 
     A function that carries its tree, as a built problem's slot functions
     do (registry._slot_function), runs its grid loop (grid_loop), on float
     x0 and h, so its values are floats on an integer grid too.  If the loop
     fails, or fn is a plain callable, fn is called at every point in order,
-    and a DomainError leaves stamped with slot and the x it failed at.
+    its values go through float(), and a DomainError leaves stamped with
+    slot and the x it failed at.  Only this and stepper._step_loop read a
+    slot function's tree.
     """
     tree = getattr(fn, "tree", None)
     x0, h = grid.x0, grid.h
@@ -272,7 +271,7 @@ def grid_values(
         except LOOP_FAILURES:
             pass
     try:
-        return [fn(x := x0 + j * h) for j in range(first, last + 1)]
+        return [float(fn(x := x0 + j * h)) for j in range(first, last + 1)]
     except DomainError as exc:
         exc.slot, exc.x = slot, x
         raise

@@ -55,11 +55,11 @@ SLOT_VARIABLES = {
 
 
 # The deepest expression tree a config may hold, in nodes on a root-to-leaf
-# path.  The deepest walkers, x_rate on a sum and the parser on a "^" chain,
-# take two frames per level, so a tree at the bound costs them 800 of
-# Python's default limit of 1000 frames and leaves 200 for the caller's
-# stack; evaluate, unparse, the load walk and expressions._emit, which
-# writes every generated loop, take one.
+# path.  The deepest walker, the parser on a "^" chain, takes two frames per
+# level, so a tree at the bound costs it 800 of Python's default limit of
+# 1000 frames and leaves 200 for the caller's stack; x_rate, evaluate,
+# unparse, the load walk and expressions._emit, which writes every
+# generated loop, take one.
 _MAX_DEPTH = 400
 
 

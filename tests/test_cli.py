@@ -140,8 +140,13 @@ class TestSolve:
         assert err == "vdide: non-finite value while advancing from step 2 (x = 2)\n"
 
     def test_bad_flag_value(self, capsys):
-        code, _, _ = run(capsys, "solve", "--problem", "example1", "--h", "abc")
-        assert code == 2
+        for h, message in [
+            ("abc", "expected comma-separated floats"),
+            (",", "expected at least one value"),
+        ]:
+            code, _, err = run(capsys, "solve", "--problem", "example1", "--h", h)
+            assert code == 2
+            assert message in err
 
 
 class TestTable:
@@ -1013,9 +1018,10 @@ def at_depth(frames, fn):
     return fn() if frames == 0 else at_depth(frames - 1, fn)
 
 
-# Trees at the depth bound in the two shapes whose walkers take two frames a
-# level: x_rate walks the kernel sum at build, and the parser the "^" chain
-# of g at load; expressions._emit walks both too, at every h, as every
+# Trees at the depth bound in two shapes: the "^" chain of g, which the
+# parser, the one walker that takes two frames a level, reads at load, and a
+# kernel sum, which x_rate walks at build, one frame a level like every
+# other walker; expressions._emit walks both too, at every h, as every
 # solve's tree loop writes g and K out at every call site.
 # Each maps to (g, K); "0*v" is two levels deep.
 DEEPEST = registry._MAX_DEPTH

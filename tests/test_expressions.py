@@ -1,9 +1,10 @@
+import collections
 import dataclasses
 import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,6 +20,7 @@ from helpers import (
     reference_evaluate,
     trees,
 )
+from vdide import expressions
 from vdide.expressions import (
     BinOp,
     Call,
@@ -36,6 +38,7 @@ from vdide.expressions import (
     parse,
     unparse,
     variables,
+    x_rate,
 )
 
 ALL_VALID = [text for text, _, _ in EVAL_CASES] + ROUND_TRIP_ONLY
@@ -253,3 +256,117 @@ def test_generated_trees_evaluate_like_the_reference(tree, values, bound):
 def test_corpus_evaluates_like_the_reference(text, bindings):
     assert_walks_like_the_reference(parse(text), bindings)
 
+
+
+# x_rate on products and quotients of exp(E) factors, E = c*x + (terms free
+# of x), and of factors free of x.  Each factor drawn is (text, c), c None
+# for a factor free of x.
+SLOPES = [-2.0, -1.0, -0.5, -0.25, 0.0, 0.5, 1.0]
+X_FREE = ["v", "v^2", "cos(v)", "(1 + t)", "2.5", "exp(t)", "-t", "exp(-v)"]
+
+
+@st.composite
+def rate_factors(draw):
+    if draw(st.booleans()):
+        text, c = draw(st.sampled_from(X_FREE)), None
+    else:
+        c = draw(st.sampled_from(SLOPES))
+        a = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+        text = draw(
+            st.sampled_from(
+                [
+                    f"exp({c}*x + {a}*t - 0.5)",
+                    f"exp({c}*(x - t))",
+                    f"exp({a}*t - x*{-c})",
+                    f"exp(-({-2 * c}*x + t)/2)",
+                ]
+            )
+        )
+    return (f"-{text}" if draw(st.booleans()) else text), c
+
+
+@st.composite
+def rate_products(draw):
+    """(text, the rate x_rate must give) of a chain of "*" and "/"."""
+    text, rate = "1", 0.0
+    factors = st.tuples(st.sampled_from("*/"), rate_factors())
+    for op, (factor, c) in draw(st.lists(factors, min_size=1, max_size=4)):
+        text = f"{text} {op} {factor}"
+        if c is not None:
+            decays = op == "*" and c <= 0
+            rate = rate + c if decays and rate is not None else None
+    return text, rate
+
+
+def exp_arguments(tree):
+    if isinstance(tree, Call):
+        return ([tree.arg] if tree.func == "exp" else []) + exp_arguments(tree.arg)
+    if isinstance(tree, Neg):
+        return exp_arguments(tree.operand)
+    if isinstance(tree, BinOp):
+        return exp_arguments(tree.left) + exp_arguments(tree.right)
+    return []
+
+
+HUNDREDTHS = st.integers(-200, 200).map(lambda i: i / 100)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rate_products(), st.tuples(*[HUNDREDTHS] * 4))
+def test_x_rate_is_the_rate_of_every_product_it_accepts(product, point):
+    text, expected = product
+    tree = parse(text)
+    lam = x_rate(tree, 1.0)
+    if expected is None:
+        assert lam is None
+        return
+    assert lam == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    x, t, v, d = point
+    here, there = {"x": x, "t": t, "v": v}, {"x": x + d, "t": t, "v": v}
+    for arg in exp_arguments(tree):
+        assume(abs(evaluate(arg, here)) <= 50 and abs(evaluate(arg, there)) <= 50)
+    try:
+        k_here, k_there = evaluate(tree, here), evaluate(tree, there)
+    except DomainError:  # a factor free of x divides by zero
+        assume(False)
+    assert k_there == pytest.approx(math.exp(lam * d) * k_here, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rate_products(),
+    st.sampled_from(["sin(x - t)", "sin(-0.5*x + t)", "x*v", "(x*v)"]),
+    st.sampled_from(
+        ["{family} * {product}", "{product} * {family}", "{product} / ({family})"]
+    ),
+)
+def test_x_rate_refuses_the_sin_and_x_families(product, family, form):
+    tree = parse(form.format(family=family, product=product[0]))
+    assert x_rate(tree, 1.0) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 398 factors free of x, then x: the walk evaluates them at the root
+        " * ".join(["2"] * 398 + ["x"]),
+        # the factor of x is a sum of 398 ones
+        "x*(" + " + ".join(["1"] * 398) + ")",
+    ],
+    ids=["product", "sum"],
+)
+def test_x_rate_evaluates_each_variable_free_subtree_at_most_once(monkeypatch, text):
+    # evaluate calls itself through the module, so the wrapper sees every
+    # node each evaluation visits
+    tree = parse(text)
+    visits = collections.Counter()
+    walk = expressions.evaluate
+
+    def counting(node, bindings):
+        visits[id(node)] += 1
+        return walk(node, bindings)
+
+    monkeypatch.setattr(expressions, "evaluate", counting)
+    assert x_rate(tree, 1.0) is None
+    assert len(visits) == 2 * 398 - 1
+    assert max(visits.values()) == 1

@@ -227,6 +227,9 @@ class TestTrajectory:
         grid2 = build_grid(0.5, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             init_trajectory(problem, grid2)
+        grid3 = build_grid(0.0, 2.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="grid endpoint"):
+            init_trajectory(problem, grid3)
 
 
 class TestDelayedValue:

@@ -51,18 +51,25 @@ class TestBuiltins:
             pytest.param(kernel, rate, id=f"{kernel}-{rate == 0.0}")
             for kernel, rate in [
                 ("v", 0.0),
+                ("-v", 0.0),
                 ("v^2", 0.0),
                 ("t*v + exp(-t)", 0.0),
                 ("0.3*exp(t - x)*v^2", -1.0),
+                ("-0.3*exp(t - x)*v^2", -1.0),
                 ("exp(-(x - t))*v", -1.0),
                 ("exp(-2*(x - t))*v", -2.0),
+                ("-(exp(-2*(x - t))*v)", -2.0),
                 ("exp(0.5*t - x/4)*cos(v)", -0.25),
                 ("x*v", None),
                 ("cos(x - x) + v", None),
                 ("exp(x - t)*v", None),
                 ("v/exp(x - t)", None),
+                ("v/exp(t - x)", None),
                 ("sin(x - t)*v", None),
                 ("exp(t*x)*v", None),
+                ("exp(-x*x)*v", None),
+                ("exp(-(x^2))*v", None),
+                ("exp(-1/x)*v", None),
                 ("exp(t - x)*v + 1", None),
             ]
         ],
@@ -323,9 +330,27 @@ class TestLoadTimeChecks:
             f"({len(deeper)} characters)"
         )
 
+    @pytest.mark.parametrize(
+        "bottom, bottom_levels", [("v", 1), ("exp(v)", 2)], ids=["v", "call"]
+    )
+    def test_the_depth_bound_counts_unary_minus_and_calls(
+        self, bottom, bottom_levels
+    ):
+        # n minus signs before bottom are n + bottom_levels levels deep, so
+        # the walk runs out of levels under a unary minus, or under exp
+        n = 400 - bottom_levels
+        parse_config_text(config_text(K="-" * n + bottom))
+        deeper = "-" * (n + 1) + bottom
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(config_text(K=deeper))
+        assert str(info.value) == (
+            f"K: the expression nests too deeply to load ({len(deeper)} characters)"
+        )
+
     def test_a_600_term_kernel_is_a_config_error_at_load(self):
-        # x_rate walks a sum two frames per level; the depth bound keeps
-        # every walker after load inside the recursion limit
+        # x_rate walks a sum one frame per level, as every walker but the
+        # parser's on a "^" chain does; the depth bound keeps every walker
+        # after load inside the recursion limit
         kernel = " + ".join(["v"] * 600)
         with pytest.raises(ConfigError) as info:
             parse_config_text(config_text(K=kernel))

@@ -217,12 +217,14 @@ class TestStep:
             nnm_step(problem, traj, 2)
 
     def test_blow_up_raises_with_step_index(self):
-        problem = pure_ode_problem(lambda x, u: u * u, u0=1e160)
-        grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        traj = init_trajectory(problem, grid)
-        with pytest.raises(NonFiniteState) as info:
-            nnm_step(problem, traj, 0)
-        assert info.value.step_index == 0
+        # u^2 overflows in M1; with g = u, M1 = 1.5e308 is finite and M2 is not
+        cases = [(lambda x, u: u * u, 1e160, 0.1), (lambda x, u: u, 1e308, 1.0)]
+        for g, u0, h in cases:
+            problem = pure_ode_problem(g, u0=u0)
+            traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, h))
+            with pytest.raises(NonFiniteState) as info:
+                nnm_step(problem, traj, 0)
+            assert info.value.step_index == 0
 
 
 class TestSolve:
