@@ -428,7 +428,7 @@ def _loop_names() -> dict:
 
 @functools.lru_cache(maxsize=256)
 def _code(source: str):
-    """CPython's compile of a generated source, made once per shape."""
+    """CPython's compile of a grid loop's source, made once per shape."""
     return compile(source, "<vdide expression>", "exec")
 
 
@@ -448,8 +448,8 @@ def grid_loop(tree: Expression):
     evaluate's, bit for bit; but a failure leaves as one of LOOP_FAILURES,
     and only evaluate, rerun at the same points, raises the DomainError.
     The source depends only on the tree's shape, so CPython compiles it
-    once per process (_code); the loop itself is made anew on every call,
-    which takes a few microseconds.
+    once per process (_code); each call makes a new loop, which takes a
+    few microseconds, and problem.grid_values keeps it on the slot function.
     """
     names = _loop_names()
     body: list[str] = []
@@ -481,8 +481,7 @@ def _emit(
     functions go into bound under fresh names (_c0, _f1, ...), so no text
     of the tree reaches the source and the bytecode compiler folds nothing:
     the source depends only on the tree's shape, and CPython compiles it
-    once per process (_code).  Each line's own local is _v + its index in
-    body.
+    once per process.  Each line's own local is _v + its index in body.
 
     A checked node that is not a leaf gets a line raising _NonFinite when
     its value is not finite.  A node is checked where a later node could

@@ -31,10 +31,11 @@ class OracleConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        # an infinite tol accepts the seed M1 as every step's value
-        if not 0 < self.tol < math.inf:
+        # an infinite tol accepts the seed M1 as every step's value; a bool
+        # is an int, so True would pass as 1 in both fields
+        if isinstance(self.tol, bool) or not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if not isinstance(self.max_iter, int):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")

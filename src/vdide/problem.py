@@ -66,9 +66,9 @@ class DelayProblem:
     relative for lam < 0.  A rate the kernel does not have gives wrong
     answers; the default None is always safe.
 
-    _loops is the problem's own memo of its tree loops (stepper._step_loop),
-    which equality, hash and repr ignore; dataclasses.replace starts it
-    empty.
+    _loops is the problem's own memo of the lines of g and K that its tree
+    loops write in and of their values (stepper._step_loop), which
+    equality, hash and repr ignore; dataclasses.replace starts it empty.
     """
 
     g: Callable[[float, float], float]
@@ -257,17 +257,21 @@ def grid_values(
 
     A function that carries its tree, as a built problem's slot functions
     do (registry._slot_function), runs its grid loop (grid_loop), on float
-    x0 and h, so its values are floats on an integer grid too.  If the loop
-    fails, or fn is a plain callable, fn is called at every point in order,
-    its values go through float(), and a DomainError leaves stamped with
-    slot and the x it failed at.  Only this and stepper._step_loop read a
-    slot function's tree.
+    x0 and h, so its values are floats on an integer grid too.  The loop is
+    made on the first use and kept on fn as fn.loop, for every grid and
+    index range after it.  If the loop fails, or fn is a plain callable, fn
+    is called at every point in order, its values go through float(), and a
+    DomainError leaves stamped with slot and the x it failed at.  Only this
+    and stepper._step_loop read a slot function's tree.
     """
     tree = getattr(fn, "tree", None)
     x0, h = grid.x0, grid.h
     if tree is not None:
+        loop = getattr(fn, "loop", None)
+        if loop is None:
+            loop = fn.loop = grid_loop(tree)
         try:
-            return grid_loop(tree)(first, last, float(x0), float(h))
+            return loop(first, last, float(x0), float(h))
         except LOOP_FAILURES:
             pass
     try:

@@ -41,14 +41,15 @@ oracle.implicit_step stay the stateless reference.  A built problem's g and
 K carry their trees, and its solve runs the tree loop, which writes their
 lines in (expressions._emit), so a step calls no Python function, and
 evaluates the parts of g that do not contain u once per grid point.  The
-lines of g and K are written once per problem, and each tree loop is made
-once per problem and shape, whatever the h, and kept on the problem; the
-call-site loop is made once per process and shape.  The tree loop makes
-the same float operations in the same order as the call-site loop, which
-calls g and K and runs for a problem of plain callables; if the tree loop
-raises, the call-site loop reruns and raises the reference exception
-(_step_loop).  phi and exact run in grid loops (expressions.grid_loop),
-outside the step loop, with the same fallback (problem.grid_values).
+lines of g and K are written once per problem and kept on the problem, and
+each loop is made once per process: a tree loop for each shape and those
+lines, whatever the trees' numbers and the h, and the call-site loop for
+each shape.  The tree loop makes the same float operations in the same
+order as the call-site loop, which calls g and K and runs for a problem of
+plain callables; if the tree loop raises, the call-site loop reruns and
+raises the reference exception (_step_loop).  phi and exact run in grid
+loops (expressions.grid_loop), outside the step loop, with the same
+fallback (problem.grid_values), and keep them.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import math
 from typing import Callable
 
 from .errors import NoConvergence, NonFiniteState, NumericalError, _Located
-from .expressions import LOOP_FAILURES, Expression, _code, _define, _emit, _loop_names
+from .expressions import LOOP_FAILURES, Expression, _define, _emit, _loop_names
 from .problem import (
     DelayProblem,
     FirstStepMode,
@@ -185,9 +186,10 @@ def _step_loop(
     their trees, as a built problem's do (registry._slot_function), and
     the call-site loop otherwise.  If the tree loop raises, traj goes back
     to its history and the call-site loop raises the reference exception.
-    The loop fill runs first is made here, so a caller can time fill alone:
-    a tree loop once per problem and shape, kept in problem._loops with the
-    lines of g and K that all its shapes share, and a call-site loop once
+    The loop fill runs first is made here, so a caller can time fill alone.
+    The lines of g and K are written once per problem and kept in
+    problem._loops with their values; a tree loop is made once per process
+    for each shape and those lines (_tree_loop), and a call-site loop once
     per process and shape.
     """
     h, n, m = grid.h, grid.steps, grid.delay_steps
@@ -205,10 +207,8 @@ def _step_loop(
         loops = problem._loops
         if not loops:
             loops["written"] = _written(*trees)
-        if shape not in loops:
-            source, tree_names = _loop_source(*shape, loops["written"])
-            loops[shape] = _steps(_code(source)), tuple(tree_names.values())
-        steps, names = loops[shape]
+        lines, names = loops["written"]
+        steps = _tree_loop(*shape, lines)
     else:
         steps, names = _call_site_loop(*shape)
         names += functions
@@ -229,35 +229,43 @@ def _step_loop(
     return fill
 
 
-def _steps(code):
-    """The function _steps that code defines, with the exceptions it raises
-    or locates as its globals."""
+def _steps(source: str):
+    """The function _steps that source defines, with the exceptions it
+    raises or locates as its globals."""
     namespace = {
         "_Located": _Located, "NonFiniteState": NonFiniteState,
         "NoConvergence": NoConvergence,
     }
-    return _define(code, "_steps", namespace)
+    return _define(compile(source, "<vdide step loop>", "exec"), "_steps", namespace)
+
+
+@functools.lru_cache(maxsize=256)
+def _tree_loop(literal: bool, recur: bool, implicit: bool, written: tuple):
+    """_steps of the tree loop of one shape and of written, the names and
+    lines that _written gives first, made once per process.
+
+    The loop takes the values of the names as arguments, so trees of one
+    shape share it, and it refers to no problem."""
+    return _steps(_loop_source(literal, recur, implicit, written))
 
 
 @functools.cache
 def _call_site_loop(literal: bool, recur: bool, implicit: bool) -> tuple:
     """(_steps, the values of its names) of the call-site loop of one
     shape, made once per process."""
-    source, names = _loop_source(literal, recur, implicit)
-    code = compile(source, "<vdide step loop>", "exec")
-    return _steps(code), tuple(names.values())
+    return _steps(_loop_source(literal, recur, implicit)), tuple(_loop_names().values())
 
 
 def _written(g_tree: Expression, k_tree: Expression) -> tuple:
-    """(names, k_lines, k_out, g_lines, g_out, free_lines) of the trees g
-    and K, which every shape of _loop_source writes in.
+    """((names, k_lines, k_out, g_lines, g_out, free_lines), values) of
+    the trees g and K, which every shape of _loop_source writes in.
 
     k_lines, g_lines and free_lines are the lines of K, of g and of g's
     parts without u (expressions._emit), and k_out and g_out the names
     holding K's and g's values: each a template that a call site fills in
-    with {i}, its indent, and its arguments.  names maps the further names
-    the lines take to their values.  K is emitted first, so its names come
-    first.
+    with {i}, its indent, and its arguments.  names are the further names
+    the lines take, and values their values.  K is emitted first, so its
+    names come first.
     """
     names = _loop_names()
     k_body: list[str] = []
@@ -268,14 +276,14 @@ def _written(g_tree: Expression, k_tree: Expression) -> tuple:
     k_lines, g_lines, free_lines = (
         "".join(f"{{i}}{line}\n" for line in body) for body in (k_body, g_body, g_free)
     )
-    return names, k_lines, k_out, g_lines, g_out, free_lines
+    lines = (tuple(names), k_lines, k_out, g_lines, g_out, free_lines)
+    return lines, tuple(names.values())
 
 
 def _loop_source(
     literal: bool, recur: bool, implicit: bool, written: tuple | None = None
-) -> tuple[str, dict]:
-    """The source of a step loop, and the values of the further names it
-    takes.
+) -> str:
+    """The source of a step loop.
 
     _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2,
     quarter_h2, tol, max_iter, *names) fills u, the Trajectory's list, from
@@ -299,10 +307,10 @@ def _loop_source(
     j and x x_j.
 
     Without written, every call site calls g or K, the last two parameters.
-    With written = _written(g_tree, k_tree), every call site is the
-    expression's own lines (expressions._emit), and g's maximal subtrees
-    without u are evaluated once per grid point, at x_0 before the loop and
-    at x_{j+1} after M1.
+    With written, the lines of _written(g_tree, k_tree), every call site is
+    the expression's own lines (expressions._emit), and g's maximal
+    subtrees without u are evaluated once per grid point, at x_0 before the
+    loop and at x_{j+1} after M1.
     The generated lines' isfinite checks stay and raise _NonFinite, but for
     those on the values of g and K: such a value reaches M1, M2 or u_{j+1}
     of the same step through + and * only, and the closure's check stops
@@ -310,7 +318,7 @@ def _loop_source(
     depends only on the trees' shapes and the three branches.
     """
     names, k_lines, k_out, g_lines, g_out, free_lines = written or (
-        _loop_names(), "", "K({x}, {t}, {v})", "", "g({x}, {u})", ""
+        tuple(_loop_names()), "", "K({x}, {t}, {v})", "", "g({x}, {u})", ""
     )
     tail = "" if written else ", g, K"
 
@@ -415,4 +423,4 @@ def _loop_source(
         f"{b}exc.step_index = j\n"
         f"{b}exc.x = x_j\n"
         f"{b}raise\n"
-    ), names
+    )

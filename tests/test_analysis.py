@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from vdide import analysis, expressions, stepper
+from vdide import analysis, expressions
 from vdide import (
     DelayProblem,
     FirstStepMode,
@@ -112,11 +112,12 @@ class TestErrorTable:
         assert elapsed >= 0.0
 
     @pytest.mark.parametrize("h", [0.1, 0.005])
-    def test_timed_solve_compiles_before_its_clock_starts(self, monkeypatch, h):
+    def test_timed_solve_compiles_before_its_clock_starts(
+        self, monkeypatch, tree_loops, h
+    ):
         # from cleared caches a solve compiles phi's grid loop and its step
         # loop, the tree loop at every h; the clock reads the solve alone
         expressions._code.cache_clear()
-        stepper._call_site_loop.cache_clear()
         events = []
         compile_ = builtins.compile
 

@@ -988,11 +988,12 @@ def write_failing_configs(tmp_path):
     ],
 )
 def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
-    capsys, tmp_path, monkeypatch, name, h, mode
+    capsys, tmp_path, monkeypatch, tree_loops, name, h, mode
 ):
-    # the built problem's solve runs its tree loop, which fails and hands
-    # over to the call-site loop; the walked problem's solve runs only the
-    # call-site loop, and exit code, stdout and stderr are the same
+    # the built problem's solve runs its tree loop, made for it from the
+    # emptied cache, which fails and hands over to the call-site loop; the
+    # walked problem's solve runs only the call-site loop, and exit code,
+    # stdout and stderr are the same
     path = write_failing_configs(tmp_path)[name]
     argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
     generated = []

@@ -94,7 +94,24 @@ class TestImplicitStep:
                 OracleConfig(tol=tol)
         with pytest.raises(ValueError, match="an integer"):
             OracleConfig(max_iter=2.5)
+        assert OracleConfig(tol=1, max_iter=1).tol == 1
         assert OracleConfig(tol=1e300, max_iter=1).max_iter == 1
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_iter", True, "max_iter must be an integer, got True"),
+            ("max_iter", False, "max_iter must be an integer, got False"),
+            ("tol", True, "tol must be positive and finite, got True"),
+            ("tol", False, "tol must be positive and finite, got False"),
+        ],
+    )
+    def test_config_refuses_a_bool(self, field, value, message):
+        # a bool is an int: max_iter=True would load and then report "did
+        # not reach tol=1e-13 in True iterations"
+        with pytest.raises(ValueError) as info:
+            OracleConfig(**{field: value})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "g, u0",
