@@ -416,8 +416,14 @@ class _NonFinite(Exception):
     """A generated loop met a value its checks reject."""
 
 
-# What a generated loop raises where evaluate raises a DomainError.
+def _fail():  # a check in a list comprehension (_code)
+    raise _NonFinite
+
+
+# What a generated loop raises where evaluate raises a DomainError, and the
+# line _emit writes to check a local.
 LOOP_FAILURES = (_NonFinite, ValueError, ZeroDivisionError, OverflowError)
+_CHECK = "if not _isfinite({}): raise _NonFinite"
 
 
 def _loop_names() -> dict:
@@ -427,8 +433,28 @@ def _loop_names() -> dict:
 
 
 @functools.lru_cache(maxsize=256)
-def _code(source: str):
-    """CPython's compile of a grid loop's source, made once per shape."""
+def _code(value: str, once: tuple, point: tuple, ends: tuple):
+    """CPython's compile of the grid loop (grid_loop) of value and the
+    lines _emit wrote, made once per shape."""
+    if point and point[-1].startswith(value + " = "):  # the value, unchecked
+        value, point = point[-1].partition(" = ")[2], point[:-1]
+    clauses = "".join(
+        " for %s in (%s,)" % tuple(line.split(" = ")) if line[0] == "_"
+        else " if _isfinite(%s) or _fail()" % line.partition("(")[2].partition(")")[0]
+        for line in point
+    )
+    x = r"\bx\b"
+    if len(re.findall(x, value + clauses)) == 1:  # x0 + j h straight into its one use
+        value, clauses = (re.sub(x, "(x0 + j * h)", s) for s in (value, clauses))
+    else:
+        clauses = " for x in (x0 + j * h,)" + clauses
+    if ends:
+        once += ("if first < last and not _isfinite(h): raise _NonFinite",
+                 "for x in (x0 + first * h, x0 + last * h):")
+        once += tuple("    " + line for line in ends)
+    head = "".join(f"    {line}\n" for line in once)
+    body = f"    return [{value} for j in range(first, last + 1){clauses}]\n"
+    source = f"def _loop(first, last, x0, h):\n{head}{body}"
     return compile(source, "<vdide expression>", "exec")
 
 
@@ -440,100 +466,130 @@ def _define(code, name: str, names: dict):
     return names.pop(name)
 
 
+_X = {"x": ("x", 1, (), False)}  # the variable of a grid loop, as _emit takes it
+
+
 def grid_loop(tree: Expression):
     """loop(first, last, x0, h), the list of tree's values at the grid
     points x = x0 + j h, j = first .. last, for a tree in x.
 
-    The lines are tree's checked lines (_emit), so the values are
+    The lines are tree's (_emit), checked at the root, so the values are
     evaluate's, bit for bit; but a failure leaves as one of LOOP_FAILURES,
     and only evaluate, rerun at the same points, raises the DomainError.
-    The source depends only on the tree's shape, so CPython compiles it
-    once per process (_code); each call makes a new loop, which takes a
-    few microseconds, and problem.grid_values keeps it on the slot function.
+    The loop runs the variable-free lines once, and the checks proved at
+    the grid's ends at j = first and last: x0 + j h runs monotonically from
+    one to the other for finite h, and with several points an infinite or
+    nan h fails.  The points run in one list comprehension, a clause a
+    line, "for _v3 in (expr,)", which CPython runs as an assignment, or
+    "if _isfinite(_v3) or _fail()", so the source never nests; x0 + j h
+    goes straight into x's use if there is one.  CPython compiles it once
+    per shape (_code), and problem.grid_values keeps the loop.
     """
-    names = _loop_names()
-    body: list[str] = []
-    value = _emit(tree, body, names, checked=True)
-    lines = "\n        ".join(["x = x0 + j * h", *body])
-    source = (
-        "def _loop(first, last, x0, h):\n    out = []\n    append = out.append\n"
-        f"    for j in range(first, last + 1):\n        {lines}\n"
-        f"        append({value})\n    return out\n"
-    )
-    return _define(_code(source), "_loop", names)
+    names, once, point, ends = _loop_names(), [], [], []
+    value = _emit(tree, [("_o", once), ("_v", point)], names, _X, True, ends)[0]
+    names["_fail"] = _fail
+    return _define(_code(value, tuple(once), tuple(point), tuple(ends)), "_loop", names)
 
 
 def _emit(
     node: Expression,
-    body: list[str],
+    levels: list[tuple[str, list[str]]],
     bound: dict,
+    names: Mapping[str, tuple],
     checked: bool = False,
-    names: Mapping[str, str] | None = None,
-    split: list[str] | None = None,
-) -> str:
-    """The name holding node's value, after the lines it appends to body.
+    ends: list[str] | None = None,
+) -> tuple:
+    """(name, level, chain, known) of node, after the lines it appends.
 
     Every generated loop writes its expressions with these lines
-    (grid_loop, stepper._loop_source).  They make the same math.* calls and
-    float operations in the same order as evaluate, so their values are
-    bit-identical, and each operation gets its own line and local, so the
-    source never nests however deep the tree is.  Numbers, constants and
-    functions go into bound under fresh names (_c0, _f1, ...), so no text
-    of the tree reaches the source and the bytecode compiler folds nothing:
-    the source depends only on the tree's shape, and CPython compiles it
-    once per process.  Each line's own local is _v + its index in body.
+    (grid_loop, stepper._written): the same math.* calls and float
+    operations in the same order as evaluate, so the values are
+    bit-identical, and a line and a local per operation, so the source
+    never nests.  Numbers, constants and functions go into bound under
+    fresh names (_c0, _f1, ...), so the source depends only on the tree's
+    shape.  levels are the loop's (prefix, lines) pairs from the outermost
+    in.  names maps each variable to what _emit returns for it: its text,
+    its level, an index into levels, () for the abscissa and else None,
+    and False; and it may give a difference, such as K's "{x} - {t}", the
+    level it takes instead.  A line goes to the innermost level of its
+    operands, decided bottom-up in this one pass, so a variable-free one to
+    level 0, run once before the loop; its local is the level's prefix and
+    index.
 
-    A checked node that is not a leaf gets a line raising _NonFinite when
-    its value is not finite.  A node is checked where a later node could
-    hide a non-finite value: the right operand of "/" (a / inf = 0), both
-    operands of "^" (1^inf = inf^0 = 1) and the arguments of exp and tanh.
-    Everywhere else inf and nan carry through +, -, *, unary minus, the
-    left operand of "/" and the other functions, or make them raise
-    ValueError, ZeroDivisionError or OverflowError, and the caller checks
-    the result.  On any failure the caller reruns evaluate, which raises
-    the reference DomainError.
+    A node is checked where a later node could hide a non-finite value:
+    the right operand of "/" (a / inf = 0), both operands of "^" (1^inf =
+    inf^0 = 1) and the arguments of exp and tanh.  Elsewhere inf and nan
+    carry through or make an operation raise, and the caller checks the
+    result; on any failure it reruns evaluate, which raises the reference
+    DomainError.  A checked BinOp or Call gets the line _CHECK, unless a
+    proof stands in:
 
-    names maps each variable to the name the code holds it in, the
-    variable's own name by default.  With split, a list, a node that is not
-    a leaf and whose line names neither u nor a body local writes its line,
-    and its check, to split instead, as _s + its index there: so every
-    maximal subtree without u lands in split, decided bottom-up in one
-    pass.  A loop that calls g three times at two abscissae (stepper)
-    evaluates split once per abscissa and body once per call.
+    - Known finite.  Every function in FUNCTIONS maps a finite argument to
+      a finite value or raises, so a call on a checked argument needs no
+      check.  -a is finite exactly when a is, so a checked unary minus
+      hands its check to its operand; a leaf gets none, as in evaluate.
+    - Proved at the grid's ends.  The abscissa x has points that run
+      monotonically from the first to the last.  chain holds the lines
+      from x up to a node that reaches x once through +, -, *, / (x not in
+      a divisor) and unary minus, each other operand variable-free, with a
+      check after each BinOp; else None.  IEEE rounding is monotone, so
+      each step is monotone in x for a finite other operand; a non-finite x
+      or operand makes a step non-finite or raise, bar a / inf = 0
+      everywhere.  So if each BinOp of the chain is finite at both ends, x
+      is, and every node is finite at each point between.  Each function
+      in FUNCTIONS is finite on an interval, so the same holds for a call
+      on a chain or on x.  A checked node with a chain appends it, and a
+      call its own line and check, to ends, which the loop runs at both
+      ends before its points.  No ancestor of such a node has a chain, so
+      no line goes twice.
     """
     kind = type(node)
-    if kind is Num or kind is Const:
+    if kind is BinOp:
+        op = node.op
+        left, level, chain, _ = _emit(node.left, levels, bound, names, op == "^", ends)
+        right, rl, rc, _ = _emit(node.right, levels, bound, names, op in "^/", ends)
+        if op == "^":
+            source, chain = f"_pow({left}, {right})", None
+        else:
+            source = f"{left} {op} {right}"
+            if rl:  # the chain of the one operand with x goes on
+                chain = rc if not level and op != "/" else None
+        level = level if level > rl else rl
+        if op == "-" and source in names:
+            level = names[source][1]
+        known = end = None
+    elif kind is Var:
+        return names[node.name]
+    elif kind is Num or kind is Const:
         name = f"_c{len(bound)}"
         bound[name] = node.value if kind is Num else CONSTANTS[node.name]
-        return name
-    if kind is Var:
-        return node.name if names is None else names[node.name]
-    if kind is BinOp:
-        left = _emit(node.left, body, bound, node.op == "^", names, split)
-        right = _emit(node.right, body, bound, node.op in "^/", names, split)
-        if node.op == "^":
-            source = f"_pow({left}, {right})"
-        else:
-            source = f"{left} {node.op} {right}"
+        return name, 0, None, False
     elif kind is Call:
         hides = node.func in _HIDING_FUNCTIONS
-        arg = _emit(node.arg, body, bound, hides, names, split)
+        arg, level, end, known = _emit(node.arg, levels, bound, names, hides, ends)
         function = f"_f{len(bound)}"
         bound[function] = FUNCTIONS[node.func]
-        source = f"{function}({arg})"
+        source, chain = f"{function}({arg})", None
     else:
-        source = f"-{_emit(node.operand, body, bound, False, names, split)}"
-    lines, local = body, "_v"
-    if split is not None:
-        # a line's other names (_c.., _f.., _s.., _pow, x's) contain neither
-        u = "u" if names is None else names["u"]
-        if "_v" not in source and u not in source:
-            lines, local = split, "_s"
-    name = f"{local}{len(lines)}"
-    lines.append(f"{name} = {source}")
-    if checked:
-        lines.append(f"if not _isfinite({name}): raise _NonFinite")
-    return name
+        args = levels, bound, names, checked, ends
+        operand, level, chain, known = _emit(node.operand, *args)
+        source, checked, end = f"-{operand}", False, None
+    prefix, lines = levels[level]
+    name = f"{prefix}{len(lines)}"
+    line = f"{name} = {source}"
+    lines.append(line)
+    if chain is not None:
+        chain = (*chain, line) if kind is Neg else (*chain, line, _CHECK.format(name))
+        end = None if kind is Neg else chain
+    elif end is not None:
+        end = (*end, line, _CHECK.format(name))
+    if checked and not known:
+        if end is None:
+            lines.append(_CHECK.format(name))
+        else:
+            ends.extend(end)
+        known = True
+    return name, level, chain, known
 
 
 # Binding strength used when deciding where unparse needs parentheses.

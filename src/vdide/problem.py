@@ -193,7 +193,7 @@ class Trajectory:
                 f"(j = -{grid.delay_steps} .. 0), got {len(history)}"
             )
         self.grid = grid
-        self.mode = mode
+        self.mode = FirstStepMode(mode)
         self._values = [float(v) for v in history]
 
     @property
@@ -246,6 +246,7 @@ def init_trajectory(
     trajectory's own.
     """
     _check_grid_matches(problem, grid)
+    mode = FirstStepMode(mode)
     values = grid_values(problem.history, "phi", -grid.delay_steps, 0, grid)
     return Trajectory._holding(grid, mode, values)
 

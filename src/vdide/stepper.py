@@ -39,17 +39,16 @@ generated from one template (_loop_source) and closed by the DGJ pair or by
 the oracle's fixed-point iteration; kernel_terms, predictor, nnm_step and
 oracle.implicit_step stay the stateless reference.  A built problem's g and
 K carry their trees, and its solve runs the tree loop, which writes their
-lines in (expressions._emit), so a step calls no Python function, and
-evaluates the parts of g that do not contain u once per grid point.  The
-lines of g and K are written once per problem and kept on the problem, and
-each loop is made once per process: a tree loop for each shape and those
-lines, whatever the trees' numbers and the h, and the call-site loop for
-each shape.  The tree loop makes the same float operations in the same
-order as the call-site loop, which calls g and K and runs for a problem of
-plain callables; if the tree loop raises, the call-site loop reruns and
-raises the reference exception (_step_loop).  phi and exact run in grid
-loops (expressions.grid_loop), outside the step loop, with the same
-fallback (problem.grid_values), and keep them.
+lines in (expressions._emit), so a step calls no Python function and does
+only what changes per step.  The lines of g and K are written once per
+problem and kept on the problem, and each loop is made once per process: a
+tree loop for each shape and those lines, whatever the trees' numbers and
+the h, and the call-site loop for each shape.  The tree loop makes the same
+float operations in the same order as the call-site loop, which calls g and
+K and runs for a problem of plain callables; if the tree loop raises, the
+call-site loop reruns and raises the reference exception (_step_loop).  phi
+and exact run in grid loops (expressions.grid_loop), outside the step loop,
+with the same fallback (problem.grid_values), and keep them.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def kernel_terms(
     kernel argument is already known.  A j outside the grid's steps
     0 .. N-1 raises ValueError, for every single-step function built on this.
     """
-    grid = traj.grid
+    grid, mode = traj.grid, FirstStepMode(mode)
     if not 0 <= j < grid.steps:
         raise ValueError(
             f"step index {j} is out of range; the grid ends after step "
@@ -186,15 +185,12 @@ def _step_loop(
     their trees, as a built problem's do (registry._slot_function), and
     the call-site loop otherwise.  If the tree loop raises, traj goes back
     to its history and the call-site loop raises the reference exception.
-    The loop fill runs first is made here, so a caller can time fill alone.
-    The lines of g and K are written once per problem and kept in
-    problem._loops with their values; a tree loop is made once per process
-    for each shape and those lines (_tree_loop), and a call-site loop once
-    per process and shape.
+    The loop fill runs first is made here, so a caller can time fill alone;
+    the lines of g and K are kept in problem._loops with their values.
     """
     h, n, m = grid.h, grid.steps, grid.delay_steps
-    rate = problem.kernel_x_rate
-    shape = (mode is FirstStepMode.LITERAL, rate is not None, fixed_point is not None)
+    rate, literal = problem.kernel_x_rate, FirstStepMode(mode) is FirstStepMode.LITERAL
+    shape = (literal, rate is not None, fixed_point is not None)
     constants = (
         n, grid.x0, h, grid.point(0),
         math.exp(rate * h) if rate is not None else 1.0,
@@ -256,27 +252,41 @@ def _call_site_loop(literal: bool, recur: bool, implicit: bool) -> tuple:
     return _steps(_loop_source(literal, recur, implicit)), tuple(_loop_names().values())
 
 
-def _written(g_tree: Expression, k_tree: Expression) -> tuple:
-    """((names, k_lines, k_out, g_lines, g_out, free_lines), values) of
-    the trees g and K, which every shape of _loop_source writes in.
+# The variables of K and of g as _emit takes them: x, t and v per sample,
+# and x - t and t - x on a level of their own; x per abscissa, u per call.
+_XTV = {p: ("{%s}" % p, 2, None, False) for p in "xtv"}
+_XTV |= dict.fromkeys(("{x} - {t}", "{t} - {x}"), (None, 1))
+_XU = {"x": ("{x}", 1, (), False), "u": ("{u}", 2, None, False)}
 
-    k_lines, g_lines and free_lines are the lines of K, of g and of g's
-    parts without u (expressions._emit), and k_out and g_out the names
-    holding K's and g's values: each a template that a call site fills in
-    with {i}, its indent, and its arguments.  names are the further names
-    the lines take, and values their values.  K is emitted first, so its
-    names come first.
+
+def _written(g_tree: Expression, k_tree: Expression) -> tuple:
+    """((names, once, ends, k_lines, k_out, kd_lines, kd_out, g_lines, g_out,
+    free_lines), values) of the trees g and K, for every shape of _loop_source.
+
+    Each *_lines is a template of lines (expressions._emit) that a call
+    site fills in with {i}, its indent, and its arguments, and k_out, kd_out
+    and g_out name the values of K, of K on the diagonal t = x, and of g.
+    free_lines are g's parts without u at an abscissa {x}, ends their checks
+    proved at the grid's ends, and once the variable-free parts of all
+    three.  K's parts that reach x and t only through x - t or t - x are
+    lines of their own, _d, which K's lines run at every sample.  At every
+    finite x, x - x is +0.0 (an x_j overflows only for an h whose h*h does,
+    which fails step 0 anyway), so on the diagonal those parts take the same
+    bits at every sample: once runs them, as _l, at x = t = x_0, and the
+    diagonal lines are the rest (the lag-0 fold).  names are the further
+    names the lines take, and values their values.
     """
-    names = _loop_names()
-    k_body: list[str] = []
-    g_body: list[str] = []
-    g_free: list[str] = []
-    k_out = _emit(k_tree, k_body, names, False, dict(x="{x}", t="{t}", v="{v}"))
-    g_out = _emit(g_tree, g_body, names, False, {"x": "{x}", "u": "{u}"}, g_free)
-    k_lines, g_lines, free_lines = (
-        "".join(f"{{i}}{line}\n" for line in body) for body in (k_body, g_body, g_free)
+    names, once, ends, lag, k, g, free = _loop_names(), [], [], [], [], [], []
+    k_out = _emit(k_tree, [("_o", once), ("_d", lag), ("_v", k)], names, _XTV)[0]
+    g_levels = [("_o", once), ("_s", free), ("_v", g)]
+    g_out = _emit(g_tree, g_levels, names, _XU, False, ends)[0]
+    once, ends, lag, k, g, free = (
+        "{i}" + "\n{i}".join(body) + "\n" if body else ""
+        for body in (once, ends, lag, k, g, free)
     )
-    lines = (tuple(names), k_lines, k_out, g_lines, g_out, free_lines)
+    once += lag.replace("_d", "_l")
+    kd, kd_out = k.replace("_d", "_l"), k_out.replace("_d", "_l")
+    lines = (tuple(names), once, ends, lag + k, k_out, kd, kd_out, g, g_out, free)
     return lines, tuple(names.values())
 
 
@@ -308,24 +318,33 @@ def _loop_source(
 
     Without written, every call site calls g or K, the last two parameters.
     With written, the lines of _written(g_tree, k_tree), every call site is
-    the expression's own lines (expressions._emit), and g's maximal
-    subtrees without u are evaluated once per grid point, at x_0 before the
-    loop and at x_{j+1} after M1.
+    the expression's own lines, and the loop does per point only what
+    changes per point.  Before its first step it runs the variable-free
+    lines, and the checks of g's parts without u at x_0 and x_N: x0 + j h
+    runs monotonically for finite h, and an infinite h makes x_0 nan, which
+    they reject.  Those parts are evaluated once per grid point, at x_0
+    and at each x_{j+1} after M1, and every diagonal sample K(x, x, v),
+    LITERAL's first k_start and each k_diag, runs the diagonal lines.  A
+    part evaluated early fails only where every solve fails, and the
+    call-site loop reruns to raise the reference exception.
     The generated lines' isfinite checks stay and raise _NonFinite, but for
     those on the values of g and K: such a value reaches M1, M2 or u_{j+1}
     of the same step through + and * only, and the closure's check stops
     it there.  Numbers, constants and functions are names, so the source
     depends only on the trees' shapes and the three branches.
     """
-    names, k_lines, k_out, g_lines, g_out, free_lines = written or (
-        tuple(_loop_names()), "", "K({x}, {t}, {v})", "", "g({x}, {u})", ""
+    tail, k_call = "" if written else ", g, K", "K({x}, {t}, {v})"
+    names, once, ends, k_lines, k_out, kd_lines, kd_out, g_lines, g_out, free_lines = (
+        written
+        or (tuple(_loop_names()), "", "", "", k_call, "", k_call, "", "g({x}, {u})", "")
     )
-    tail = "" if written else ", g, K"
 
     def K(i, target, x, t, v):
-        """The lines of target = K(x, t, v), or of s2 += K(x, t, v)."""
-        lines = k_lines.format(i=i, x=x, t=t, v=v)
-        return f"{lines}{i}{target} {k_out.format(x=x, t=t, v=v)}\n"
+        """The lines of target = K(x, t, v), or of s2 += K(x, t, v); on
+        the diagonal, t = x, the diagonal lines."""
+        lines, out = (kd_lines, kd_out) if t == x else (k_lines, k_out)
+        lines = lines.format(i=i, x=x, t=t, v=v)
+        return f"{lines}{i}{target} {out.format(x=x, t=t, v=v)}\n"
 
     def g(i, x, u):
         """(lines, value) of g(x, u)."""
@@ -359,7 +378,9 @@ def _loop_source(
         f"{a}x_j = x_start\n"
         f"{a}append = u.append\n"
         f"{a}s2 = 0.0\n"
-    )
+    ) + once.format(i=a, x="x_start", t="x_start")
+    if ends:
+        src += f"{a}for x_e in (x_start, x0 + n * h):\n" + ends.format(i=b, x="x_e")
     if not recur:
         src += f"{a}row_x = []\n{a}row_v = []\n"
     src += f"{a}j = 0\n{a}try:\n"

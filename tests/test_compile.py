@@ -168,8 +168,9 @@ POWER_CHAIN = "^".join(["u"] + ["1"] * (registry._MAX_DEPTH - 1))
 
 
 def test_g_is_split_in_one_pass_without_asking_for_variables(monkeypatch):
-    # _emit decides bottom-up which lines hold no u, from the names on each
-    # node's line, so it never walks a subtree for its variables
+    # _emit decides bottom-up which lines hold no variable and which no u,
+    # from the levels of each node's operands, so it never walks a subtree
+    # for its variables
     texts = [(text, bindings) for text, bindings, _ in EVAL_CASES]
     texts += [(text, {}) for text in (SUM_OF_200, POWER_CHAIN, LONG_SUM)]
     gs = [pinned(parse(text), bindings, keep=("x", "u")) for text, bindings in texts]
@@ -182,10 +183,15 @@ def test_g_is_split_in_one_pass_without_asking_for_variables(monkeypatch):
     for g in gs:
         for shape in itertools.product((True, False), repeat=3):
             stepper._loop_source(*shape, stepper._written(g, K)[0])
-        body: list[str] = []
+        once: list[str] = []
         split: list[str] = []
-        expressions._emit(g, body, {}, False, {"x": "{x}", "u": "{u}"}, split)
-        # split holds no u; every line of body needs u, directly or not
+        body: list[str] = []
+        levels = [("_o", once), ("_s", split), ("_v", body)]
+        xu = {"x": ("{x}", 1, (), False), "u": ("{u}", 2, None, False)}
+        expressions._emit(g, levels, {}, xu, False, [])
+        # once holds no variable and split no u; every line of body needs u,
+        # directly or not
+        assert not any("{" in line or "_s" in line or "_v" in line for line in once)
         assert not any("{u}" in line or "_v" in line for line in split)
         for line in body:
             if not line.startswith("if "):

@@ -14,14 +14,15 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import trees_over
 from vdide import registry
 from vdide.analysis import max_abs_error
 from vdide.errors import IndexNotYetComputed, VdideError
-from vdide.expressions import BinOp, Call, Neg, Num, Var, evaluate, parse
+from vdide.expressions import DomainError
+from vdide.expressions import LOOP_FAILURES, BinOp, Call, Neg, Num, Var, evaluate, grid_loop, parse
 from vdide.problem import (
     DelayProblem,
     FirstStepMode,
@@ -206,3 +207,85 @@ def test_max_abs_error_on_a_trajectory_that_stops_short(text, want, built):
             max_abs_error(traj, exact)
     else:
         assert outcome(lambda: max_abs_error(traj, exact))[3:] == want
+
+
+# Trees in which x occurs once, through +, -, *, / and unary minus, with
+# constants that overflow part way along the grid: the checks the grid loop
+# makes at the grid's two ends only (expressions._emit) must fail where the
+# walk fails.  The seeds x*x and 1e307/x are not monotone in x, so between
+# two ends that pass, the walk can fail; each context checks the chain's
+# value, or hides it (exp(-inf) = 0, tanh(inf) = 1, inf^0 = 1, 1/inf = 0).
+CHAIN_CONSTANTS = [0.5, -1.5, 1.5, 2.0, 2.5, 3.0, 1e308, -1e308, 1e307]
+SEEDS = [Var("x"), BinOp("*", Var("x"), Var("x")), BinOp("/", Num(1e307), Var("x"))]
+CONTEXTS = {
+    "bare": lambda y: y,
+    "exp": lambda y: Call("exp", y),
+    "tanh": lambda y: Call("tanh", y),
+    "sin": lambda y: Call("sin", y),
+    "pow0": lambda y: BinOp("^", y, Num(0.0)),
+    "reciprocal": lambda y: BinOp("/", Num(1.0), y),
+}
+
+
+def fold_chain(seed, steps):
+    """seed with each step applied in turn: "neg", or (op, constant, the
+    side the constant stands on)."""
+    node = seed
+    for step in steps:
+        if step == "neg":
+            node = Neg(node)
+        else:
+            op, k, right = step
+            node = BinOp(op, node, Num(k)) if right or op == "/" else BinOp(op, Num(k), node)
+    return node
+
+
+chain_steps = st.one_of(
+    st.just("neg"),
+    st.tuples(st.sampled_from("+-*/"), st.sampled_from(CHAIN_CONSTANTS), st.booleans()),
+)
+
+
+@st.composite
+def single_x_trees(draw, seeds=SEEDS):
+    seed = draw(st.sampled_from(seeds))
+    chain = fold_chain(seed, draw(st.lists(chain_steps, max_size=4)))
+    return CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))](chain)
+
+
+def bare_loop_matches_the_walk(tree, first, last, x0):
+    """The grid loop over j = first .. last against evaluate at each point:
+    the same doubles, or a failure where the walk fails somewhere."""
+    try:
+        want = [evaluate(tree, {"x": x0 + j * H}) for j in range(first, last + 1)]
+    except DomainError:
+        want = None
+    try:
+        got = grid_loop(tree)(first, last, x0, H)
+    except LOOP_FAILURES:
+        assert want is None, "the grid loop raised where the walk returned"
+    else:
+        assert want is not None, "the grid loop returned where the walk raised"
+        assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
+
+
+# the grids' points run over [x0 - m H, x0 + n H]: with x0 = 0.5 and m = 140
+# the history spans [-0.59, 0.5], whose inner point 0 is where x*x and
+# 1e307/x reach the values their ends do not
+@settings(max_examples=300, deadline=None)
+@given(
+    phi=single_x_trees(),
+    exact=single_x_trees(),
+    x0=st.sampled_from([0.0, -0.5, 0.3, 0.5]),
+    m=st.one_of(st.integers(1, 8), st.integers(120, 140)),
+    n=st.one_of(st.integers(1, 8), st.integers(120, 140)),
+)
+@example(parse("1e308*(2 - x*x)"), parse("x"), 0.5, 140, 1)  # x*x
+@example(parse("1e307/x"), parse("x"), 0.3, 140, 1)  # k/x
+# overflows near the last end; near the first, hidden by tanh(inf) = 1
+@example(parse("1e308*(x + 1.5)"), parse("tanh(1e308*(2.5 - x))"), 0.5, 140, 140)
+@example(parse("tanh(1e308*(3.5*x))"), parse("x"), 0.5, 140, 1)
+def test_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(phi, exact, x0, m, n):
+    check(phi, exact, x0, m, n)
+    bare_loop_matches_the_walk(phi, -m, 0, x0)
+    bare_loop_matches_the_walk(exact, 1, n, x0)

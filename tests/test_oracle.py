@@ -212,3 +212,25 @@ class TestLocalScaling:
             )
         assert gaps[0.1] < 1e-2
         assert 3.5 <= gaps[0.1] / gaps[0.05] <= 9.5
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_a_mode_given_by_its_value_runs_that_modes_stencil(mode):
+    # the implicit solve and its single step take "literal" and "corrected"
+    # as the modes they name
+    problem = builtin_problem("example2").build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    by_value = solve_implicit(problem, grid, mode.value)
+    assert by_value.mode is mode
+    assert by_value.values == solve_implicit(problem, grid, mode).values
+    other = next(m for m in FirstStepMode if m is not mode)
+    assert by_value.values != solve_implicit(problem, grid, other).values
+    traj = init_trajectory(problem, grid, mode.value)
+    assert implicit_step(problem, traj, 0) == by_value.value(1)
+
+
+def test_an_unknown_mode_is_refused():
+    problem = builtin_problem("example2").build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="'bogus' is not a valid FirstStepMode"):
+        solve_implicit(problem, grid, "bogus")

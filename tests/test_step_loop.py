@@ -17,14 +17,19 @@ solve reruns the call-site loop, which raises the reference exception
   exception class and message.
 """
 
+import math
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import solve_outcome, tree_loop_ends_as_walking, trees_over, walking
+from test_grid_loop import SEEDS, single_x_trees
 from vdide import registry
 from vdide.expressions import BinOp, Call, Neg, Num, Var, parse, x_rate
 from vdide.oracle import implicit_step, solve_implicit
+from vdide.analysis import order_study
 from vdide.problem import DelayProblem, FirstStepMode, build_grid, init_trajectory
 from vdide.stepper import nnm_step, solve
 
@@ -176,3 +181,99 @@ def test_named_cases_match_the_call_site_loop(name, path, mode, solver):
     assert (want[0] == "values") == runs
     if not runs:
         assert want[3] > 0  # a failure past the first step
+
+
+# g with x once in its part without u, through +, -, *, / and unary minus,
+# with constants that overflow part way along the solve: the loop checks
+# that part at x_0 and x_N only (expressions._emit), and must fail where the
+# walk fails.  The seeds x*x and 1e307/x are not monotone in x.  K samples
+# x - t, whose diagonal samples the loop folds to one value per solve.
+LAG_KERNELS = {
+    "exp(t - x)*v": -1.0,
+    "0.5*exp(x - t - 1)*v^2": None,
+    "sin(x - t)*v": None,
+    "log(2 + (x - t))*v": None,
+    "(x - t)*v/(1 + (t - x)^2)": None,
+    "v/2": 0.0,
+}
+
+
+@st.composite
+def single_x_cases(draw):
+    part = draw(single_x_trees(SEEDS))
+    g = BinOp("+", part, BinOp("*", Num(-0.5), Var("u")))
+    K = draw(st.sampled_from(sorted(LAG_KERNELS)))
+    return dict(
+        g=g,
+        K=parse(K),
+        phi=parse(draw(st.sampled_from(PHIS))),
+        rate=LAG_KERNELS[K],
+        x0=draw(st.sampled_from([0.0, -0.5, 0.3])),
+        delays=draw(st.integers(2, 4)),
+        m=draw(st.integers(1, 4)),
+        mode=draw(st.sampled_from(list(FirstStepMode))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_x_cases())
+# x runs over [0, 1] (four delays of 0.25) from x0 = 0: 1e308*(x + 1.5)
+# overflows from x = 0.3 on and 1e308*(x - 2) up to x = 0.2; x*x - 2 over
+# [-0.5, 0.5] and 1e307/x over [-0.3, 0.7] pass their ends and overflow at
+# or near 0.
+# tanh(inf) = 1 and exp(-inf) = 0 hide each overflow but for the checks.
+@example(dict(g=parse("tanh(1e308*(x + 1.5)) - 0.5*u"), K=parse("sin(x - t)*v"),
+              phi=parse("1 + x/2"), rate=None, x0=0.0, delays=4, m=4,
+              mode=FirstStepMode.LITERAL))
+@example(dict(g=parse("exp(1e308*(x - 2)) - 0.5*u"), K=parse("v/2"), phi=parse("1 + x/2"),
+              rate=0.0, x0=0.0, delays=4, m=4, mode=FirstStepMode.CORRECTED))
+@example(dict(g=parse("tanh(1e308*(x*x - 2)) - 0.5*u"), K=parse("v/2"),
+              phi=parse("1 + x/2"), rate=0.0, x0=-0.5, delays=4, m=4,
+              mode=FirstStepMode.LITERAL))
+@example(dict(g=parse("tanh(1e307/x) - 0.5*u"), K=parse("v/2"), phi=parse("1 + x/2"),
+              rate=0.0, x0=-0.3, delays=4, m=4, mode=FirstStepMode.LITERAL))
+def test_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(case):
+    for solver in SOLVERS:
+        check_loops(solver, **case)
+
+
+# x-dependent kernels over several delays, with u = e^(a x) and phi = exact:
+# g = a u - F(x), F the integral of K(x, t, e^(a (t - tau))) over [0, x],
+# and E = e^(-a tau).  (x - t) v and sin(x - t) v take the direct rows,
+# e^(t - x) v the rate -1 and e^(-t) v the rate 0 (ROADMAP item 13).
+CLOSED_FORMS = {
+    "lag": ("{c}*(x - t)*v", "{c}*{E}*(exp({a}*x) - 1 - {a}*x)/({a})^2"),
+    "sine": ("{c}*sin(x - t)*v", "{c}*{E}*(exp({a}*x) - cos(x) - {a}*sin(x))/(1 + ({a})^2)"),
+    "decay": ("{c}*exp(t - x)*v", "{c}*{E}*(exp({a}*x) - exp(-x))/({a} + 1)"),
+    "fixed": ("{c}*exp(-t)*v", "{c}*{E}*(exp(({a} - 1)*x) - 1)/({a} - 1)"),
+}
+
+
+@pytest.fixture(params=sorted(CLOSED_FORMS))
+def closed_form(request):
+    """(text, tau) of a problem with a kernel of CLOSED_FORMS over three or
+    four delays, a, c and tau drawn from a seed, a kept from the poles of
+    F at 0, -1 and 1."""
+    rng = random.Random(sorted(CLOSED_FORMS).index(request.param) + 1)
+    a = rng.choice([-1, 1]) * round(rng.uniform(0.15, 0.4), 4)
+    c, tau = round(rng.uniform(0.1, 0.5), 4), rng.choice([0.25, 0.5])
+    K, F = CLOSED_FORMS[request.param]
+    values = dict(a=repr(a), c=repr(c), E=repr(math.exp(-a * tau)))
+    text = (
+        f"name = {request.param}\ng = {a!r}*u - {F.format(**values)}\n"
+        f"K = {K.format(**values)}\nphi = exp({a!r}*x)\nexact = exp({a!r}*x)\n"
+        f"tau = {tau!r}\nx0 = 0\nX = {rng.choice([3, 4]) * tau!r}\n"
+    )
+    return text, tau
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_x_dependent_kernels_over_several_delays(closed_form, mode):
+    text, tau = closed_form
+    problem = registry.parse_config_text(text).build()
+    g, K = problem.g.tree, problem.kernel.tree
+    for run in (solve, solve_implicit):
+        grid = build_grid(0.0, problem.x_end, tau, tau / 8)
+        assert tree_loop_ends_as_walking(run, problem, g, K, grid, mode)[0] == "values"
+    estimate = order_study(problem, mode, [tau / 8, tau / 16, tau / 32])
+    assert abs(estimate.slope - 2.0) <= 0.05

@@ -358,3 +358,40 @@ class TestClosureEquivalence:
                 traj.append(stepped)
                 checks += 1
         assert checks == 120
+
+
+# example2 at h = 0.1: u_1 and u_10 of each first-step mode.
+EXAMPLE2_AT = {
+    FirstStepMode.LITERAL: (3.009336949281507, 7.40593135227227),
+    FirstStepMode.CORRECTED: (3.004074449281507, 7.392992530190458),
+}
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_a_mode_given_by_its_value_runs_that_modes_stencil(mode):
+    # "literal" and "corrected" enter as FirstStepMode("literal") and so on:
+    # the solve and the single step run the same stencil
+    problem = builtin_problem("example2").build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    by_value = solve(problem, grid, mode.value)
+    assert by_value.mode is mode
+    assert (by_value.value(1), by_value.value(10)) == EXAMPLE2_AT[mode]
+    assert by_value.values == solve(problem, grid, mode).values
+    traj = init_trajectory(problem, grid, mode.value)
+    assert traj.mode is mode
+    assert nnm_step(problem, traj, 0) == EXAMPLE2_AT[mode][0]
+    assert kernel_terms(problem, traj, 0, mode.value) == kernel_terms(problem, traj, 0, mode)
+
+
+def test_an_unknown_mode_is_refused():
+    problem = builtin_problem("example2").build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    traj = init_trajectory(problem, grid)
+    calls = [
+        lambda: solve(problem, grid, "bogus"),
+        lambda: init_trajectory(problem, grid, "bogus"),
+        lambda: kernel_terms(problem, traj, 0, "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'bogus' is not a valid FirstStepMode"):
+            call()
