@@ -24,7 +24,9 @@ phi or an exact solution doing so at a named x).  Any other exception is a
 bug and propagates.
 
 Numbers are printed with 17 significant digits so a round trip through text
-preserves the exact float.
+preserves the exact float.  solve and compare format a grid's x column once
+and keep it in a row template for the 8 most recent grids and headers (see
+_csv), so repeated main calls on one grid format only the values.
 """
 
 from __future__ import annotations
@@ -68,14 +70,30 @@ def _mode(args: argparse.Namespace) -> FirstStepMode:
     return FirstStepMode(args.first_step)
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _row_format(header: str, x0: float, h: float, rows: int, width: int) -> str:
+    """header, then per row j the %.17g text of x_j = x0 + j h written in,
+    followed by ',%.17g' once per value column and a newline."""
+    row = "%.17g" + ",%%.17g" * width + "\n"
+    xs = tuple([x0 + j * h for j in range(rows)])
+    return header.replace("%", "%%") + "\n" + row * rows % xs
+
+
 def _csv(header: str, grid: GridSpec, *columns: list[float]) -> str:
-    """header, then a line of x_j and row j of the columns per grid point."""
-    rows, width = len(columns[0]), len(columns) + 1
+    """header, then a line of x_j and row j of the columns per grid point.
+
+    Every call prints through _row_format's template, which holds the header
+    and the x column, and formats only the values, in one % pass.  The
+    template is kept per (header, x0, h, rows, width), ints apart from
+    floats, for the 8 most recent keys; each is the x column of an output
+    this process already printed plus 6 characters per value, so the cache
+    holds at most about 8 such outputs.
+    """
+    rows, width = len(columns[0]), len(columns)
     flat = [0.0] * (width * rows)
-    flat[::width] = [grid.x0 + j * grid.h for j in range(rows)]
-    for k, column in enumerate(columns, 1):
+    for k, column in enumerate(columns):
         flat[k::width] = column
-    return f"{header}\n" + ("%.17g," * len(columns) + "%.17g\n") * rows % tuple(flat)
+    return _row_format(header, grid.x0, grid.h, rows, width) % tuple(flat)
 
 
 def cmd_solve(args: argparse.Namespace) -> str:

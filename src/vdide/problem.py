@@ -82,6 +82,9 @@ class DelayProblem:
     _loops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("tau", "x0", "x_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         if not self.x_end > self.x0:
@@ -295,17 +298,17 @@ def delayed_value(traj: Trajectory, j: int) -> float:
 
 def _check_grid_matches(problem: DelayProblem, grid: GridSpec) -> None:
     tol = COMMENSURABILITY_RTOL
-    if abs(grid.x0 - problem.x0) > tol * max(1.0, abs(problem.x0)):
+    if not abs(grid.x0 - problem.x0) <= tol * max(1.0, abs(problem.x0)):
         raise ValueError(
             f"grid origin {grid.x0!r} does not match problem x0 {problem.x0!r}"
         )
-    if abs(grid.delay_steps * grid.h - problem.tau) > tol * max(1.0, problem.tau):
+    if not abs(grid.delay_steps * grid.h - problem.tau) <= tol * max(1.0, problem.tau):
         raise ValueError(
             f"grid delay span {grid.delay_steps * grid.h!r} does not match "
             f"problem tau {problem.tau!r}"
         )
     end = grid.point(grid.steps)
-    if abs(end - problem.x_end) > tol * max(1.0, abs(problem.x_end)):
+    if not abs(end - problem.x_end) <= tol * max(1.0, abs(problem.x_end)):
         raise ValueError(
             f"grid endpoint {end!r} does not match problem x_end {problem.x_end!r}"
         )

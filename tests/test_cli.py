@@ -7,13 +7,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vdide
 from helpers import walking_builds
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
 from vdide import cli, registry, stepper
 from vdide.cli import main
-from vdide.problem import init_trajectory
+from vdide.problem import GridSpec, init_trajectory
 from vdide.registry import resolve_problem
 from vdide.stepper import nnm_step
 
@@ -514,30 +516,124 @@ class TestOutputBytes:
         cfg.write_text(FOUR_DELAYS)
         return str(cfg)
 
+    # each command runs at 0.05 twice with a call at another h between, so
+    # the second call prints through the row template the first one made,
+    # past a miss
+    STEPS = (0.05, 0.125, 0.05)
+
     @pytest.mark.parametrize("mode", list(FirstStepMode))
     def test_solve(self, capsys, ref, mode):
         problem = resolve_problem(ref).build()
-        grid = build_grid(problem.x0, problem.x_end, problem.tau, 0.05)
-        code, out, err = run(
-            capsys,
-            "solve", "--problem", ref, "--h", "0.05", "--first-step", mode.value,
-        )
-        assert code == 0 and err == ""
-        assert out == expected_solve_csv(solve(problem, grid, mode))
+        cli._row_format.cache_clear()
+        for h in self.STEPS:
+            grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
+            code, out, err = run(
+                capsys,
+                "solve", "--problem", ref, "--h", repr(h), "--first-step", mode.value,
+            )
+            assert code == 0 and err == ""
+            assert out == expected_solve_csv(solve(problem, grid, mode))
+        assert cli._row_format.cache_info()[:2] == (1, 2)
 
     @pytest.mark.parametrize("mode", list(FirstStepMode))
     def test_compare(self, capsys, ref, mode):
         problem = resolve_problem(ref).build()
-        grid = build_grid(problem.x0, problem.x_end, problem.tau, 0.05)
-        code, out, err = run(
-            capsys,
-            "compare", "--problem", ref, "--h", "0.05", "--first-step", mode.value,
+        cli._row_format.cache_clear()
+        for h in self.STEPS:
+            grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
+            code, out, err = run(
+                capsys,
+                "compare", "--problem", ref, "--h", repr(h), "--first-step", mode.value,
+            )
+            assert code == 0 and err == ""
+            want = expected_compare_csv(
+                solve(problem, grid, mode), solve_implicit(problem, grid, mode)
+            )
+            assert out == want
+        assert cli._row_format.cache_info()[:2] == (1, 2)
+
+
+def parent_csv(header, grid, *columns):
+    """_csv as it was before the row template: every x_j and value through
+    one %.17g pass."""
+    rows, width = len(columns[0]), len(columns) + 1
+    flat = [0.0] * (width * rows)
+    flat[::width] = [grid.x0 + j * grid.h for j in range(rows)]
+    for k, column in enumerate(columns, 1):
+        flat[k::width] = column
+    return f"{header}\n" + ("%.17g," * len(columns) + "%.17g\n") * rows % tuple(flat)
+
+
+# x0 as CLI grids have it, and as API grids allow: signed zeros, negatives,
+# a value past 2^53, and integers with an integer h
+ORIGINS = [0.0, -0.0, -1.0, -0.75, -3.5e-9, 1e17, 0, -2]
+STEP_SIZES = [0.1, 0.05, 0.125, 1e-3, 1 / 3, 1, 2]
+HEADERS = ["x,u", "x,u_nnm,u_implicit,diff", "x,%u", "%%,%s,%.17g"]
+
+
+@st.composite
+def csv_calls(draw):
+    """Up to 16 calls (header, x0, h, rows, width), drawn from small pools
+    of each field, so that keys repeat and often differ in one field only."""
+    pools = [
+        draw(st.lists(field, min_size=1, max_size=3, unique=True))
+        for field in (
+            st.sampled_from(HEADERS),
+            st.sampled_from(ORIGINS),
+            st.sampled_from(STEP_SIZES),
+            st.integers(1, 60),
+            st.sampled_from([1, 3]),
         )
-        assert code == 0 and err == ""
-        want = expected_compare_csv(
-            solve(problem, grid, mode), solve_implicit(problem, grid, mode)
-        )
-        assert out == want
+    ]
+    call = st.tuples(*(st.sampled_from(pool) for pool in pools))
+    return draw(st.lists(call, min_size=1, max_size=16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=csv_calls(), values=st.lists(st.floats(), min_size=1, max_size=180))
+def test_csv_prints_what_per_value_formatting_prints(calls, values):
+    # run twice over, so the calls meet hits, misses, evictions past the
+    # cache's bound and keys that differ only in h, rows, type or header
+    cli._row_format.cache_clear()
+    for header, x0, h, rows, width in calls * 2:
+        grid = GridSpec(h=h, steps=1, delay_steps=1, x0=x0)
+        columns = [(values[k * rows :] + [k + 0.5] * rows)[:rows] for k in range(width)]
+        assert cli._csv(header, grid, *columns) == parent_csv(header, grid, *columns)
+
+
+BASE_KEY = ("x,u", 0.0, 0.125, 9)
+
+
+@pytest.mark.parametrize(
+    "first, other",
+    [
+        (BASE_KEY, ("x,u", 0.0, 0.1, 9)),
+        (BASE_KEY, ("x,u", 0.0, 0.125, 11)),
+        (BASE_KEY, ("x,%u", 0.0, 0.125, 9)),
+        (BASE_KEY, ("x,u", -1.0, 0.125, 9)),
+        # equal keys but for type: in floats 1.0 + 3.0 * h rounds twice, to
+        # ...972, in ints 1 + 3 * h once, to ...976
+        (("x,u", 1.0, 2.0**53 - 1, 4), ("x,u", 1, 2**53 - 1, 4)),
+    ],
+    ids=["h", "rows", "header", "x0", "int-grid"],
+)
+def test_keys_that_differ_in_one_field_get_their_own_template(first, other):
+    columns = [0.25] * 11
+    for header, x0, h, rows in [first, other, first]:
+        grid = GridSpec(h=h, steps=1, delay_steps=1, x0=x0)
+        got = cli._csv(header, grid, columns[:rows])
+        assert got == parent_csv(header, grid, columns[:rows])
+
+
+def test_the_row_template_cache_stays_within_its_bound(capsys):
+    cli._row_format.cache_clear()
+    bound = cli._row_format.cache_info().maxsize
+    assert bound == 8
+    grid = GridSpec(h=0.5, steps=1, delay_steps=1, x0=0.0)
+    for rows in range(1, bound + 21):
+        cli._csv("x,u", grid, [1.0] * rows)
+    info = cli._row_format.cache_info()
+    assert (info.misses, info.currsize) == (bound + 20, bound)
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))

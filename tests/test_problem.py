@@ -145,6 +145,12 @@ class TestDelayProblem:
             with pytest.raises(ValueError):
                 dataclasses.replace(make_problem(lambda x: 0.0), kernel_x_rate=rate)
 
+    @pytest.mark.parametrize("field", ["tau", "x0", "x_end"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_field_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_problem(lambda x: 0.0, **{field: value})
+
     def test_initial_value_comes_from_history(self):
         problem = make_problem(lambda x: math.exp(x + 1.0))
         assert problem.initial_value == math.e
@@ -230,6 +236,17 @@ class TestTrajectory:
         grid3 = build_grid(0.0, 2.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="grid endpoint"):
             init_trajectory(problem, grid3)
+        # a nan difference fails each comparison too: a nan origin, and an
+        # x_end of inf (which __post_init__ refuses) against an end point
+        # that overflows to inf
+        nan_origin = GridSpec(h=0.25, steps=4, delay_steps=2, x0=math.nan)
+        with pytest.raises(ValueError, match="grid origin"):
+            init_trajectory(make_problem(math.cos, tau=0.5), nan_origin)
+        unbounded = make_problem(math.cos, tau=1e308)
+        object.__setattr__(unbounded, "x_end", math.inf)
+        overflowing = GridSpec(h=1e308, steps=3, delay_steps=1, x0=0.0)
+        with pytest.raises(ValueError, match="grid endpoint"):
+            init_trajectory(unbounded, overflowing)
 
 
 class TestDelayedValue:
