@@ -40,7 +40,7 @@ from typing import Optional
 from .analysis import error_table, observed_order, order_study, timed_solve
 from .errors import DegenerateError, NumericalError, ProblemSetupError
 from .expressions import DomainError, ExpressionError
-from .oracle import OracleConfig, solve_implicit
+from .oracle import DEFAULT_CONFIG, OracleConfig, solve_implicit
 from .problem import FirstStepMode, GridSpec, build_grid
 from .registry import builtin_names, builtin_problem, resolve_problem
 from .stepper import solve
@@ -233,14 +233,14 @@ def _add_compare_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--tol",
         type=float,
-        default=1e-13,
-        help="fixed-point residual tolerance for the reference (default 1e-13)",
+        default=DEFAULT_CONFIG.tol,
+        help="fixed-point residual tolerance for the reference (default %(default)s)",
     )
     sub.add_argument(
         "--max-iter",
         type=int,
-        default=100,
-        help="fixed-point iteration cap per step (default 100)",
+        default=DEFAULT_CONFIG.max_iter,
+        help="fixed-point iteration cap per step (default %(default)s)",
     )
 
 

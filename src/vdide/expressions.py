@@ -466,7 +466,7 @@ def _define(code, name: str, names: dict):
     return names.pop(name)
 
 
-_X = {"x": ("x", 1, (), False)}  # the variable of a grid loop, as _emit takes it
+_X = {"x": ("x", 1, True, False)}  # the variable of a grid loop, as _emit takes it
 
 
 def grid_loop(tree: Expression):
@@ -509,7 +509,7 @@ def _emit(
     fresh names (_c0, _f1, ...), so the source depends only on the tree's
     shape.  levels are the loop's (prefix, lines) pairs from the outermost
     in.  names maps each variable to what _emit returns for it: its text,
-    its level, an index into levels, () for the abscissa and else None,
+    its level, an index into levels, True for the abscissa and else None,
     and False; and it may give a difference, such as K's "{x} - {t}", the
     level it takes instead.  A line goes to the innermost level of its
     operands, decided bottom-up in this one pass, so a variable-free one to
@@ -529,17 +529,19 @@ def _emit(
       check.  -a is finite exactly when a is, so a checked unary minus
       hands its check to its operand; a leaf gets none, as in evaluate.
     - Proved at the grid's ends.  The abscissa x has points that run
-      monotonically from the first to the last.  chain holds the lines
-      from x up to a node that reaches x once through +, -, *, / (x not in
-      a divisor) and unary minus, each other operand variable-free, with a
-      check after each BinOp; else None.  IEEE rounding is monotone, so
-      each step is monotone in x for a finite other operand; a non-finite x
-      or operand makes a step non-finite or raise, bar a / inf = 0
-      everywhere.  So if each BinOp of the chain is finite at both ends, x
-      is, and every node is finite at each point between.  Each function
-      in FUNCTIONS is finite on an interval, so the same holds for a call
-      on a chain or on x.  A checked node with a chain appends it, and a
-      call its own line and check, to ends, which the loop runs at both
+      monotonically from the first to the last.  chain is where, in its
+      level, the lines start from x up to a node that reaches x once
+      through +, -, *, / (x not in a divisor) and unary minus, each other
+      operand variable-free; else None.  Those other operands' lines go to
+      level 0, so the chain's lines are the rest of its level.  IEEE
+      rounding is monotone, so each step is monotone in x for a finite
+      other operand; a non-finite x or operand makes a step non-finite or
+      raise, bar a / inf = 0 everywhere.  So if each line of the chain is
+      finite at both ends, x is, and every node is finite at each point
+      between.  Each function in FUNCTIONS is finite on an interval, so the
+      same holds for a call on a chain or on x.  A checked node with a
+      chain, or a call on one, appends the chain's lines to ends, its own
+      included, each followed by its check; the loop runs them at both
       ends before its points.  No ancestor of such a node has a chain, so
       no line goes twice.
     """
@@ -557,7 +559,7 @@ def _emit(
         level = level if level > rl else rl
         if op == "-" and source in names:
             level = names[source][1]
-        known = end = None
+        known = None
     elif kind is Var:
         return names[node.name]
     elif kind is Num or kind is Const:
@@ -566,30 +568,27 @@ def _emit(
         return name, 0, None, False
     elif kind is Call:
         hides = node.func in _HIDING_FUNCTIONS
-        arg, level, end, known = _emit(node.arg, levels, bound, names, hides, ends)
+        arg, level, chain, known = _emit(node.arg, levels, bound, names, hides, ends)
         function = f"_f{len(bound)}"
         bound[function] = FUNCTIONS[node.func]
-        source, chain = f"{function}({arg})", None
+        source = f"{function}({arg})"
     else:
         args = levels, bound, names, checked, ends
         operand, level, chain, known = _emit(node.operand, *args)
-        source, checked, end = f"-{operand}", False, None
+        source, checked = f"-{operand}", False
     prefix, lines = levels[level]
     name = f"{prefix}{len(lines)}"
-    line = f"{name} = {source}"
-    lines.append(line)
-    if chain is not None:
-        chain = (*chain, line) if kind is Neg else (*chain, line, _CHECK.format(name))
-        end = None if kind is Neg else chain
-    elif end is not None:
-        end = (*end, line, _CHECK.format(name))
+    if chain is True:  # on x itself: the chain starts at this line
+        chain = len(lines)
+    lines.append(f"{name} = {source}")
     if checked and not known:
-        if end is None:
+        if chain is None:
             lines.append(_CHECK.format(name))
         else:
-            ends.extend(end)
+            for line in lines[chain:]:
+                ends += line, _CHECK.format(line.partition(" ")[0])
         known = True
-    return name, level, chain, known
+    return name, level, None if kind is Call else chain, known
 
 
 # Binding strength used when deciding where unparse needs parentheses.

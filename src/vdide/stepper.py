@@ -41,12 +41,13 @@ oracle.implicit_step stay the stateless reference.  A built problem's g and
 K carry their trees, and its solve runs the tree loop, which writes their
 lines in (expressions._emit), so a step calls no Python function and does
 only what changes per step.  The lines of g and K are written once per
-problem and kept on the problem, and each loop is made once per process: a
-tree loop for each shape and those lines, whatever the trees' numbers and
-the h, and the call-site loop for each shape.  The tree loop makes the same
-float operations in the same order as the call-site loop, which calls g and
-K and runs for a problem of plain callables; if the tree loop raises, the
-call-site loop reruns and raises the reference exception (_step_loop).  phi
+problem and kept on the problem.  The call-site loop, which calls g and K
+and runs for a problem of plain callables, is the step loop of the lines
+_CALLS, two calls.  One maker and one bounded cache, _tree_loop, make each
+step loop once per process, for each shape and lines, whatever the trees'
+numbers and the h.  The tree loop makes the same float operations in the
+same order as the call-site loop; if the tree loop raises, the call-site
+loop reruns and raises the reference exception (_step_loop).  phi
 and exact run in grid loops (expressions.grid_loop), outside the step loop,
 with the same fallback (problem.grid_values), and keep them.
 """
@@ -183,10 +184,11 @@ def _step_loop(
 
     fill runs the tree loop when problem.g and problem.kernel both carry
     their trees, as a built problem's do (registry._slot_function), and
-    the call-site loop otherwise.  If the tree loop raises, traj goes back
-    to its history and the call-site loop raises the reference exception.
-    The loop fill runs first is made here, so a caller can time fill alone;
-    the lines of g and K are kept in problem._loops with their values.
+    the call-site loop, the step loop of _CALLS, otherwise.  If the tree
+    loop raises, traj goes back to its history and the call-site loop
+    raises the reference exception.  Both come from _tree_loop.  The loop
+    fill runs first is made here, so a caller can time fill alone; the
+    lines of g and K are kept in problem._loops with their values.
     """
     h, n, m = grid.h, grid.steps, grid.delay_steps
     rate, literal = problem.kernel_x_rate, FirstStepMode(mode) is FirstStepMode.LITERAL
@@ -198,83 +200,77 @@ def _step_loop(
     )
     functions = (problem.g, problem.kernel)
     trees = [getattr(fn, "tree", None) for fn in functions]
-    tree_loop = None not in trees
-    if tree_loop:
+    if None in trees:
+        lines, values = _CALLS, (*_HELPERS, *functions)
+    else:
         loops = problem._loops
         if not loops:
             loops["written"] = _written(*trees)
-        lines, names = loops["written"]
-        steps = _tree_loop(*shape, lines)
-    else:
-        steps, names = _call_site_loop(*shape)
-        names += functions
+        lines, values = loops["written"]
+    steps = _tree_loop(*shape, lines)
 
     def fill(traj: Trajectory) -> Trajectory:
         u = traj._values
         args = (u, u[0], u[m], *constants)
         try:
-            steps(*args, *names)
+            steps(*args, *values)
         except (NumericalError, *LOOP_FAILURES):
-            if not tree_loop:
+            if lines is _CALLS:
                 raise
             del u[m + 1 :]
-            reference, reference_names = _call_site_loop(*shape)
-            reference(*args, *reference_names, *functions)
+            _tree_loop(*shape, _CALLS)(*args, *_HELPERS, *functions)
         return traj
 
     return fill
 
 
-def _steps(source: str):
-    """The function _steps that source defines, with the exceptions it
-    raises or locates as its globals."""
+@functools.lru_cache(maxsize=256)
+def _tree_loop(literal: bool, recur: bool, implicit: bool, written: tuple):
+    """The function _steps of the step loop of one shape and of written,
+    the lines that _written gives first or _CALLS, made once per process,
+    with the exceptions it raises or locates as its globals.
+
+    The loop takes the values of the names as arguments, so trees of one
+    shape share it, and it refers to no problem."""
     namespace = {
         "_Located": _Located, "NonFiniteState": NonFiniteState,
         "NoConvergence": NoConvergence,
     }
+    source = _loop_source(literal, recur, implicit, written)
     return _define(compile(source, "<vdide step loop>", "exec"), "_steps", namespace)
-
-
-@functools.lru_cache(maxsize=256)
-def _tree_loop(literal: bool, recur: bool, implicit: bool, written: tuple):
-    """_steps of the tree loop of one shape and of written, the names and
-    lines that _written gives first, made once per process.
-
-    The loop takes the values of the names as arguments, so trees of one
-    shape share it, and it refers to no problem."""
-    return _steps(_loop_source(literal, recur, implicit, written))
-
-
-@functools.cache
-def _call_site_loop(literal: bool, recur: bool, implicit: bool) -> tuple:
-    """(_steps, the values of its names) of the call-site loop of one
-    shape, made once per process."""
-    return _steps(_loop_source(literal, recur, implicit)), tuple(_loop_names().values())
 
 
 # The variables of K and of g as _emit takes them: x, t and v per sample,
 # and x - t and t - x on a level of their own; x per abscissa, u per call.
 _XTV = {p: ("{%s}" % p, 2, None, False) for p in "xtv"}
 _XTV |= dict.fromkeys(("{x} - {t}", "{t} - {x}"), (None, 1))
-_XU = {"x": ("{x}", 1, (), False), "u": ("{u}", 2, None, False)}
+_XU = {"x": ("{x}", 1, True, False), "u": ("{u}", 2, None, False)}
+
+# _written's lines for g and K as calls of the last two names: the call-site
+# loop, the step loop of a problem of plain callables, which takes the values
+# _HELPERS and then g and K.
+_K_CALL = "{i}{target} K({x}, {t}, {v})\n"
+_CALLS = ((*_loop_names(), "g", "K"), "", "", "", _K_CALL, _K_CALL, "", "g({x}, {u})")
+_HELPERS = tuple(_loop_names().values())
 
 
 def _written(g_tree: Expression, k_tree: Expression) -> tuple:
-    """((names, once, ends, k_lines, k_out, kd_lines, kd_out, g_lines, g_out,
-    free_lines), values) of the trees g and K, for every shape of _loop_source.
+    """((names, once, ends, free, k_site, kd_site, g_lines, g_out), values)
+    of the trees g and K, for every shape of _loop_source.
 
-    Each *_lines is a template of lines (expressions._emit) that a call
-    site fills in with {i}, its indent, and its arguments, and k_out, kd_out
-    and g_out name the values of K, of K on the diagonal t = x, and of g.
-    free_lines are g's parts without u at an abscissa {x}, ends their checks
-    proved at the grid's ends, and once the variable-free parts of all
-    three.  K's parts that reach x and t only through x - t or t - x are
-    lines of their own, _d, which K's lines run at every sample.  At every
+    Each template is filled in with {i}, its indent, and the arguments of
+    a call site.  k_site is a K call site: K's lines, then the line
+    "{i}{target} <K's value>" for a target such as "s2 +=", and kd_site
+    the same on the diagonal t = x; g_lines are g's lines and g_out its
+    value.  _CALLS has the same form.  free are g's parts without u at an
+    abscissa {x}, ends their checks proved at the grid's ends, and once the
+    variable-free parts of all three.  K's parts that reach x and t only through x - t or t - x are
+    lines of their own, _d, which k_site runs at every sample.  At every
     finite x, x - x is +0.0 (an x_j overflows only for an h whose h*h does,
     which fails step 0 anyway), so on the diagonal those parts take the same
-    bits at every sample: once runs them, as _l, at x = t = x_0, and the
-    diagonal lines are the rest (the lag-0 fold).  names are the further
-    names the lines take, and values their values.
+    bits at every sample: once runs them, as _l, at x = t = x_0, and
+    kd_site the rest (the lag-0 fold).  names are the further names the
+    lines take, and values their values.
     """
     names, once, ends, lag, k, g, free = _loop_names(), [], [], [], [], [], []
     k_out = _emit(k_tree, [("_o", once), ("_d", lag), ("_v", k)], names, _XTV)[0]
@@ -284,15 +280,13 @@ def _written(g_tree: Expression, k_tree: Expression) -> tuple:
         "{i}" + "\n{i}".join(body) + "\n" if body else ""
         for body in (once, ends, lag, k, g, free)
     )
+    site = f"{k}{{i}}{{target}} {k_out}\n"
     once += lag.replace("_d", "_l")
-    kd, kd_out = k.replace("_d", "_l"), k_out.replace("_d", "_l")
-    lines = (tuple(names), once, ends, lag + k, k_out, kd, kd_out, g, g_out, free)
-    return lines, tuple(names.values())
+    k_sites = lag + site, site.replace("_d", "_l")
+    return (tuple(names), once, ends, free, *k_sites, g, g_out), tuple(names.values())
 
 
-def _loop_source(
-    literal: bool, recur: bool, implicit: bool, written: tuple | None = None
-) -> str:
+def _loop_source(literal: bool, recur: bool, implicit: bool, written: tuple) -> str:
     """The source of a step loop.
 
     _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2,
@@ -316,35 +310,30 @@ def _loop_source(
     samples at x_0 taken before the loop included, leaves with step_index
     j and x x_j.
 
-    Without written, every call site calls g or K, the last two parameters.
-    With written, the lines of _written(g_tree, k_tree), every call site is
-    the expression's own lines, and the loop does per point only what
-    changes per point.  Before its first step it runs the variable-free
-    lines, and the checks of g's parts without u at x_0 and x_N: x0 + j h
-    runs monotonically for finite h, and an infinite h makes x_0 nan, which
+    written is _CALLS, whose call sites call g and K, the last two names,
+    or the lines of _written(g_tree, k_tree), whose call sites are the
+    expressions' own lines, so the loop does per point only what changes
+    per point.  Before its first step it runs the variable-free lines, and
+    the checks of g's parts without u at x_0 and x_N: x0 + j h runs
+    monotonically for finite h, and an infinite h makes x_0 nan, which
     they reject.  Those parts are evaluated once per grid point, at x_0
     and at each x_{j+1} after M1, and every diagonal sample K(x, x, v),
     LITERAL's first k_start and each k_diag, runs the diagonal lines.  A
     part evaluated early fails only where every solve fails, and the
-    call-site loop reruns to raise the reference exception.
+    loop of two calls reruns to raise the reference exception.
     The generated lines' isfinite checks stay and raise _NonFinite, but for
     those on the values of g and K: such a value reaches M1, M2 or u_{j+1}
     of the same step through + and * only, and the closure's check stops
     it there.  Numbers, constants and functions are names, so the source
     depends only on the trees' shapes and the three branches.
     """
-    tail, k_call = "" if written else ", g, K", "K({x}, {t}, {v})"
-    names, once, ends, k_lines, k_out, kd_lines, kd_out, g_lines, g_out, free_lines = (
-        written
-        or (tuple(_loop_names()), "", "", "", k_call, "", k_call, "", "g({x}, {u})", "")
-    )
+    names, once, ends, free_lines, k_site, kd_site, g_lines, g_out = written
 
     def K(i, target, x, t, v):
         """The lines of target = K(x, t, v), or of s2 += K(x, t, v); on
         the diagonal, t = x, the diagonal lines."""
-        lines, out = (kd_lines, kd_out) if t == x else (k_lines, k_out)
-        lines = lines.format(i=i, x=x, t=t, v=v)
-        return f"{lines}{i}{target} {out.format(x=x, t=t, v=v)}\n"
+        site = kd_site if t == x else k_site
+        return site.format(i=i, target=target, x=x, t=t, v=v)
 
     def g(i, x, u):
         """(lines, value) of g(x, u)."""
@@ -374,7 +363,7 @@ def _loop_source(
     a, b, c, d, e = (" " * k for k in (4, 8, 12, 16, 20))
     src = (
         "def _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2, "
-        f"quarter_h2, tol, max_iter, {', '.join(names)}{tail}):\n"
+        f"quarter_h2, tol, max_iter, {', '.join(names)}):\n"
         f"{a}x_j = x_start\n"
         f"{a}append = u.append\n"
         f"{a}s2 = 0.0\n"

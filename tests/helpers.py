@@ -464,11 +464,15 @@ def solve_outcome(run):
 
 
 class TreeLoopRaised(Exception):
-    """Raised in place of running the call-site loop after the tree loop."""
+    """Raised in place of making the call-site loop after the tree loop."""
 
 
-def _no_call_sites(*shape):
-    raise TreeLoopRaised
+def _tree_loops_only(*shape_and_written, tree_loop=stepper._tree_loop):
+    """stepper._tree_loop, but raising TreeLoopRaised for the call-site loop,
+    the step loop of stepper._CALLS."""
+    if shape_and_written[-1] is stepper._CALLS:
+        raise TreeLoopRaised
+    return tree_loop(*shape_and_written)
 
 
 def tree_loop_ends_as_walking(run, problem, g, K, *args):
@@ -479,7 +483,7 @@ def tree_loop_ends_as_walking(run, problem, g, K, *args):
     would hide a tree loop that raises."""
     assert problem.g.tree is g and problem.kernel.tree is K
     want = solve_outcome(lambda: run(walking(problem, g, K), *args))
-    with mock.patch.object(stepper, "_call_site_loop", _no_call_sites):
+    with mock.patch.object(stepper, "_tree_loop", _tree_loops_only):
         try:
             got = solve_outcome(lambda: run(problem, *args))
         except TreeLoopRaised:

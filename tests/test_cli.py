@@ -1094,8 +1094,8 @@ def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
     argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
     generated = []
 
-    def spy(literal, recur, implicit, written=None):
-        if written is not None:
+    def spy(literal, recur, implicit, written):
+        if written is not stepper._CALLS:
             generated.append(written)
         return loop_source(literal, recur, implicit, written)
 

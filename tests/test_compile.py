@@ -187,7 +187,7 @@ def test_g_is_split_in_one_pass_without_asking_for_variables(monkeypatch):
         split: list[str] = []
         body: list[str] = []
         levels = [("_o", once), ("_s", split), ("_v", body)]
-        xu = {"x": ("{x}", 1, (), False), "u": ("{u}", 2, None, False)}
+        xu = {"x": ("{x}", 1, True, False), "u": ("{u}", 2, None, False)}
         expressions._emit(g, levels, {}, xu, False, [])
         # once holds no variable and split no u; every line of body needs u,
         # directly or not
@@ -492,12 +492,14 @@ def test_trees_of_one_shape_compile_once_and_keep_their_own_values(
     # (helpers.tree_loop_ends_as_walking): once walked and twice with g and
     # K written in.  The walked problem shares phi, so each problem makes
     # its constant phi's grid loop once: 12 lookups of one source, one
-    # compile.  The 24 tree-loop solves run one loop, made once
+    # compile.  The 12 walked solves run the call-site loop and the 24
+    # tree-loop solves one tree loop, each made once; the 6 that fail
+    # unpatched rerun in the kept call-site loop: 42 lookups, 2 loops
     for x, u in ONE_SHAPE_INPUTS:
         for text in ONE_SHAPE:
             assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
     assert code_cache.cache_info()[:2] == (11, 1)  # hits, misses
-    assert tree_loops.cache_info()[:2] == (23, 1)
+    assert tree_loops.cache_info()[:2] == (40, 2)
 
 
 def test_a_domain_error_names_its_own_trees_text(code_cache, tree_loops):
@@ -506,7 +508,8 @@ def test_a_domain_error_names_its_own_trees_text(code_cache, tree_loops):
         failure = assert_one_step_solves_like_walking(parse(text), {"x": 0.25, "u": 1.0})
         assert failure[1] is DomainError
         assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
-    assert (code_cache.cache_info()[1], tree_loops.cache_info()[1]) == (1, 1)
+    # one tree loop and one call-site loop
+    assert (code_cache.cache_info()[1], tree_loops.cache_info()[1]) == (1, 2)
 
 
 def test_the_code_cache_stays_within_its_bound(code_cache):
@@ -692,7 +695,8 @@ def test_a_sweep_op_makes_phis_and_exacts_grid_loops_once(monkeypatch):
 def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(tree_loops, mode):
     # three problems of one shape, each solved twice at three h by both
     # closures: every solve ends as the walked solve ends, bit for bit, in
-    # the two loops the first problem's first solves made
+    # the two tree loops the first problem's first solves made, and the
+    # walked solves in the two call-site loops theirs made
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     for a, c in literals:
         problem = parse_config_text(sweep_text(0.5, 3, a, c)).build()
@@ -703,7 +707,7 @@ def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(tree_loops, mode
                 want = solve_outcome(lambda: run(walked, grid, mode))
                 assert want[0] == "values"
                 assert solve_outcome(lambda: run(problem, grid, mode)) == want
-    assert tree_loops.cache_info()[:2] == (3 * 6 * 2 - 2, 2)
+    assert tree_loops.cache_info()[:2] == (3 * 6 * 2 * 2 - 4, 4)
 
 
 KEPT_TEXT = (
@@ -772,20 +776,34 @@ def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
 
 
 def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
-    code_cache,
+    code_cache, tree_loops
 ):
     # a walked problem's solves run their call-site loops: one per closure,
-    # built on its first solve and kept.  The code cache sees only phi's
-    # grid loop, which the first solve makes and phi keeps
+    # built on its first solve and kept with the tree loops.  The code cache
+    # sees only phi's grid loop, which the first solve makes and phi keeps
     problem = parse_config_text(sweep_text(0.5, 3)).build()
     walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
-    stepper._call_site_loop.cache_clear()
-    try:
-        shared = [run(walked, grid).values for run in (solve, solve_implicit) * 2]
-        assert stepper._call_site_loop.cache_info()[:2] == (2, 2)  # hits, misses
-    finally:
-        stepper._call_site_loop.cache_clear()
+    shared = [run(walked, grid).values for run in (solve, solve_implicit) * 2]
+    assert tree_loops.cache_info()[:2] == (2, 2)  # hits, misses
     assert code_cache.cache_info()[:2] == (0, 1)
     assert shared[:2] == shared[2:]
     assert shared == [run(problem, grid).values for run in (solve, solve_implicit) * 2]
+
+
+def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made(
+    tree_loops,
+):
+    # one cache keeps every step loop: a walked solve makes the call-site
+    # loop of its shape, and a built solve of that shape adds its tree loop,
+    # which fails at x_0 = 0, and reruns in the kept call-site loop
+    problem = parse_config_text(
+        "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+    ).build()
+    walked = walking(problem, problem.g.tree, problem.kernel.tree)
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    want = solve_outcome(lambda: solve(walked, grid))
+    assert want[0] == "error" and want[1] is DomainError
+    assert tree_loops.cache_info()[:2] == (0, 1)  # hits, misses
+    assert solve_outcome(lambda: solve(problem, grid)) == want
+    assert tree_loops.cache_info()[:2] == (1, 2)
