@@ -14,6 +14,10 @@ Variables are limited to x, t, u, and v; e and pi are constants; the callable
 names are exp, log, sin, cos, sinh, cosh, tanh, sqrt, and abs, all unary.
 Unknown names are rejected with UnknownVariable or UnknownFunction rather
 than a generic syntax error, since a typo in a name is the common mistake.
+A number too large to be finite, such as 1e999, is a syntax error.
+
+Trees also run as generated loops (_emit), grid loops (grid_loop) and the
+step loops of stepper, each made once per shape by one maker, _loop_of.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Mapping, Union
 
-from .errors import VdideError, _Located
+from .errors import NoConvergence, NonFiniteState, VdideError, _Located
 
 
 class ExpressionError(VdideError):
@@ -200,7 +204,9 @@ class _Parser:
     def _atom(self) -> Expression:
         kind, text, offset = self._advance()
         if kind == "number":
-            return Num(float(text))
+            if isfinite(value := float(text)):
+                return Num(value)
+            raise ExpressionSyntaxError(f"number {text!r} is too large", offset)
         if kind == "op" and text == "(":
             node = self._expr()
             self._expect_closing_paren()
@@ -416,7 +422,7 @@ class _NonFinite(Exception):
     """A generated loop met a value its checks reject."""
 
 
-def _fail():  # a check in a list comprehension (_code)
+def _fail():  # a check in a grid loop's list comprehension (_grid_source)
     raise _NonFinite
 
 
@@ -433,9 +439,22 @@ def _loop_names() -> dict:
 
 
 @functools.lru_cache(maxsize=256)
-def _code(value: str, once: tuple, point: tuple, ends: tuple):
-    """CPython's compile of the grid loop (grid_loop) of value and the
-    lines _emit wrote, made once per shape."""
+def _loop_of(source, *key):
+    """The function _loop that the text source(*key) defines, made once per
+    process for each source and key: every grid loop (_grid_source) and
+    step loop (stepper._loop_source).  A loop takes the values of its names,
+    a tree's literals among them, as arguments, so trees of one shape share
+    it.  Its globals are _fail and the exceptions a step loop raises or
+    locates, from which it is popped, so neither refers to the other."""
+    namespace = {"_fail": _fail, "_Located": _Located,
+                 "NonFiniteState": NonFiniteState, "NoConvergence": NoConvergence}
+    exec(compile(source(*key), "<vdide loop>", "exec"), namespace)
+    return namespace.pop("_loop")
+
+
+def _grid_source(names: tuple, value: str, once: tuple, point: tuple, ends: tuple):
+    """The source of the grid loop (grid_loop) of value and the lines _emit
+    wrote, which takes the values of names first."""
     if point and point[-1].startswith(value + " = "):  # the value, unchecked
         value, point = point[-1].partition(" = ")[2], point[:-1]
     clauses = "".join(
@@ -454,16 +473,7 @@ def _code(value: str, once: tuple, point: tuple, ends: tuple):
         once += tuple("    " + line for line in ends)
     head = "".join(f"    {line}\n" for line in once)
     body = f"    return [{value} for j in range(first, last + 1){clauses}]\n"
-    source = f"def _loop(first, last, x0, h):\n{head}{body}"
-    return compile(source, "<vdide expression>", "exec")
-
-
-def _define(code, name: str, names: dict):
-    """The function called name that code defines, with names as its
-    globals; popped, so the function and its globals do not refer to each
-    other."""
-    exec(code, names)
-    return names.pop(name)
+    return f"def _loop({', '.join(names)}, first, last, x0, h):\n{head}{body}"
 
 
 _X = {"x": ("x", 1, True, False)}  # the variable of a grid loop, as _emit takes it
@@ -482,13 +492,13 @@ def grid_loop(tree: Expression):
     nan h fails.  The points run in one list comprehension, a clause a
     line, "for _v3 in (expr,)", which CPython runs as an assignment, or
     "if _isfinite(_v3) or _fail()", so the source never nests; x0 + j h
-    goes straight into x's use if there is one.  CPython compiles it once
-    per shape (_code), and problem.grid_values keeps the loop.
+    goes straight into x's use if there is one.  loop binds tree's values
+    to the loop of its shape (_loop_of), and problem.grid_values keeps it.
     """
     names, once, point, ends = _loop_names(), [], [], []
     value = _emit(tree, [("_o", once), ("_v", point)], names, _X, True, ends)[0]
-    names["_fail"] = _fail
-    return _define(_code(value, tuple(once), tuple(point), tuple(ends)), "_loop", names)
+    key = tuple(names), value, tuple(once), tuple(point), tuple(ends)
+    return functools.partial(_loop_of(_grid_source, *key), *names.values())
 
 
 def _emit(

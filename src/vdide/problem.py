@@ -261,9 +261,9 @@ def grid_values(
 
     A function that carries its tree, as a built problem's slot functions
     do (registry._slot_function), runs its grid loop (grid_loop), on float
-    x0 and h, so its values are floats on an integer grid too.  The loop is
-    made on the first use and kept on fn as fn.loop, for every grid and
-    index range after it.  If the loop fails, or fn is a plain callable, fn
+    x0 and h, so its values are floats on an integer grid too: its tree's
+    values bound to the loop of its shape, kept on fn as fn.loop from the
+    first use on.  If the loop fails, or fn is a plain callable, fn
     is called at every point in order, its values go through float(), and a
     DomainError leaves stamped with slot and the x it failed at.  Only this
     and stepper._step_loop read a slot function's tree.

@@ -73,8 +73,8 @@ def _slot_function(tree, slot):
     and exact stamp a DomainError with their slot and x.  Loops over many
     points write tree in instead: a solve whose g and K both carry theirs
     runs its tree loop (stepper._step_loop), and phi and exact run their
-    grid loops (problem.grid_values), which the function keeps as .loop
-    beside .tree from its first use.  Neither refers back to the function.
+    grid loops (problem.grid_values), tree's values bound to the loop of its
+    shape, kept as .loop beside .tree.  Neither refers to the function.
     """
     if slot == "g":
 

@@ -43,23 +43,23 @@ lines in (expressions._emit), so a step calls no Python function and does
 only what changes per step.  The lines of g and K are written once per
 problem and kept on the problem.  The call-site loop, which calls g and K
 and runs for a problem of plain callables, is the step loop of the lines
-_CALLS, two calls.  One maker and one bounded cache, _tree_loop, make each
-step loop once per process, for each shape and lines, whatever the trees'
-numbers and the h.  The tree loop makes the same float operations in the
+_CALLS, two calls.  The tree loop makes the same float operations in the
 same order as the call-site loop; if the tree loop raises, the call-site
-loop reruns and raises the reference exception (_step_loop).  phi
-and exact run in grid loops (expressions.grid_loop), outside the step loop,
-with the same fallback (problem.grid_values), and keep them.
+loop reruns and raises the reference exception (_step_loop).  phi and exact
+run in grid loops (expressions.grid_loop), outside the step loop, with the
+same fallback (problem.grid_values), and keep them.  One maker and one
+bounded cache, expressions._loop_of, make every step loop and grid loop
+once per process, for each shape and lines, whatever the trees' numbers
+and the h.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
-from .errors import NoConvergence, NonFiniteState, NumericalError, _Located
-from .expressions import LOOP_FAILURES, Expression, _define, _emit, _loop_names
+from .errors import NonFiniteState, NumericalError
+from .expressions import LOOP_FAILURES, Expression, _emit, _loop_names, _loop_of
 from .problem import (
     DelayProblem,
     FirstStepMode,
@@ -186,9 +186,9 @@ def _step_loop(
     their trees, as a built problem's do (registry._slot_function), and
     the call-site loop, the step loop of _CALLS, otherwise.  If the tree
     loop raises, traj goes back to its history and the call-site loop
-    raises the reference exception.  Both come from _tree_loop.  The loop
-    fill runs first is made here, so a caller can time fill alone; the
-    lines of g and K are kept in problem._loops with their values.
+    raises the reference exception.  Both come from expressions._loop_of.
+    The loop fill runs first is made here, so a caller can time fill alone;
+    the lines of g and K are kept in problem._loops with their values.
     """
     h, n, m = grid.h, grid.steps, grid.delay_steps
     rate, literal = problem.kernel_x_rate, FirstStepMode(mode) is FirstStepMode.LITERAL
@@ -207,7 +207,7 @@ def _step_loop(
         if not loops:
             loops["written"] = _written(*trees)
         lines, values = loops["written"]
-    steps = _tree_loop(*shape, lines)
+    steps = _loop_of(_loop_source, *shape, lines)
 
     def fill(traj: Trajectory) -> Trajectory:
         u = traj._values
@@ -218,26 +218,10 @@ def _step_loop(
             if lines is _CALLS:
                 raise
             del u[m + 1 :]
-            _tree_loop(*shape, _CALLS)(*args, *_HELPERS, *functions)
+            _loop_of(_loop_source, *shape, _CALLS)(*args, *_HELPERS, *functions)
         return traj
 
     return fill
-
-
-@functools.lru_cache(maxsize=256)
-def _tree_loop(literal: bool, recur: bool, implicit: bool, written: tuple):
-    """The function _steps of the step loop of one shape and of written,
-    the lines that _written gives first or _CALLS, made once per process,
-    with the exceptions it raises or locates as its globals.
-
-    The loop takes the values of the names as arguments, so trees of one
-    shape share it, and it refers to no problem."""
-    namespace = {
-        "_Located": _Located, "NonFiniteState": NonFiniteState,
-        "NoConvergence": NoConvergence,
-    }
-    source = _loop_source(literal, recur, implicit, written)
-    return _define(compile(source, "<vdide step loop>", "exec"), "_steps", namespace)
 
 
 # The variables of K and of g as _emit takes them: x, t and v per sample,
@@ -289,7 +273,7 @@ def _written(g_tree: Expression, k_tree: Expression) -> tuple:
 def _loop_source(literal: bool, recur: bool, implicit: bool, written: tuple) -> str:
     """The source of a step loop.
 
-    _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2,
+    _loop(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2,
     quarter_h2, tol, max_iter, *names) fills u, the Trajectory's list, from
     u_0 on.  literal is the first-step mode, recur the row path of a
     kernel_x_rate and implicit the closure: the oracle's iteration to tol in
@@ -362,7 +346,7 @@ def _loop_source(literal: bool, recur: bool, implicit: bool, written: tuple) -> 
 
     a, b, c, d, e = (" " * k for k in (4, 8, 12, 16, 20))
     src = (
-        "def _steps(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2, "
+        "def _loop(u, u_oldest, u_j, n, x0, h, x_start, rho, half_h, half_h2, "
         f"quarter_h2, tol, max_iter, {', '.join(names)}):\n"
         f"{a}x_j = x_start\n"
         f"{a}append = u.append\n"
@@ -377,10 +361,7 @@ def _loop_source(literal: bool, recur: bool, implicit: bool, written: tuple) -> 
     # the same sample at j = 0
     if literal:
         src += K(b, "k_start =", "x_start", "x_start", "u_oldest")
-        if recur:
-            src += f"{b}k_diag = k_start\n"
-        else:
-            src += K(b, "k_diag =", "x_start", "x_start", "u_oldest")
+        src += f"{b}k_diag = k_start\n"
     src += free_lines.format(i=b, x="x_j")
     src += (
         f"{b}for j in range(n):\n"

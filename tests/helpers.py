@@ -12,7 +12,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from vdide import DelayProblem, registry, stepper
+from vdide import DelayProblem, expressions, registry, stepper
 from vdide.errors import VdideError
 from vdide.expressions import (
     CONSTANTS,
@@ -163,6 +163,9 @@ EVAL_CASES = [
     ("-exp(x)*sinh(x) + u", {"x": 0.0, "u": 1.0}, 1.0),
     ("v^2", {"v": 3.0}, 9.0),
     ("exp(x + 1)", {"x": 0.0}, math.e),
+    # the largest decimal exponent that stays finite, and one that rounds to 0
+    ("1e308", {}, 1e308),
+    ("1e-999", {}, 0.0),
 ]
 
 # Valid expressions exercised for parse/unparse round trips only.
@@ -213,6 +216,8 @@ PARSE_ERROR_CASES = [
     ("2 .", ExpressionSyntaxError),
     ("1e", ExpressionSyntaxError),
     ("exp (x) ~", ExpressionSyntaxError),
+    ("1e999", ExpressionSyntaxError),
+    ("2*1e400", ExpressionSyntaxError),
 ]
 
 _KNOWN_NAMES = "variables are x, t, u, v and constants e, pi"
@@ -246,6 +251,8 @@ PARSE_ERROR_MESSAGES = {
     "2 .": "unexpected character '.' (at offset 2)",
     "1e": f"{_OPERATOR}, found 'e' (at offset 1)",
     "exp (x) ~": "unexpected character '~' (at offset 8)",
+    "1e999": "number '1e999' is too large (at offset 0)",
+    "2*1e400": "number '1e400' is too large (at offset 2)",
 }
 
 # (text, the same expression without unusual whitespace) pairs: tab,
@@ -467,12 +474,12 @@ class TreeLoopRaised(Exception):
     """Raised in place of making the call-site loop after the tree loop."""
 
 
-def _tree_loops_only(*shape_and_written, tree_loop=stepper._tree_loop):
-    """stepper._tree_loop, but raising TreeLoopRaised for the call-site loop,
-    the step loop of stepper._CALLS."""
-    if shape_and_written[-1] is stepper._CALLS:
+def _tree_loops_only(source, *key):
+    """expressions._loop_of, but raising TreeLoopRaised for the call-site
+    loop, the step loop of stepper._CALLS."""
+    if key[-1] is stepper._CALLS:
         raise TreeLoopRaised
-    return tree_loop(*shape_and_written)
+    return expressions._loop_of(source, *key)
 
 
 def tree_loop_ends_as_walking(run, problem, g, K, *args):
@@ -483,7 +490,7 @@ def tree_loop_ends_as_walking(run, problem, g, K, *args):
     would hide a tree loop that raises."""
     assert problem.g.tree is g and problem.kernel.tree is K
     want = solve_outcome(lambda: run(walking(problem, g, K), *args))
-    with mock.patch.object(stepper, "_tree_loop", _tree_loops_only):
+    with mock.patch.object(stepper, "_loop_of", _tree_loops_only):
         try:
             got = solve_outcome(lambda: run(problem, *args))
         except TreeLoopRaised:

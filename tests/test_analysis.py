@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from vdide import analysis, expressions
+from vdide import analysis
 from vdide import (
     DelayProblem,
     FirstStepMode,
@@ -113,11 +113,10 @@ class TestErrorTable:
 
     @pytest.mark.parametrize("h", [0.1, 0.005])
     def test_timed_solve_compiles_before_its_clock_starts(
-        self, monkeypatch, tree_loops, h
+        self, monkeypatch, loop_cache, h
     ):
-        # from cleared caches a solve compiles phi's grid loop and its step
+        # from a cleared cache a solve compiles phi's grid loop and its step
         # loop, the tree loop at every h; the clock reads the solve alone
-        expressions._code.cache_clear()
         events = []
         compile_ = builtins.compile
 

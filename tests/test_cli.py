@@ -707,6 +707,10 @@ FAILING_CONFIGS = {
     "bad_name": "name = bad\ng = u\nK = w^2\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
     "bad_syntax": "name = bad\ng = u +\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
     "bad_call": "name = bad\ng = foo(u)\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
+    "inf_exact": (
+        "name = infexact\ng = u\nK = 0\nphi = exp(x)\nexact = 1e999\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
+    ),
     "sum988": (
         f"name = sum988\ng = {' + '.join(['u'] * 988)}\nK = v\nphi = exp(x)\n"
         "exact = exp(x)\ntau = 1\nx0 = 0\nX = 1\n"
@@ -891,6 +895,11 @@ FAILURES = [
         "unknown function 'foo'; available: abs, cos, cosh, exp, log, sin, "
         "sinh, sqrt, tanh (at offset 0)",
         id="UnknownFunction",
+    ),
+    row(
+        "table --problem {inf_exact} --h 0.1", 2,
+        "number '1e999' is too large (at offset 0)",
+        id="ExpressionSyntaxError-infinite-number",
     ),
     row(
         "order --problem {exactcase} --h 0.25,0.125 --first-step corrected", 2,
@@ -1084,7 +1093,7 @@ def write_failing_configs(tmp_path):
     ],
 )
 def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
-    capsys, tmp_path, monkeypatch, tree_loops, name, h, mode
+    capsys, tmp_path, monkeypatch, loop_cache, name, h, mode
 ):
     # the built problem's solve runs its tree loop, made for it from the
     # emptied cache, which fails and hands over to the call-site loop; the

@@ -26,6 +26,7 @@ from helpers import (
     EVAL_CASES,
     HIDDEN_OVERFLOWS,
     PARAMS,
+    packed,
     solve_outcome,
     tree_loop_ends_as_walking,
     trees,
@@ -204,7 +205,7 @@ def test_no_tree_text_reaches_the_source():
     # g of one shape write one step loop
     loop = grid_loop(parse("2*x + 3.5"))
     assert loop(0, 0, 1.0, -0.0) == [5.5]
-    assert not any(isinstance(c, float) for c in loop.__code__.co_consts)
+    assert not any(isinstance(c, float) for c in loop.func.__code__.co_consts)
     K = parse("v")
     sources = {
         stepper._loop_source(True, False, False, stepper._written(parse(g), K)[0])
@@ -212,6 +213,18 @@ def test_no_tree_text_reaches_the_source():
     }
     assert len(sources) == 1
     assert "3.5" not in sources.pop()
+
+
+def test_phis_of_one_shape_share_one_grid_loop_with_their_own_values():
+    # the grid loop of each tree is the one loop of their shape with the
+    # tree's own numbers and functions bound, and gives evaluate's values
+    trees = [parse(text) for text in ("sin(3*x) + 0.5", "cos(0.2651*x) + 1")]
+    loops = [grid_loop(tree) for tree in trees]
+    assert loops[0].func is loops[1].func
+    assert loops[0].args != loops[1].args
+    for tree, loop in zip(trees, loops):
+        want = [evaluate(tree, {"x": 0.25 + j * 0.125}) for j in range(-3, 9)]
+        assert packed(loop(-3, 8, 0.25, 0.125)) == packed(want)
 
 
 # A node that can hide a non-finite operand, over an operand that can
@@ -303,7 +316,7 @@ def test_a_dropped_problem_leaves_no_reference_cycles(g, hs):
 
 
 @pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
-def test_single_calls_walk_and_generate_nothing(code_cache, slot):
+def test_single_calls_walk_and_generate_nothing(loop_cache, slot):
     # only loops generate code: a single call walks, however many there are
     problem = parse_config_text(
         "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
@@ -313,7 +326,7 @@ def test_single_calls_walk_and_generate_nothing(code_cache, slot):
     args = {"g": (0.5, 2.0), "kernel": (0.5, 0.25, 2.0)}.get(slot, (0.5,))
     for _ in range(1280):
         fn(*args)
-    assert code_cache.cache_info()[:2] == (0, 0)  # hits, misses
+    assert loop_cache.cache_info()[:2] == (0, 0)  # hits, misses
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
@@ -462,20 +475,12 @@ def test_built_commands_print_what_walking_commands_print(capsys, monkeypatch, a
     commands_print_what_walking_commands_print(capsys, monkeypatch, argv.split())
 
 
-# CPython compiles each generated source once per process: the source names
-# numbers, constants and functions only through generated globals, so trees
-# of one shape share one code object.  A grid loop binds its tree's values
-# as globals, so each slot function keeps its own (problem.grid_values); a
-# tree step loop takes them as arguments, so trees of one shape share the
-# loop itself (stepper._tree_loop).
-
-
-@pytest.fixture
-def code_cache():
-    """The compile cache of grid loops, emptied, so its counters start
-    from zero."""
-    expressions._code.cache_clear()
-    return expressions._code
+# One maker makes each generated loop once per process (expressions._loop_of,
+# emptied by the loop_cache fixture): the source names numbers, constants
+# and functions only through generated names, and a grid loop or a step loop
+# takes their values as arguments, so trees of one shape share the loop
+# itself.  A slot function keeps its grid loop with its tree's values bound
+# (problem.grid_values).
 
 
 # One shape: neither log nor sqrt can hide a non-finite argument, so their
@@ -485,59 +490,48 @@ ONE_SHAPE = ["log(x - 0.5)*u + 2", "sqrt(x - 1.5)*u + 0.25", "log(x - 2.5)*u + 4
 ONE_SHAPE_INPUTS = [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]
 
 
-def test_trees_of_one_shape_compile_once_and_keep_their_own_values(
-    code_cache, tree_loops
-):
+def test_trees_of_one_shape_compile_once_and_keep_their_own_values(loop_cache):
     # twelve one-step problems, each solved three times
     # (helpers.tree_loop_ends_as_walking): once walked and twice with g and
     # K written in.  The walked problem shares phi, so each problem makes
-    # its constant phi's grid loop once: 12 lookups of one source, one
-    # compile.  The 12 walked solves run the call-site loop and the 24
-    # tree-loop solves one tree loop, each made once; the 6 that fail
-    # unpatched rerun in the kept call-site loop: 42 lookups, 2 loops
+    # its constant phi's grid loop once: 12 lookups of one loop.  The 12
+    # walked solves run the call-site loop and the 24 tree-loop solves one
+    # tree loop, each made once; the 6 that fail unpatched rerun in the kept
+    # call-site loop: 42 lookups, 2 loops
     for x, u in ONE_SHAPE_INPUTS:
         for text in ONE_SHAPE:
             assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
-    assert code_cache.cache_info()[:2] == (11, 1)  # hits, misses
-    assert tree_loops.cache_info()[:2] == (40, 2)
+    assert loop_cache.cache_info()[:2] == (51, 3)  # hits, misses
 
 
-def test_a_domain_error_names_its_own_trees_text(code_cache, tree_loops):
+def test_a_domain_error_names_its_own_trees_text(loop_cache):
     for text in ONE_SHAPE:
         call = unparse(parse(text).left.left)
         failure = assert_one_step_solves_like_walking(parse(text), {"x": 0.25, "u": 1.0})
         assert failure[1] is DomainError
         assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
-    # one tree loop and one call-site loop
-    assert (code_cache.cache_info()[1], tree_loops.cache_info()[1]) == (1, 2)
+    # phi's grid loop, one tree loop and one call-site loop
+    assert loop_cache.cache_info().misses == 3
 
 
-def test_the_code_cache_stays_within_its_bound(code_cache):
-    # each i spells a different sequence of five operators, so a new shape
-    bound = code_cache.cache_info().maxsize
-    for i in range(bound + 20):
-        ops = ["+-*/"[(i >> (2 * k)) & 3] for k in range(5)]
-        grid_loop(parse("x" + "".join(f" {op} x" for op in ops)))
-    info = code_cache.cache_info()
-    assert (info.misses, info.currsize) == (bound + 20, bound)
-
-
-def test_the_tree_loop_cache_stays_within_its_bound(tree_loops):
-    # as above, a new shape of g for each i, so a new loop
-    bound = tree_loops.cache_info().maxsize
-    assert bound == expressions._code.cache_info().maxsize == 256
+def test_the_loop_cache_stays_within_its_bound(loop_cache):
+    # each i spells a different sequence of five operators, so a new shape:
+    # of phi, a grid loop, for even i, and of g, a step loop, for odd i
+    bound = loop_cache.cache_info().maxsize
+    assert bound == 256
     K = parse("v")
     for i in range(bound + 20):
         ops = ["+-*/"[(i >> (2 * k)) & 3] for k in range(5)]
-        g = parse("u" + "".join(f" {op} u" for op in ops))
-        tree_loops(True, False, False, stepper._written(g, K)[0])
-    info = tree_loops.cache_info()
+        if i % 2:
+            written = stepper._written(parse("u" + "".join(f" {op} u" for op in ops)), K)
+            loop_cache(stepper._loop_source, True, False, False, written[0])
+        else:
+            grid_loop(parse("x" + "".join(f" {op} x" for op in ops)))
+    info = loop_cache.cache_info()
     assert (info.misses, info.currsize) == (bound + 20, bound)
 
 
-def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
-    code_cache, tree_loops
-):
+def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(loop_cache):
     refs = []
 
     def build_and_run_loops(a):
@@ -560,15 +554,12 @@ def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(
         gc.enable()
     # the cached loops keep no problem or slot function alive
     assert [ref() for ref in refs] == [None] * len(refs)
-    # four problems: eight grid loops of one source, as phi = exp(a*x) and
+    # four problems: eight grid loops of one shape, as phi = exp(a*x) and
     # exact = exp(a*x) share it, and four runs of one step loop
-    assert code_cache.cache_info()[:2] == (7, 1)
-    assert tree_loops.cache_info()[:2] == (3, 1)
+    assert loop_cache.cache_info()[:2] == (10, 2)
 
 
-def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
-    code_cache, tree_loops
-):
+def test_solves_sharing_cached_code_match_solves_that_compile_afresh(loop_cache):
     # three problems of one shape, at h = tau/80: each problem's solve and
     # oracle run one generated loop shape each, and each problem makes
     # phi's grid loop once
@@ -579,13 +570,11 @@ def test_solves_sharing_cached_code_match_solves_that_compile_afresh(
             (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
     problems = [parse_config_text(text).build() for text in texts]
     shared = [run(problems[i], grid).values for run, i in runs]
-    # three grid loops of one source, and six runs of two step loops
-    assert code_cache.cache_info()[:2] == (2, 1)
-    assert tree_loops.cache_info()[:2] == (4, 2)
+    # three grid loops of one shape, and six runs of two step loops
+    assert loop_cache.cache_info()[:2] == (6, 3)
     afresh = []
     for run, i in runs:
-        code_cache.cache_clear()
-        tree_loops.cache_clear()
+        loop_cache.cache_clear()
         afresh.append(run(parse_config_text(texts[i]).build(), grid).values)
     assert shared == afresh
     assert len(set(shared)) == 6
@@ -618,7 +607,7 @@ def counted_loop_sources(monkeypatch):
 
 
 def test_a_problem_writes_g_and_k_once_and_makes_each_loop_once(
-    monkeypatch, tree_loops
+    monkeypatch, loop_cache
 ):
     # a sweep op solves one problem at three h with the DGJ pair and once
     # with the oracle: g and K are written once, and each closure's loop is
@@ -651,10 +640,11 @@ def test_a_problem_writes_g_and_k_once_and_makes_each_loop_once(
                 want = run(parse_config_text(text).build(), grid).values
                 assert run(problem, grid).values == want
     assert ops[0] == ops[1]
-    assert tree_loops.cache_info().misses == 2
+    # the two step loops, and one grid loop for phi = exact = exp(a*x)
+    assert loop_cache.cache_info().misses == 3
 
 
-def test_a_problem_of_the_same_shapes_makes_no_step_loop(monkeypatch, tree_loops):
+def test_a_problem_of_the_same_shapes_makes_no_step_loop(monkeypatch, loop_cache):
     # the sweep's next problem has other numbers in the same g and K shapes:
     # its sweep op runs the loops the first one made, and gives what it
     # gives from an emptied cache
@@ -667,7 +657,7 @@ def test_a_problem_of_the_same_shapes_makes_no_step_loop(monkeypatch, tree_loops
     sources.clear()
     op = sweep_op(second)
     assert sources == []
-    tree_loops.cache_clear()
+    loop_cache.cache_clear()
     assert sweep_op(parse_config_text(sweep_text(0.5, 3, 0.2, 0.15)).build()) == op
     assert len(sources) == 2
 
@@ -692,11 +682,12 @@ def test_a_sweep_op_makes_phis_and_exacts_grid_loops_once(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(tree_loops, mode):
+def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(loop_cache, mode):
     # three problems of one shape, each solved twice at three h by both
     # closures: every solve ends as the walked solve ends, bit for bit, in
     # the two tree loops the first problem's first solves made, and the
-    # walked solves in the two call-site loops theirs made
+    # walked solves in the two call-site loops theirs made; the phis share
+    # one grid loop
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     for a, c in literals:
         problem = parse_config_text(sweep_text(0.5, 3, a, c)).build()
@@ -707,7 +698,7 @@ def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(tree_loops, mode
                 want = solve_outcome(lambda: run(walked, grid, mode))
                 assert want[0] == "values"
                 assert solve_outcome(lambda: run(problem, grid, mode)) == want
-    assert tree_loops.cache_info()[:2] == (3 * 6 * 2 * 2 - 4, 4)
+    assert loop_cache.cache_info()[:2] == (70, 5)
 
 
 KEPT_TEXT = (
@@ -776,27 +767,27 @@ def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
 
 
 def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
-    code_cache, tree_loops
+    loop_cache,
 ):
     # a walked problem's solves run their call-site loops: one per closure,
-    # built on its first solve and kept with the tree loops.  The code cache
-    # sees only phi's grid loop, which the first solve makes and phi keeps
+    # built on its first solve and kept with every other loop, as is phi's
+    # grid loop, which the first solve makes and phi keeps
     problem = parse_config_text(sweep_text(0.5, 3)).build()
     walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
     shared = [run(walked, grid).values for run in (solve, solve_implicit) * 2]
-    assert tree_loops.cache_info()[:2] == (2, 2)  # hits, misses
-    assert code_cache.cache_info()[:2] == (0, 1)
+    assert loop_cache.cache_info()[:2] == (2, 3)  # hits, misses
     assert shared[:2] == shared[2:]
     assert shared == [run(problem, grid).values for run in (solve, solve_implicit) * 2]
 
 
 def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made(
-    tree_loops,
+    loop_cache,
 ):
-    # one cache keeps every step loop: a walked solve makes the call-site
-    # loop of its shape, and a built solve of that shape adds its tree loop,
-    # which fails at x_0 = 0, and reruns in the kept call-site loop
+    # one cache keeps every loop: a walked solve makes phi's grid loop and
+    # the call-site loop of its shape, and a built solve of that shape finds
+    # phi's, adds its tree loop, which fails at x_0 = 0, and reruns in the
+    # kept call-site loop
     problem = parse_config_text(
         "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
     ).build()
@@ -804,6 +795,6 @@ def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made(
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
     want = solve_outcome(lambda: solve(walked, grid))
     assert want[0] == "error" and want[1] is DomainError
-    assert tree_loops.cache_info()[:2] == (0, 1)  # hits, misses
+    assert loop_cache.cache_info()[:2] == (0, 2)  # hits, misses
     assert solve_outcome(lambda: solve(problem, grid)) == want
-    assert tree_loops.cache_info()[:2] == (1, 2)
+    assert loop_cache.cache_info()[:2] == (1, 3)
