@@ -6,7 +6,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DegenerateError, OffGridSample
 from .problem import (
@@ -104,13 +104,12 @@ def order_study(
     problem: DelayProblem,
     mode: FirstStepMode,
     h_list: Sequence[float],
-    at_x: Optional[float] = None,
 ) -> OrderEstimate:
     """Solve at several step sizes and fit the global convergence slope.
 
-    The error at each h is the maximum over the grid, or the error at the
-    single point at_x when given.  The slope comes from a least-squares fit
-    of log(error) against log(h), so the h values need not halve.
+    The error at each h is the maximum over the grid.  The slope comes from
+    a least-squares fit of log(error) against log(h), so the h values need
+    not halve.
     """
     if problem.exact is None:
         raise ValueError("order study needs a problem with an exact solution")
@@ -120,11 +119,7 @@ def order_study(
     pairs = []
     for h in hs:
         grid = build_grid(problem.x0, problem.x_end, problem.tau, h)
-        traj = solve(problem, grid, mode)
-        if at_x is None:
-            err = max_abs_error(traj, problem.exact)
-        else:
-            err = abs(problem.exact(at_x) - traj.value(grid_index(grid, at_x)))
+        err = max_abs_error(solve(problem, grid, mode), problem.exact)
         if not math.isfinite(err) or err <= 0:
             raise DegenerateError(
                 f"error {err!r} at h = {h!r} cannot anchor a log-log fit "

@@ -33,6 +33,7 @@ from typing import Optional
 from .errors import ConfigError
 from .expressions import (
     DomainError,
+    ExpressionError,
     _TooDeep,
     _variables_within,
     evaluate,
@@ -118,7 +119,9 @@ class ProblemConfig:
 
         Each expression is parsed and checked against its slot's variables
         and the depth bound on the first use and never again for this
-        config.
+        config.  A parse error keeps its class and offset, and its message
+        starts with the slot, as "exact: number '1e999' is too large (at
+        offset 0)".
         """
         trees = {}
         for slot in ("g", "K", "phi", "exact"):
@@ -135,6 +138,9 @@ class ProblemConfig:
                     f"{slot}: the expression nests too deeply to load "
                     f"({len(text)} characters)"
                 ) from None
+            except ExpressionError as exc:  # a parse error, named by its slot
+                exc.args = (f"{slot}: {exc}",)
+                raise
             if stray:
                 names = ", ".join(sorted(stray))
                 allowed = ", ".join(sorted(SLOT_VARIABLES[slot]))
@@ -189,8 +195,9 @@ def parse_config_text(text: str) -> ProblemConfig:
     key; a tau, x0 or X that is not a finite number; tau <= 0, X <= x0 or
     an X - x0 too large to be finite; an expression that uses a variable
     its slot does not admit or nests more than 400 levels deep.  A
-    malformed expression raises its own ExpressionError.  The expressions
-    are parsed here, once, and build() reuses the trees.
+    malformed expression raises its own ExpressionError, its message
+    prefixed by the slot.  The expressions are parsed here, once, and
+    build() reuses the trees.
     """
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

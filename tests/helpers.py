@@ -1,7 +1,10 @@
 """Shared test data and references: error tables, random problems, the
-expression corpus, the DGJ series the stepper's closure telescopes, and
-the walked solves a built problem's tree loop must end as."""
+expression corpus, the DGJ series the stepper's closure telescopes, the
+walked solves a built problem's tree loop must end as, a record of the
+generated loops a block makes, and problems with x-dependent kernels whose
+exact solutions are known."""
 
+import contextlib
 import dataclasses
 import math
 import random
@@ -10,9 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 from unittest import mock
 
+import pytest
 from hypothesis import strategies as st
 
-from vdide import DelayProblem, expressions, registry, stepper
+from vdide import DelayProblem, FirstStepMode, expressions, oracle, registry, stepper
 from vdide.errors import VdideError
 from vdide.expressions import (
     CONSTANTS,
@@ -470,32 +474,111 @@ def solve_outcome(run):
     return packed(values)
 
 
-class TreeLoopRaised(Exception):
-    """Raised in place of making the call-site loop after the tree loop."""
-
-
-def _tree_loops_only(source, *key):
-    """expressions._loop_of, but raising TreeLoopRaised for the call-site
-    loop, the step loop of stepper._CALLS."""
-    if key[-1] is stepper._CALLS:
-        raise TreeLoopRaised
-    return expressions._loop_of(source, *key)
-
-
 def tree_loop_ends_as_walking(run, problem, g, K, *args):
     """The outcome of run(walking(problem, g, K), *args), after checking
     that run(problem, *args), whose g and K carry the trees g and K, ends
-    the same, and that its bare tree loop, with no call-site loop to rerun,
-    returns the same values or raises where the walk raises: the fallback
-    would hide a tree loop that raises."""
+    the same, and reruns in the call-site loop only where the walk raises:
+    the fallback would hide a tree loop that raises where the walk returns."""
     assert problem.g.tree is g and problem.kernel.tree is K
     want = solve_outcome(lambda: run(walking(problem, g, K), *args))
-    with mock.patch.object(stepper, "_loop_of", _tree_loops_only):
-        try:
-            got = solve_outcome(lambda: run(problem, *args))
-        except TreeLoopRaised:
-            assert want[0] == "error", "the tree loop raised where call sites ran"
-        else:
-            assert got == want
-    assert solve_outcome(lambda: run(problem, *args)) == want
+    with recorded_loops(empty=False) as loops:
+        assert solve_outcome(lambda: run(problem, *args)) == want
+    if any(shape != "grid" and shape[3] == "calls" for shape, _ in loops):
+        assert want[0] == "error", "the tree loop raised where call sites ran"
     return want
+
+
+# ---------------------------------------------------------------------------
+# One maker and one cache, expressions._loop_of, make every grid loop and
+# step loop once per process for each shape.  recorded_loops records each
+# lookup there as (shape, made), made if the cache missed, and the shape is
+# "grid" for a grid loop and (mode, row path, closure, lines) for a step
+# loop: a FirstStepMode, "recur" or "direct", solve or solve_implicit, and
+# "calls" for the call-site loop or "tree".  made_once checks the contract.
+_LOOP_CACHE = expressions._loop_of
+
+
+class LoopRecord(list):
+    """The (shape, made) of each lookup in a block, and in written the
+    (g, K) trees of each stepper._written call."""
+
+    def made(self) -> set:
+        """The shapes of the loops made, after checking none was made twice."""
+        shapes = [shape for shape, made in self if made]
+        assert len(shapes) == len(set(shapes)), shapes
+        return set(shapes)
+
+
+@contextlib.contextmanager
+def recorded_loops(empty=True):
+    """The LoopRecord of the block, from an emptied cache unless empty is
+    False; blocks may nest."""
+    loop_of, written, record = expressions._loop_of, stepper._written, LoopRecord()
+    record.written = []
+    if empty:
+        _LOOP_CACHE.cache_clear()
+
+    def looked_up(source, *key):
+        misses, shape = _LOOP_CACHE.cache_info().misses, "grid"
+        if source is not expressions._grid_source:
+            literal, recur, implicit, lines = key
+            shape = (
+                FirstStepMode.LITERAL if literal else FirstStepMode.CORRECTED,
+                "recur" if recur else "direct",
+                oracle.solve_implicit if implicit else stepper.solve,
+                "calls" if lines is stepper._CALLS else "tree",
+            )
+        loop = loop_of(source, *key)
+        record.append((shape, _LOOP_CACHE.cache_info().misses > misses))
+        return loop
+
+    def writing(*trees):
+        record.written.append(trees)
+        return written(*trees)
+
+    with mock.patch.multiple(expressions, _loop_of=looked_up):
+        with mock.patch.multiple(stepper, _loop_of=looked_up, _written=writing):
+            yield record
+
+
+def made_once(shapes, run, *again):
+    """Check that run(), from an emptied cache, makes one loop of each of
+    shapes, and that each of again, by default run itself, then makes none."""
+    with recorded_loops() as loops:
+        run()
+    assert loops.made() == set(shapes)
+    for rerun in again or (run,):
+        with recorded_loops(empty=False) as loops:
+            rerun()
+        assert loops.made() == set()
+
+
+# ---------------------------------------------------------------------------
+# x-dependent kernels over several delays, with u = e^(a x) and phi = exact:
+# g = a u - F(x), F the integral of K(x, t, e^(a (t - tau))) over [0, x],
+# and E = e^(-a tau).  (x - t) v and sin(x - t) v take the direct rows,
+# e^(t - x) v the rate -1 and e^(-t) v the rate 0 (ROADMAP item 13).
+CLOSED_FORMS = {
+    "lag": ("{c}*(x - t)*v", "{c}*{E}*(exp({a}*x) - 1 - {a}*x)/({a})^2"),
+    "sine": ("{c}*sin(x - t)*v", "{c}*{E}*(exp({a}*x) - cos(x) - {a}*sin(x))/(1 + ({a})^2)"),
+    "decay": ("{c}*exp(t - x)*v", "{c}*{E}*(exp({a}*x) - exp(-x))/({a} + 1)"),
+    "fixed": ("{c}*exp(-t)*v", "{c}*{E}*(exp(({a} - 1)*x) - 1)/({a} - 1)"),
+}
+
+
+@pytest.fixture(params=sorted(CLOSED_FORMS))
+def closed_form(request):
+    """(text, tau) of a problem with a kernel of CLOSED_FORMS over three or
+    four delays, a, c and tau drawn from a seed, a kept from the poles of
+    F at 0, -1 and 1."""
+    rng = random.Random(sorted(CLOSED_FORMS).index(request.param) + 1)
+    a = rng.choice([-1, 1]) * round(rng.uniform(0.15, 0.4), 4)
+    c, tau = round(rng.uniform(0.1, 0.5), 4), rng.choice([0.25, 0.5])
+    K, F = CLOSED_FORMS[request.param]
+    values = dict(a=repr(a), c=repr(c), E=repr(math.exp(-a * tau)))
+    text = (
+        f"name = {request.param}\ng = {a!r}*u - {F.format(**values)}\n"
+        f"K = {K.format(**values)}\nphi = exp({a!r}*x)\nexact = exp({a!r}*x)\n"
+        f"tau = {tau!r}\nx0 = 0\nX = {rng.choice([3, 4]) * tau!r}\n"
+    )
+    return text, tau

@@ -191,22 +191,6 @@ class TestOrderStudy:
         errs = [e for _, e in est.pairs]
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
-    def test_single_point_study(self):
-        est = order_study(
-            exp_ode_problem(),
-            FirstStepMode.LITERAL,
-            [0.1, 0.05],
-            at_x=1.0,
-        )
-        assert 1.8 <= est.slope <= 2.2
-
-    @pytest.mark.parametrize("at_x", [-0.5, 2.0])
-    def test_point_outside_the_solved_interval_raises(self, at_x):
-        with pytest.raises(OffGridSample):
-            order_study(
-                exp_ode_problem(), FirstStepMode.LITERAL, [0.1, 0.05], at_x=at_x
-            )
-
     def test_exactness_is_degenerate(self):
         # dyadic step sizes make the accumulated sums exact, so every error
         # is literally zero and no slope exists

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdide
-from helpers import walking_builds
+from helpers import recorded_loops, walking_builds
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
-from vdide import cli, registry, stepper
+from vdide import cli, registry
 from vdide.cli import main
 from vdide.problem import GridSpec, init_trajectory
 from vdide.registry import resolve_problem
@@ -880,25 +880,25 @@ FAILURES = [
     ),
     row(
         "solve --problem {bad_name} --h 0.1", 2,
-        "unknown variable 'w'; variables are x, t, u, v and constants e, pi "
+        "K: unknown variable 'w'; variables are x, t, u, v and constants e, pi "
         "(at offset 0)",
         id="UnknownVariable",
     ),
     row(
         "solve --problem {bad_syntax} --h 0.1", 2,
-        "expected a number, name, '-', or '(', found 'end of input' "
+        "g: expected a number, name, '-', or '(', found 'end of input' "
         "(at offset 3)",
         id="ExpressionSyntaxError",
     ),
     row(
         "solve --problem {bad_call} --h 0.1", 2,
-        "unknown function 'foo'; available: abs, cos, cosh, exp, log, sin, "
+        "g: unknown function 'foo'; available: abs, cos, cosh, exp, log, sin, "
         "sinh, sqrt, tanh (at offset 0)",
         id="UnknownFunction",
     ),
     row(
         "table --problem {inf_exact} --h 0.1", 2,
-        "number '1e999' is too large (at offset 0)",
+        "exact: number '1e999' is too large (at offset 0)",
         id="ExpressionSyntaxError-infinite-number",
     ),
     row(
@@ -1093,28 +1093,21 @@ def write_failing_configs(tmp_path):
     ],
 )
 def test_a_failing_generated_loop_prints_what_a_walking_solve_prints(
-    capsys, tmp_path, monkeypatch, loop_cache, name, h, mode
+    capsys, tmp_path, monkeypatch, name, h, mode
 ):
     # the built problem's solve runs its tree loop, made for it from the
     # emptied cache, which fails and hands over to the call-site loop; the
-    # walked problem's solve runs only the call-site loop, and exit code,
-    # stdout and stderr are the same
+    # walked problem's solve runs only the call-site loop, and makes
+    # nothing, and exit code, stdout and stderr are the same
     path = write_failing_configs(tmp_path)[name]
     argv = ["solve", "--problem", path, "--h", h, "--first-step", mode.value]
-    generated = []
-
-    def spy(literal, recur, implicit, written):
-        if written is not stepper._CALLS:
-            generated.append(written)
-        return loop_source(literal, recur, implicit, written)
-
-    loop_source = stepper._loop_source
-    monkeypatch.setattr(stepper, "_loop_source", spy)
-    outputs = [run(capsys, *argv)]
-    assert len(generated) == 1
+    with recorded_loops() as built:
+        outputs = [run(capsys, *argv)]
+    assert sorted(shape[3] for shape in built.made() - {"grid"}) == ["calls", "tree"]
     walking_builds(monkeypatch)
-    outputs.append(run(capsys, *argv))
-    assert len(generated) == 1
+    with recorded_loops(empty=False) as walked:
+        outputs.append(run(capsys, *argv))
+    assert walked.made() == set()
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 3 and outputs[0][2].startswith("vdide: ")
 

@@ -11,6 +11,7 @@ same exception, message, step_index and x.
 """
 
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -26,7 +27,9 @@ from helpers import (
     EVAL_CASES,
     HIDDEN_OVERFLOWS,
     PARAMS,
+    made_once,
     packed,
+    recorded_loops,
     solve_outcome,
     tree_loop_ends_as_walking,
     trees,
@@ -306,17 +309,23 @@ def test_a_dropped_problem_leaves_no_reference_cycles(g, hs):
         assert problem.history.loop and problem.exact.loop
 
     build_and_solve()
+    without_cycles(build_and_solve)
+
+
+def without_cycles(run):
+    """run() with the cyclic collector off, checking that it leaves the
+    collector nothing to find."""
     gc.collect()
     gc.disable()
     try:
-        build_and_solve()
+        run()
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 @pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
-def test_single_calls_walk_and_generate_nothing(loop_cache, slot):
+def test_single_calls_walk_and_generate_nothing(slot):
     # only loops generate code: a single call walks, however many there are
     problem = parse_config_text(
         "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
@@ -324,9 +333,10 @@ def test_single_calls_walk_and_generate_nothing(loop_cache, slot):
     ).build()
     fn = getattr(problem, slot)
     args = {"g": (0.5, 2.0), "kernel": (0.5, 0.25, 2.0)}.get(slot, (0.5,))
-    for _ in range(1280):
-        fn(*args)
-    assert loop_cache.cache_info()[:2] == (0, 0)  # hits, misses
+    with recorded_loops() as loops:
+        for _ in range(1280):
+            fn(*args)
+    assert loops == loops.written == []
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
@@ -409,6 +419,18 @@ def sweep_text(tau, delays, a=0.1234, c=0.3):
     )
 
 
+def step_loops(mode, row, lines, runs=(solve, solve_implicit)):
+    """The shapes (helpers.LoopRecord) of the step loops of runs in mode on
+    the row path row, for each of lines."""
+    return {(mode, row, run, kind) for run in runs for kind in lines}
+
+
+# What a sweep problem's solves make: the grid loop phi = exp(a*x) and
+# exact = exp(a*x) share, and each closure's tree loop on the recurrence's
+# rows, as K's kernel_x_rate is -1
+SWEEP_LOOPS = {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["tree"])
+
+
 @pytest.mark.parametrize("run", [solve, solve_implicit])
 def test_a_solve_failing_in_its_tree_loop_reports_what_evaluate_would(run):
     # log(2 - x) fails at x = 2, first as g(x_{j+1}, .) of step 199, after
@@ -476,11 +498,11 @@ def test_built_commands_print_what_walking_commands_print(capsys, monkeypatch, a
 
 
 # One maker makes each generated loop once per process (expressions._loop_of,
-# emptied by the loop_cache fixture): the source names numbers, constants
-# and functions only through generated names, and a grid loop or a step loop
-# takes their values as arguments, so trees of one shape share the loop
-# itself.  A slot function keeps its grid loop with its tree's values bound
-# (problem.grid_values).
+# whose lookups helpers.recorded_loops records): the source names numbers,
+# constants and functions only through generated names, and a grid loop or
+# a step loop takes their values as arguments, so trees of one shape share
+# the loop itself.  A slot function keeps its grid loop with its tree's
+# values bound (problem.grid_values).
 
 
 # One shape: neither log nor sqrt can hide a non-finite argument, so their
@@ -488,30 +510,37 @@ def test_built_commands_print_what_walking_commands_print(capsys, monkeypatch, a
 ONE_SHAPE = ["log(x - 0.5)*u + 2", "sqrt(x - 1.5)*u + 0.25", "log(x - 2.5)*u + 4"]
 # values, a domain error of the call and an overflow of the product
 ONE_SHAPE_INPUTS = [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]
+# What their one-step solves (assert_one_step_solves_like_walking) make: the
+# constant phi's grid loop, and on the direct rows, as the problem declares
+# no kernel_x_rate, the walked and the built solve's DGJ loops
+ONE_STEP_LOOPS = {"grid"} | step_loops(
+    FirstStepMode.LITERAL, "direct", ("calls", "tree"), [solve]
+)
 
 
-def test_trees_of_one_shape_compile_once_and_keep_their_own_values(loop_cache):
-    # twelve one-step problems, each solved three times
-    # (helpers.tree_loop_ends_as_walking): once walked and twice with g and
-    # K written in.  The walked problem shares phi, so each problem makes
-    # its constant phi's grid loop once: 12 lookups of one loop.  The 12
-    # walked solves run the call-site loop and the 24 tree-loop solves one
-    # tree loop, each made once; the 6 that fail unpatched rerun in the kept
-    # call-site loop: 42 lookups, 2 loops
-    for x, u in ONE_SHAPE_INPUTS:
-        for text in ONE_SHAPE:
-            assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
-    assert loop_cache.cache_info()[:2] == (51, 3)  # hits, misses
+def test_trees_of_one_shape_compile_once_and_keep_their_own_values():
+    # twelve one-step problems of one shape, each solved walked and with g
+    # and K written in (helpers.tree_loop_ends_as_walking), the six that
+    # fail in their tree loop rerunning in the call-site loop
+    def solve_all():
+        for x, u in ONE_SHAPE_INPUTS:
+            for text in ONE_SHAPE:
+                assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
+
+    made_once(ONE_STEP_LOOPS, solve_all)
 
 
-def test_a_domain_error_names_its_own_trees_text(loop_cache):
-    for text in ONE_SHAPE:
-        call = unparse(parse(text).left.left)
-        failure = assert_one_step_solves_like_walking(parse(text), {"x": 0.25, "u": 1.0})
-        assert failure[1] is DomainError
-        assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
-    # phi's grid loop, one tree loop and one call-site loop
-    assert loop_cache.cache_info().misses == 3
+def test_a_domain_error_names_its_own_trees_text():
+    # the first tree makes the loops its shape runs in, and the others make none
+    def fail(texts):
+        for text in texts:
+            call = unparse(parse(text).left.left)
+            bindings = {"x": 0.25, "u": 1.0}
+            failure = assert_one_step_solves_like_walking(parse(text), bindings)
+            assert failure[1] is DomainError
+            assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
+
+    made_once(ONE_STEP_LOOPS, lambda: fail(ONE_SHAPE[:1]), lambda: fail(ONE_SHAPE[1:]))
 
 
 def test_the_loop_cache_stays_within_its_bound(loop_cache):
@@ -531,50 +560,49 @@ def test_the_loop_cache_stays_within_its_bound(loop_cache):
     assert (info.misses, info.currsize) == (bound + 20, bound)
 
 
-def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles(loop_cache):
+def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles():
     refs = []
 
-    def build_and_run_loops(a):
+    def build_and_run_loops(*literals):
         # the step loop, phi's grid loop and exact's
-        problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
-        grid = build_grid(0.0, 2.0, 1.0, 0.125)
-        fill = stepper._step_loop(problem, grid, FirstStepMode.LITERAL)
-        slots = problem.g, problem.kernel, problem.history, problem.exact
-        refs.extend(weakref.ref(obj) for obj in (problem, *slots))
-        return max_abs_error(fill(init_trajectory(problem, grid)), problem.exact)
+        for a in literals:
+            problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
+            grid = build_grid(0.0, 2.0, 1.0, 0.125)
+            fill = stepper._step_loop(problem, grid, FirstStepMode.LITERAL)
+            slots = problem.g, problem.kernel, problem.history, problem.exact
+            refs.extend(weakref.ref(obj) for obj in (problem, *slots))
+            traj = fill(init_trajectory(problem, grid))
+            assert 0 < max_abs_error(traj, problem.exact) < 0.01
 
-    assert 0 < build_and_run_loops(0.1) < 0.01
-    gc.collect()
-    gc.disable()
-    try:
-        for a in (0.2, 0.3, 0.4):
-            assert 0 < build_and_run_loops(a) < 0.01
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # the first problem makes the grid loop phi = exp(a*x) and exact =
+    # exp(a*x) share, and the DGJ pair's tree loop; the others make none
+    made_once(
+        {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["tree"], [solve]),
+        lambda: build_and_run_loops(0.1),
+        lambda: without_cycles(lambda: build_and_run_loops(0.2, 0.3, 0.4)),
+    )
     # the cached loops keep no problem or slot function alive
     assert [ref() for ref in refs] == [None] * len(refs)
-    # four problems: eight grid loops of one shape, as phi = exp(a*x) and
-    # exact = exp(a*x) share it, and four runs of one step loop
-    assert loop_cache.cache_info()[:2] == (10, 2)
 
 
-def test_solves_sharing_cached_code_match_solves_that_compile_afresh(loop_cache):
-    # three problems of one shape, at h = tau/80: each problem's solve and
-    # oracle run one generated loop shape each, and each problem makes
-    # phi's grid loop once
+def test_solves_sharing_cached_code_match_solves_that_compile_afresh():
+    # three problems of one shape, at h = tau/80: the first two runs make
+    # what a sweep op makes, and the four after them run those loops
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
     texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
     runs = [(solve, 0), (solve_implicit, 1), (solve, 2),
             (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
     problems = [parse_config_text(text).build() for text in texts]
-    shared = [run(problems[i], grid).values for run, i in runs]
-    # three grid loops of one shape, and six runs of two step loops
-    assert loop_cache.cache_info()[:2] == (6, 3)
+    shared = []
+
+    def run_all(part):
+        shared.extend(run(problems[i], grid).values for run, i in part)
+
+    made_once(SWEEP_LOOPS, lambda: run_all(runs[:2]), lambda: run_all(runs[2:]))
     afresh = []
     for run, i in runs:
-        loop_cache.cache_clear()
+        expressions._loop_of.cache_clear()
         afresh.append(run(parse_config_text(texts[i]).build(), grid).values)
     assert shared == afresh
     assert len(set(shared)) == 6
@@ -592,104 +620,68 @@ def sweep_op(problem):
     )
 
 
-def counted_loop_sources(monkeypatch):
-    """The list that every later call of stepper._loop_source appends its
-    shape to."""
-    sources = []
-    loop_source = stepper._loop_source
-
-    def counted_source(*args):
-        sources.append(args[:3])
-        return loop_source(*args)
-
-    monkeypatch.setattr(stepper, "_loop_source", counted_source)
-    return sources
-
-
-def test_a_problem_writes_g_and_k_once_and_makes_each_loop_once(
-    monkeypatch, loop_cache
-):
+def test_a_problem_writes_g_and_k_once_and_makes_each_loop_once():
     # a sweep op solves one problem at three h with the DGJ pair and once
-    # with the oracle: g and K are written once, and each closure's loop is
-    # made once, on the process's first solve of its shape.  A second build
-    # of the same text writes its own lines and runs the same loops, and
-    # every solve gives what a fresh problem's gives
-    sources = counted_loop_sources(monkeypatch)
-    emitted = []
-    emit = stepper._emit
-
-    def counted_emit(node, *args):
-        emitted.append(node)
-        return emit(node, *args)
-
-    monkeypatch.setattr(stepper, "_emit", counted_emit)
+    # with the oracle: g and K are written once, and each loop is made on
+    # the process's first solve of its shape.  A second build of the same
+    # text writes its own lines and runs the same loops, and every solve
+    # gives what a fresh problem's gives
     text = sweep_text(0.5, 3)
     ops = []
-    # K's kernel_x_rate is -1: the recurrence's two shapes, then none
-    for made in ([(True, True, False), (True, True, True)], []):
-        sources.clear()
-        emitted.clear()
-        problem = parse_config_text(text).build()
-        ops.append(sweep_op(problem))
-        assert sources == made
-        assert len(emitted) == 2
-        assert emitted[0] is problem.kernel.tree and emitted[1] is problem.g.tree
+    for empty in (True, False):
+        with recorded_loops(empty) as loops:
+            problem = parse_config_text(text).build()
+            ops.append(sweep_op(problem))
+        assert loops.written == [(problem.g.tree, problem.kernel.tree)]
+        assert loops.made() == (SWEEP_LOOPS if empty else set())
         for h in (0.25, 0.125, 0.0625):
             grid = build_grid(0.0, 1.5, 0.5, h)
             for run in (solve, solve_implicit):
                 want = run(parse_config_text(text).build(), grid).values
                 assert run(problem, grid).values == want
     assert ops[0] == ops[1]
-    # the two step loops, and one grid loop for phi = exact = exp(a*x)
-    assert loop_cache.cache_info().misses == 3
 
 
-def test_a_problem_of_the_same_shapes_makes_no_step_loop(monkeypatch, loop_cache):
+def test_a_problem_of_the_same_shapes_makes_no_step_loop():
     # the sweep's next problem has other numbers in the same g and K shapes:
     # its sweep op runs the loops the first one made, and gives what it
     # gives from an emptied cache
-    sources = counted_loop_sources(monkeypatch)
-    first, second = (
+    first, second, again = (
         parse_config_text(sweep_text(0.5, 3, a, c)).build()
-        for a, c in ((0.1234, 0.3), (0.2, 0.15))
+        for a, c in ((0.1234, 0.3), (0.2, 0.15), (0.2, 0.15))
     )
-    sweep_op(first)
-    sources.clear()
-    op = sweep_op(second)
-    assert sources == []
-    loop_cache.cache_clear()
-    assert sweep_op(parse_config_text(sweep_text(0.5, 3, 0.2, 0.15)).build()) == op
-    assert len(sources) == 2
+    ops = []
+    made_once(
+        SWEEP_LOOPS, lambda: sweep_op(first), lambda: ops.append(sweep_op(second))
+    )
+    with recorded_loops() as loops:
+        assert sweep_op(again) == ops[0]
+    assert loops.made() == SWEEP_LOOPS
 
 
-def test_a_sweep_op_makes_phis_and_exacts_grid_loops_once(monkeypatch):
+def test_a_sweep_op_makes_phis_and_exacts_grid_loops_once():
     # an order study at three h and the two solves after it read phi on
     # five grids and exact on three: the slot functions keep the loops they
-    # make, so each is made on the first use, and a second op makes none
-    made = []
-
-    def counted_grid_loop(tree):
-        made.append(tree)
-        return grid_loop(tree)
-
-    monkeypatch.setattr("vdide.problem.grid_loop", counted_grid_loop)
+    # look up, so each looks its loop up on its first use, and a second op
+    # looks up none
     problem = parse_config_text(sweep_text(0.5, 3)).build()
-    op = sweep_op(problem)
-    assert len(made) == 2
-    assert made[0] is problem.history.tree and made[1] is problem.exact.tree
-    assert sweep_op(problem) == op
-    assert len(made) == 2
+    with recorded_loops() as loops:
+        op = sweep_op(problem)
+    assert [shape for shape, _ in loops].count("grid") == 2
+    assert problem.history.loop.func is problem.exact.loop.func
+    with recorded_loops(empty=False) as loops:
+        assert sweep_op(problem) == op
+    assert "grid" not in [shape for shape, _ in loops]
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(loop_cache, mode):
+def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(mode):
     # three problems of one shape, each solved twice at three h by both
     # closures: every solve ends as the walked solve ends, bit for bit, in
     # the two tree loops the first problem's first solves made, and the
     # walked solves in the two call-site loops theirs made; the phis share
     # one grid loop
-    literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
-    for a, c in literals:
+    def solve_as_walked(a, c):
         problem = parse_config_text(sweep_text(0.5, 3, a, c)).build()
         walked = walking(problem, problem.g.tree, problem.kernel.tree)
         for h in (0.25, 0.125, 0.0625) * 2:
@@ -698,7 +690,10 @@ def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(loop_cache, mode
                 want = solve_outcome(lambda: run(walked, grid, mode))
                 assert want[0] == "values"
                 assert solve_outcome(lambda: run(problem, grid, mode)) == want
-    assert loop_cache.cache_info()[:2] == (70, 5)
+
+    made = {"grid"} | step_loops(mode, "recur", ("calls", "tree"))
+    literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
+    made_once(made, *(functools.partial(solve_as_walked, a, c) for a, c in literals))
 
 
 KEPT_TEXT = (
@@ -766,35 +761,40 @@ def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
         dataclasses.replace(problem, _loops={})
 
 
-def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache(
-    loop_cache,
-):
+def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache():
     # a walked problem's solves run their call-site loops: one per closure,
     # built on its first solve and kept with every other loop, as is phi's
     # grid loop, which the first solve makes and phi keeps
     problem = parse_config_text(sweep_text(0.5, 3)).build()
     walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
-    shared = [run(walked, grid).values for run in (solve, solve_implicit) * 2]
-    assert loop_cache.cache_info()[:2] == (2, 3)  # hits, misses
+    runs, shared = (solve, solve_implicit), []
+    made_once(
+        {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["calls"]),
+        lambda: shared.extend(run(walked, grid).values for run in runs),
+    )
     assert shared[:2] == shared[2:]
-    assert shared == [run(problem, grid).values for run in (solve, solve_implicit) * 2]
+    assert shared == [run(problem, grid).values for run in runs * 2]
 
 
-def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made(
-    loop_cache,
-):
+def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made():
     # one cache keeps every loop: a walked solve makes phi's grid loop and
-    # the call-site loop of its shape, and a built solve of that shape finds
-    # phi's, adds its tree loop, which fails at x_0 = 0, and reruns in the
-    # kept call-site loop
+    # the call-site loop of its shape (K = v ignores x: the recurrence's
+    # rows), and a built solve of that shape, whose phi keeps its grid loop,
+    # adds its tree loop, which fails at x_0 = 0, and reruns in the kept
+    # call-site loop
     problem = parse_config_text(
         "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
     ).build()
     walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
-    want = solve_outcome(lambda: solve(walked, grid))
+    calls, tree = (
+        (FirstStepMode.LITERAL, "recur", solve, kind) for kind in ("calls", "tree")
+    )
+    with recorded_loops() as loops:
+        want = solve_outcome(lambda: solve(walked, grid))
     assert want[0] == "error" and want[1] is DomainError
-    assert loop_cache.cache_info()[:2] == (0, 2)  # hits, misses
-    assert solve_outcome(lambda: solve(problem, grid)) == want
-    assert loop_cache.cache_info()[:2] == (1, 3)
+    assert loops.made() == {"grid", calls}
+    with recorded_loops(empty=False) as loops:
+        assert solve_outcome(lambda: solve(problem, grid)) == want
+    assert loops == [(tree, True), (calls, False)]

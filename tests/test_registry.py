@@ -195,7 +195,12 @@ class TestConfigText:
         text = "name = a\ng = u\nK = w^2\nphi = 1\ntau = 1\nx0 = 0\nX = 1"
         with pytest.raises(UnknownVariable) as info:
             parse_config_text(text)
-        assert "w" in str(info.value)
+        # the parser's message and offset, named by the slot
+        assert str(info.value) == (
+            "K: unknown variable 'w'; variables are x, t, u, v and constants "
+            "e, pi (at offset 0)"
+        )
+        assert info.value.offset == 0
 
     @pytest.mark.parametrize(
         "slot,expr",

@@ -17,14 +17,17 @@ solve reruns the call-site loop, which raises the reference exception
   exception class and message.
 """
 
-import math
-import random
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import solve_outcome, tree_loop_ends_as_walking, trees_over, walking
+from helpers import (
+    closed_form,
+    solve_outcome,
+    tree_loop_ends_as_walking,
+    trees_over,
+    walking,
+)
 from test_grid_loop import SEEDS, single_x_trees
 from vdide import registry
 from vdide.expressions import BinOp, Call, Neg, Num, Var, parse, x_rate
@@ -237,36 +240,7 @@ def test_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(case):
         check_loops(solver, **case)
 
 
-# x-dependent kernels over several delays, with u = e^(a x) and phi = exact:
-# g = a u - F(x), F the integral of K(x, t, e^(a (t - tau))) over [0, x],
-# and E = e^(-a tau).  (x - t) v and sin(x - t) v take the direct rows,
-# e^(t - x) v the rate -1 and e^(-t) v the rate 0 (ROADMAP item 13).
-CLOSED_FORMS = {
-    "lag": ("{c}*(x - t)*v", "{c}*{E}*(exp({a}*x) - 1 - {a}*x)/({a})^2"),
-    "sine": ("{c}*sin(x - t)*v", "{c}*{E}*(exp({a}*x) - cos(x) - {a}*sin(x))/(1 + ({a})^2)"),
-    "decay": ("{c}*exp(t - x)*v", "{c}*{E}*(exp({a}*x) - exp(-x))/({a} + 1)"),
-    "fixed": ("{c}*exp(-t)*v", "{c}*{E}*(exp(({a} - 1)*x) - 1)/({a} - 1)"),
-}
-
-
-@pytest.fixture(params=sorted(CLOSED_FORMS))
-def closed_form(request):
-    """(text, tau) of a problem with a kernel of CLOSED_FORMS over three or
-    four delays, a, c and tau drawn from a seed, a kept from the poles of
-    F at 0, -1 and 1."""
-    rng = random.Random(sorted(CLOSED_FORMS).index(request.param) + 1)
-    a = rng.choice([-1, 1]) * round(rng.uniform(0.15, 0.4), 4)
-    c, tau = round(rng.uniform(0.1, 0.5), 4), rng.choice([0.25, 0.5])
-    K, F = CLOSED_FORMS[request.param]
-    values = dict(a=repr(a), c=repr(c), E=repr(math.exp(-a * tau)))
-    text = (
-        f"name = {request.param}\ng = {a!r}*u - {F.format(**values)}\n"
-        f"K = {K.format(**values)}\nphi = exp({a!r}*x)\nexact = exp({a!r}*x)\n"
-        f"tau = {tau!r}\nx0 = 0\nX = {rng.choice([3, 4]) * tau!r}\n"
-    )
-    return text, tau
-
-
+# The problems of helpers.CLOSED_FORMS, whose exact solutions are known.
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 def test_x_dependent_kernels_over_several_delays(closed_form, mode):
     text, tau = closed_form
