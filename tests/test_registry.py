@@ -6,7 +6,7 @@ from vdide import FirstStepMode, build_grid, builtin_problem, parse_config_text,
 from vdide import registry
 from vdide.cli import main
 from vdide.errors import ConfigError
-from vdide.expressions import UnknownVariable
+from vdide.expressions import ExpressionSyntaxError, UnknownFunction, UnknownVariable
 from vdide.registry import ProblemConfig, builtin_names, load_config, resolve_problem
 
 
@@ -201,6 +201,30 @@ class TestConfigText:
             "e, pi (at offset 0)"
         )
         assert info.value.offset == 0
+
+    @pytest.mark.parametrize(
+        "slot,expr,error,message,offset",
+        [
+            (
+                "g", "u +", ExpressionSyntaxError,
+                "expected a number, name, '-', or '(', found 'end of input'", 3,
+            ),
+            (
+                "K", "foo(v)", UnknownFunction,
+                "unknown function 'foo'; available: abs, cos, cosh, exp, log, "
+                "sin, sinh, sqrt, tanh", 0,
+            ),
+            ("phi", "1 $", ExpressionSyntaxError, "unexpected character '$'", 2),
+            ("exact", "1e999", ExpressionSyntaxError, "number '1e999' is too large", 0),
+        ],
+        ids=["g", "K", "phi", "exact"],
+    )
+    def test_a_parse_error_is_named_by_its_slot(self, slot, expr, error, message, offset):
+        # the class and offset stay the parser's; only the slot is prefixed
+        with pytest.raises(error) as info:
+            parse_config_text(config_text(**{slot: expr}))
+        assert str(info.value) == f"{slot}: {message} (at offset {offset})"
+        assert info.value.offset == offset
 
     @pytest.mark.parametrize(
         "slot,expr",
