@@ -1,8 +1,23 @@
 """Shared test data and references: error tables, random problems, the
-expression corpus, the DGJ series the stepper's closure telescopes, the
-walked solves a built problem's tree loop must end as, a record of the
-generated loops a block makes, and problems with x-dependent kernels whose
-exact solutions are known."""
+expression corpus and random trees, the DGJ series the stepper's closure
+telescopes, the reference harness of the generated loops, a record of the
+loops a block makes, and problems with x-dependent kernels whose exact
+solutions are known.
+
+The reference harness.  Every path is checked against its reference through
+one outcome, outcome(run): the result packed as doubles, or the error's
+class, message, step_index, x and slot.
+- A grid loop (phi, exact) against the walk: a problem from slot_problem
+  against walking(problem), whose slots with a tree are plain walks of it.
+- The tree loop against the walked call-site loop,
+  tree_loop_ends_as_walking, and the call-site loop against the single-step
+  replay, replay(nnm_step or implicit_step, ...).
+- The rate rows against the direct rows, direct(problem):
+  row_paths_end_alike, within assert_agree.
+plain_problem makes a problem of plain callables, which runs the call-site
+loop.  The strategies TAME, hiding, mixed and single_x_trees draw the trees
+these properties run on.
+"""
 
 import contextlib
 import dataclasses
@@ -35,6 +50,7 @@ from vdide.expressions import (
     evaluate,
     unparse,
 )
+from vdide.problem import init_trajectory
 
 # ---------------------------------------------------------------------------
 # Reference absolute errors for the built-in problems, literal first step,
@@ -327,6 +343,84 @@ BINDING_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
 )
 
+# Leaves of trees that mostly stay finite over a grid or a solve; the
+# default leaves add the values that overflow or leave the domain.
+TAME = [0.0, -0.0, 0.25, 0.5, -0.75, 1.0, 2.0]
+
+
+def hiding(params):
+    """Trees whose value hides an overflow part way along a grid or a solve:
+    the product 1e308*(p + c) overflows once |p + c| > 1.8, and exp(-inf) =
+    0, tanh(inf) = 1, a / inf = 0, inf^0 = 1 and 0.5^inf = 0 are finite.
+    Only the generated checks stop such a value."""
+    overflow = st.builds(
+        lambda p, c: BinOp("*", Num(1e308), BinOp("+", Var(p), Num(c))),
+        st.sampled_from(params),
+        st.sampled_from([-1.0, 0.5, 1.0]),
+    )
+    tame = trees_over(params, TAME, TAME)
+    hidden = st.one_of(
+        overflow.map(lambda o: Call("exp", Neg(o))),
+        overflow.map(lambda o: Call("tanh", o)),
+        st.builds(lambda a, o: BinOp("/", a, o), tame, overflow),
+        overflow.map(lambda o: BinOp("^", o, Num(0.0))),
+        overflow.map(lambda o: BinOp("^", Num(0.5), o)),
+    )
+    return st.builds(BinOp, st.sampled_from("+-*"), hidden, tame)
+
+
+def mixed(params):
+    """Tame trees, trees that overflow or leave the domain, and hiding ones."""
+    return st.one_of(
+        trees_over(params, TAME, TAME), trees_over(params), hiding(params)
+    )
+
+
+# Trees in which x occurs once, through +, -, *, / and unary minus, with
+# constants that overflow part way along the grid: the checks a generated
+# loop makes at the grid's two ends only (expressions._emit) must fail where
+# the walk fails.  The seeds x*x and 1e307/x are not monotone in x, so
+# between two ends that pass, the walk can fail; each context checks the
+# chain's value, or hides it (exp(-inf) = 0, tanh(inf) = 1, inf^0 = 1,
+# 1/inf = 0).
+CHAIN_CONSTANTS = [0.5, -1.5, 1.5, 2.0, 2.5, 3.0, 1e308, -1e308, 1e307]
+SEEDS = [Var("x"), BinOp("*", Var("x"), Var("x")), BinOp("/", Num(1e307), Var("x"))]
+CONTEXTS = {
+    "bare": lambda y: y,
+    "exp": lambda y: Call("exp", y),
+    "tanh": lambda y: Call("tanh", y),
+    "sin": lambda y: Call("sin", y),
+    "pow0": lambda y: BinOp("^", y, Num(0.0)),
+    "reciprocal": lambda y: BinOp("/", Num(1.0), y),
+}
+
+
+def fold_chain(seed, steps):
+    """seed with each step applied in turn: "neg", or (op, constant, the
+    side the constant stands on)."""
+    node = seed
+    for step in steps:
+        if step == "neg":
+            node = Neg(node)
+        else:
+            op, k, right = step
+            node = BinOp(op, node, Num(k)) if right or op == "/" else BinOp(op, Num(k), node)
+    return node
+
+
+chain_steps = st.one_of(
+    st.just("neg"),
+    st.tuples(st.sampled_from("+-*/"), st.sampled_from(CHAIN_CONSTANTS), st.booleans()),
+)
+
+
+@st.composite
+def single_x_trees(draw, seeds=SEEDS):
+    seed = draw(st.sampled_from(seeds))
+    chain = fold_chain(seed, draw(st.lists(chain_steps, max_size=4)))
+    return CONTEXTS[draw(st.sampled_from(sorted(CONTEXTS)))](chain)
+
+
 # ---------------------------------------------------------------------------
 # The iterative series of Daftardar-Gejji and Jafari (J. Math. Anal. Appl.
 # 316 (2006)) for a scalar fixed point u = g0 + N(u) with no linear part:
@@ -431,60 +525,149 @@ def _require_finite(value, expr):
 
 
 # ---------------------------------------------------------------------------
-# A built problem's g and K carry their trees, and its solves run the tree
-# loop, which writes the trees' lines in; a problem of plain callables runs
-# the call-site loop, and so does a tree loop that raises, to raise the
-# reference exception (stepper._step_loop).  The walked problem, whose g and
-# K are plain walks of the same trees, is the reference.
+# The reference harness.  A built problem's slot functions carry their
+# trees: its solves run the tree loop, which writes g's and K's lines in,
+# and phi and exact run their grid loops (problem.grid_values).  A problem
+# of plain callables runs the call-site loop and calls phi and exact at
+# every point, and so does a loop that raises, to raise the reference
+# exception (stepper._step_loop).  The walked problem, whose slots are
+# plain walks of the same trees, is the reference.
 
 
-def walking(problem, g, K):
-    """problem with g and K as plain walks of the trees g and K, which carry
-    no tree: its solves run the call-site loop."""
-    return dataclasses.replace(
-        problem,
-        g=lambda x, u: evaluate(g, {"x": x, "u": u}),
-        kernel=lambda x, t, v: evaluate(K, {"x": x, "t": t, "v": v}),
+def outcome(run):
+    """("values", the result of run(), a trajectory, a list of floats or a
+    float, packed as doubles) or ("error", class, message, step_index, x,
+    slot) of the VdideError it raises, None where the error has no such
+    attribute."""
+    try:
+        result = run()
+    except VdideError as exc:
+        located = (getattr(exc, name, None) for name in ("step_index", "x", "slot"))
+        return ("error", type(exc), str(exc), *located)
+    values = getattr(result, "_values", result)
+    if isinstance(values, float):
+        values = [values]
+    return "values", struct.pack(f"{len(values)}d", *values)
+
+
+def _unpacked(packed):
+    return struct.unpack(f"{len(packed) // 8}d", packed)
+
+
+def walking(problem):
+    """problem with each slot function that carries a tree (g, K, phi,
+    exact) as a plain walk of that tree, which carries none and stamps
+    nothing of its own: its solves run the call-site loop, and phi and
+    exact are called at every point."""
+    slots = problem.g, problem.kernel, problem.history, problem.exact
+    g, K, phi, exact = (getattr(fn, "tree", None) for fn in slots)
+    walks = {}
+    if g is not None:
+        walks["g"] = lambda x, u: evaluate(g, {"x": x, "u": u})
+    if K is not None:
+        walks["kernel"] = lambda x, t, v: evaluate(K, {"x": x, "t": t, "v": v})
+    if phi is not None:
+        walks["history"] = lambda x: evaluate(phi, {"x": x})
+    if exact is not None:
+        walks["exact"] = lambda x: evaluate(exact, {"x": x})
+    return dataclasses.replace(problem, **walks)
+
+
+def slot_problem(g, K, phi, exact=None, rate=None, *, tau, x0, x_end):
+    """A problem whose g, K, phi and, if given, exact are slot functions of
+    the trees, as a config builds them, with kernel_x_rate rate."""
+    slot = registry._slot_function
+    return DelayProblem(
+        g=slot(g, "g"),
+        kernel=slot(K, "K"),
+        history=slot(phi, "phi"),
+        tau=tau,
+        x0=x0,
+        x_end=x_end,
+        exact=None if exact is None else slot(exact, "exact"),
+        kernel_x_rate=rate,
     )
+
+
+def plain_problem(**fields):
+    """A problem of plain callables: g, K and phi zero, tau 1 and [0, 1],
+    unless fields say otherwise."""
+    defaults = dict(
+        g=lambda x, u: 0.0,
+        kernel=lambda x, t, v: 0.0,
+        history=lambda x: 0.0,
+        tau=1.0,
+        x0=0.0,
+        x_end=1.0,
+    )
+    return DelayProblem(**(defaults | fields))
+
+
+def replay(step, problem, grid, mode, stop=None):
+    """The trajectory of step(problem, traj, j) appended for each j < stop,
+    by default for every step."""
+    traj = init_trajectory(problem, grid, mode)
+    for j in range(grid.steps if stop is None else stop):
+        traj.append(step(problem, traj, j))
+    return traj
+
+
+def tree_loop_ends_as_walking(run, problem, *args):
+    """The outcome of run(walking(problem), *args), after checking that
+    run(problem, *args), whose g and K carry their trees, ends the same,
+    and reruns in the call-site loop only where the walk raises: the
+    fallback would hide a tree loop that raises where the walk returns."""
+    want = outcome(lambda: run(walking(problem), *args))
+    with recorded_loops(empty=False) as loops:
+        assert outcome(lambda: run(problem, *args)) == want
+    if any(shape != "grid" and shape[3] == "calls" for shape, _ in loops):
+        assert want[0] == "error", "the tree loop raised where call sites ran"
+    return want
 
 
 def walking_builds(monkeypatch):
     """Have every ProblemConfig.build return the walked problem, so the
-    commands run the call-site loop."""
+    commands run the call-site loop and walk phi and exact."""
     build = registry.ProblemConfig.build
-
-    def walked(config):
-        problem = build(config)
-        return walking(problem, problem.g.tree, problem.kernel.tree)
-
-    monkeypatch.setattr(registry.ProblemConfig, "build", walked)
+    monkeypatch.setattr(registry.ProblemConfig, "build", lambda config: walking(build(config)))
 
 
-def packed(values):
-    return "values", struct.pack(f"{len(values)}d", *values)
+# A kernel with a kernel_x_rate lam takes the rate rows: each row is the
+# previous one scaled by e^(lam h) plus one sample.  The direct rows
+# evaluate every sample, as kernel_terms does.  The two agree bit for bit
+# when lam is 0, and within RTOL of the largest value compared when lam < 0,
+# where the recurrence rounds differently; a failure is the same either way.
+RTOL = 1e-12
 
 
-def solve_outcome(run):
-    """("values", the trajectory packed as doubles) or ("error", class,
-    message, step_index, x) of run()."""
-    try:
-        values = run()._values
-    except VdideError as exc:
-        return "error", type(exc), str(exc), exc.step_index, exc.x
-    return packed(values)
+def direct(problem):
+    """problem on the direct rows: no kernel_x_rate."""
+    return dataclasses.replace(problem, kernel_x_rate=None)
 
 
-def tree_loop_ends_as_walking(run, problem, g, K, *args):
-    """The outcome of run(walking(problem, g, K), *args), after checking
-    that run(problem, *args), whose g and K carry the trees g and K, ends
-    the same, and reruns in the call-site loop only where the walk raises:
-    the fallback would hide a tree loop that raises where the walk returns."""
-    assert problem.g.tree is g and problem.kernel.tree is K
-    want = solve_outcome(lambda: run(walking(problem, g, K), *args))
-    with recorded_loops(empty=False) as loops:
-        assert solve_outcome(lambda: run(problem, *args)) == want
-    if any(shape != "grid" and shape[3] == "calls" for shape, _ in loops):
-        assert want[0] == "error", "the tree loop raised where call sites ran"
+def assert_agree(got, want, rate):
+    """got == want where the recurrence keeps the reference's arithmetic,
+    else every entry within RTOL of the largest |want|."""
+    if rate is None or rate == 0.0:
+        assert got == want
+    else:
+        bound = RTOL * max(map(abs, want))
+        assert len(got) == len(want)
+        assert all(abs(a - b) <= bound for a, b in zip(got, want)), (got, want)
+
+
+def row_paths_end_alike(run, problem, *args):
+    """The outcome of run(direct(problem), *args), after checking that
+    run(problem, *args), on the rows of its kernel_x_rate, ends alike: an
+    error of the same class, message, step_index and x, the same doubles,
+    or, where the rate is negative, values that assert_agree."""
+    got = outcome(lambda: run(problem, *args))
+    want = outcome(lambda: run(direct(problem), *args))
+    rate = problem.kernel_x_rate
+    if rate and got[0] == want[0] == "values":
+        assert_agree(_unpacked(got[1]), _unpacked(want[1]), rate)
+    else:
+        assert got == want
     return want
 
 
@@ -556,29 +739,37 @@ def made_once(shapes, run, *again):
 # ---------------------------------------------------------------------------
 # x-dependent kernels over several delays, with u = e^(a x) and phi = exact:
 # g = a u - F(x), F the integral of K(x, t, e^(a (t - tau))) over [0, x],
-# and E = e^(-a tau).  (x - t) v and sin(x - t) v take the direct rows,
-# e^(t - x) v the rate -1 and e^(-t) v the rate 0 (ROADMAP item 13).
+# and E = e^(-a tau).  (x - t) v and sin(x - t) v take the direct rows, and
+# so do x v and cos(x) v, whose x-only factor leaves F a product; e^(t - x) v
+# takes the rate -1 and e^(-t) v the rate 0 (ROADMAP items 13 and 16).
+# Each family is (seed, K, F), the seed fixing its draw of a, c and tau.
 CLOSED_FORMS = {
-    "lag": ("{c}*(x - t)*v", "{c}*{E}*(exp({a}*x) - 1 - {a}*x)/({a})^2"),
-    "sine": ("{c}*sin(x - t)*v", "{c}*{E}*(exp({a}*x) - cos(x) - {a}*sin(x))/(1 + ({a})^2)"),
-    "decay": ("{c}*exp(t - x)*v", "{c}*{E}*(exp({a}*x) - exp(-x))/({a} + 1)"),
-    "fixed": ("{c}*exp(-t)*v", "{c}*{E}*(exp(({a} - 1)*x) - 1)/({a} - 1)"),
+    "lag": (3, "{c}*(x - t)*v", "{c}*{E}*(exp({a}*x) - 1 - {a}*x)/({a})^2"),
+    "sine": (4, "{c}*sin(x - t)*v", "{c}*{E}*(exp({a}*x) - cos(x) - {a}*sin(x))/(1 + ({a})^2)"),
+    "decay": (1, "{c}*exp(t - x)*v", "{c}*{E}*(exp({a}*x) - exp(-x))/({a} + 1)"),
+    "fixed": (2, "{c}*exp(-t)*v", "{c}*{E}*(exp(({a} - 1)*x) - 1)/({a} - 1)"),
+    "xfactor": (5, "{c}*x*v", "{c}*{E}*x*(exp({a}*x) - 1)/({a})"),
+    "cosx": (6, "{c}*cos(x)*v", "{c}*{E}*cos(x)*(exp({a}*x) - 1)/({a})"),
 }
 
 
 @pytest.fixture(params=sorted(CLOSED_FORMS))
 def closed_form(request):
-    """(text, tau) of a problem with a kernel of CLOSED_FORMS over three or
-    four delays, a, c and tau drawn from a seed, a kept from the poles of
-    F at 0, -1 and 1."""
-    rng = random.Random(sorted(CLOSED_FORMS).index(request.param) + 1)
+    """The ProblemConfig of a problem with a kernel of CLOSED_FORMS over
+    three or four delays, a, c and tau drawn from its seed, a kept from the
+    poles of F at 0, -1 and 1."""
+    seed, K, F = CLOSED_FORMS[request.param]
+    rng = random.Random(seed)
     a = rng.choice([-1, 1]) * round(rng.uniform(0.15, 0.4), 4)
     c, tau = round(rng.uniform(0.1, 0.5), 4), rng.choice([0.25, 0.5])
-    K, F = CLOSED_FORMS[request.param]
     values = dict(a=repr(a), c=repr(c), E=repr(math.exp(-a * tau)))
-    text = (
-        f"name = {request.param}\ng = {a!r}*u - {F.format(**values)}\n"
-        f"K = {K.format(**values)}\nphi = exp({a!r}*x)\nexact = exp({a!r}*x)\n"
-        f"tau = {tau!r}\nx0 = 0\nX = {rng.choice([3, 4]) * tau!r}\n"
+    return registry.ProblemConfig(
+        name=request.param,
+        g=f"{a!r}*u - {F.format(**values)}",
+        K=K.format(**values),
+        phi=f"exp({a!r}*x)",
+        exact=f"exp({a!r}*x)",
+        tau=tau,
+        x0=0.0,
+        X=rng.choice([3, 4]) * tau,
     )
-    return text, tau

@@ -16,10 +16,11 @@ from helpers import (
     ROUND_TRIP_ONLY,
     SAMPLE_XS,
     dgj_solve,
+    plain_problem,
     random_smooth_problem,
+    replay,
 )
 from vdide import (
-    DelayProblem,
     FirstStepMode,
     build_grid,
     builtin_problem,
@@ -100,10 +101,8 @@ def test_local_closure_scaling():
     diffs = {}
     for h in LOCAL_H_VALUES:
         grid = build_grid(0.0, 1.0, 1.0, h)
-        traj = init_trajectory(problem, grid, FirstStepMode.LITERAL)
         j_star = round(0.5 / h)
-        for j in range(j_star):
-            traj.append(nnm_step(problem, traj, j))
+        traj = replay(nnm_step, problem, grid, FirstStepMode.LITERAL, stop=j_star)
         diffs[h] = abs(
             nnm_step(problem, traj, j_star) - implicit_step(problem, traj, j_star)
         )
@@ -148,14 +147,7 @@ def test_dgj_step_equivalence():
 
 
 def test_quadrature_exactness():
-    problem = DelayProblem(
-        g=lambda x, u: 0.0,
-        kernel=lambda x, t, v: 1.0,
-        history=lambda x: 0.0,
-        tau=1.0,
-        x0=0.0,
-        x_end=1.0,
-    )
+    problem = plain_problem(kernel=lambda x, t, v: 1.0)
     worst = 0.0
     for h in (0.1, 0.05):
         grid = build_grid(0.0, 1.0, 1.0, h)
@@ -182,14 +174,7 @@ def test_oracle_residuals():
                 worst = max(worst, step_residual(problem, traj, j))
     residuals_ok = worst <= 1e-13
 
-    linear = DelayProblem(
-        g=lambda x, u: u,
-        kernel=lambda x, t, v: 0.0,
-        history=lambda x: 1.0,
-        tau=1.0,
-        x0=0.0,
-        x_end=1.0,
-    )
+    linear = plain_problem(g=lambda x, u: u, history=lambda x: 1.0)
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
     traj = init_trajectory(linear, grid)
     m1 = predictor(linear, traj, 0)

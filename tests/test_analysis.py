@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import plain_problem
 from vdide import analysis
 from vdide import (
-    DelayProblem,
     FirstStepMode,
     build_grid,
     builtin_problem,
@@ -21,28 +21,8 @@ from vdide.errors import DegenerateError, OffGridSample
 from vdide.problem import Trajectory
 
 
-def exp_ode_problem():
-    return DelayProblem(
-        g=lambda x, u: u,
-        kernel=lambda x, t, v: 0.0,
-        history=lambda x: math.exp(x),
-        tau=1.0,
-        x0=0.0,
-        x_end=1.0,
-        exact=math.exp,
-    )
-
-
-def exactly_integrable_problem():
-    return DelayProblem(
-        g=lambda x, u: 0.0,
-        kernel=lambda x, t, v: 1.0,
-        history=lambda x: 0.0,
-        tau=1.0,
-        x0=0.0,
-        x_end=1.0,
-        exact=lambda x: x * x / 2,
-    )
+# u' = u with u = e^x
+EXP_ODE = plain_problem(g=lambda x, u: u, history=math.exp, exact=math.exp)
 
 
 class TestGridIndex:
@@ -88,7 +68,7 @@ class TestErrorTable:
         assert all(err == 0.0 for _, err in table.rows)
 
     def test_rows_sorted_and_nonnegative(self):
-        problem = exp_ode_problem()
+        problem = EXP_ODE
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = solve(problem, grid)
         table = error_table(traj, problem.exact, [1.0, 0.5, 0.1])
@@ -100,12 +80,12 @@ class TestErrorTable:
     @pytest.mark.parametrize("x", [-0.5, 2.0])
     def test_points_outside_the_solved_interval_raise(self, x):
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        traj = solve(exp_ode_problem(), grid)
+        traj = solve(EXP_ODE, grid)
         with pytest.raises(OffGridSample):
             error_table(traj, math.exp, [0.5, x])
 
     def test_timed_solve_returns_the_solve_and_its_time(self):
-        problem = exp_ode_problem()
+        problem = EXP_ODE
         grid = build_grid(0.0, 1.0, 1.0, 0.2)
         traj, elapsed = timed_solve(problem, grid, FirstStepMode.LITERAL)
         assert traj.values == solve(problem, grid, FirstStepMode.LITERAL).values
@@ -181,7 +161,7 @@ class TestObservedOrder:
 class TestOrderStudy:
     def test_second_order_on_smooth_ode(self):
         est = order_study(
-            exp_ode_problem(),
+            EXP_ODE,
             FirstStepMode.LITERAL,
             [0.1, 0.05, 0.025, 0.0125],
         )
@@ -196,29 +176,21 @@ class TestOrderStudy:
         # is literally zero and no slope exists
         with pytest.raises(DegenerateError):
             order_study(
-                exactly_integrable_problem(),
+                plain_problem(kernel=lambda x, t, v: 1.0, exact=lambda x: x * x / 2),
                 FirstStepMode.CORRECTED,
                 [0.25, 0.125],
             )
 
     def test_needs_two_step_sizes(self):
         with pytest.raises(ValueError):
-            order_study(exp_ode_problem(), FirstStepMode.LITERAL, [0.1])
+            order_study(EXP_ODE, FirstStepMode.LITERAL, [0.1])
 
     def test_needs_exact_solution(self):
-        problem = DelayProblem(
-            g=lambda x, u: 0.0,
-            kernel=lambda x, t, v: 0.0,
-            history=lambda x: 1.0,
-            tau=1.0,
-            x0=0.0,
-            x_end=1.0,
-        )
         with pytest.raises(ValueError):
-            order_study(problem, FirstStepMode.LITERAL, [0.1, 0.05])
+            order_study(plain_problem(), FirstStepMode.LITERAL, [0.1, 0.05])
 
     def test_max_abs_error_scans_all_forward_points(self):
-        problem = exp_ode_problem()
+        problem = EXP_ODE
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = solve(problem, grid)
         worst = max_abs_error(traj, problem.exact)

@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vdide
-from helpers import recorded_loops, walking_builds
+from helpers import recorded_loops, replay, walking_builds
 from vdide import FirstStepMode, build_grid, builtin_problem, solve, solve_implicit
 from vdide import cli, registry
 from vdide.cli import main
-from vdide.problem import GridSpec, init_trajectory
+from vdide.problem import GridSpec
 from vdide.registry import resolve_problem
 from vdide.stepper import nnm_step
 
@@ -676,11 +676,8 @@ def test_solve_prints_the_nnm_step_replay(capsys, tmp_path, path, mode):
     problem = resolve_problem(str(cfg)).build()
     assert problem.kernel_x_rate == rate
     grid = build_grid(0.0, 1.0, 0.25, 0.0125)
-    replay = init_trajectory(problem, grid, mode)
-    for j in range(grid.steps):
-        replay.append(nnm_step(problem, replay, j))
     h, x0 = grid.h, grid.x0
-    forward = replay.values[grid.delay_steps :]
+    forward = replay(nnm_step, problem, grid, mode).values[grid.delay_steps :]
     want = ["x,u"] + [f"{x0 + j * h:.17g},{u:.17g}" for j, u in enumerate(forward)]
     code, out, err = run(
         capsys,

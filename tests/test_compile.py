@@ -7,14 +7,13 @@ point x returns the same float, bit for bit and with the same sign of zero,
 and wherever it raises a DomainError, the loop raises one of LOOP_FAILURES.
 The solve of a built problem, whose g and K carry their trees, ends as the
 solve of the walked problem (helpers.walking): the same doubles, or the
-same exception, message, step_index and x.
+same exception, message, step_index and x (helpers.outcome).
 """
 
 import dataclasses
 import functools
 import gc
 import itertools
-import math
 import weakref
 
 import pytest
@@ -28,9 +27,10 @@ from helpers import (
     HIDDEN_OVERFLOWS,
     PARAMS,
     made_once,
-    packed,
+    outcome,
     recorded_loops,
-    solve_outcome,
+    replay,
+    slot_problem,
     tree_loop_ends_as_walking,
     trees,
     walking,
@@ -52,34 +52,10 @@ from vdide.expressions import (
     unparse,
 )
 from vdide.analysis import max_abs_error, order_study
-from vdide.problem import (
-    DelayProblem,
-    FirstStepMode,
-    Trajectory,
-    build_grid,
-    init_trajectory,
-)
+from vdide.problem import FirstStepMode, Trajectory, build_grid, init_trajectory
 from vdide.registry import parse_config_text
 from vdide.oracle import solve_implicit
 from vdide.stepper import nnm_step, solve
-
-
-def outcome(fn, *args):
-    """("value", v) or ("error", text) of fn(*args); DomainError only."""
-    try:
-        return "value", fn(*args)
-    except DomainError as exc:
-        return "error", str(exc)
-
-
-def assert_same(got, want):
-    assert got[0] == want[0], (got, want)
-    if got[0] == "error":
-        assert got[1] == want[1]
-        return
-    a, b = got[1], want[1]
-    assert (a == b or (math.isnan(a) and math.isnan(b))), (a, b)
-    assert math.copysign(1.0, a) == math.copysign(1.0, b), (a, b)
 
 
 def pinned(tree, bindings, keep=("x",)):
@@ -103,15 +79,15 @@ def pinned(tree, bindings, keep=("x",)):
 def assert_grid_loop_matches_evaluate(tree, bindings):
     """The grid loop of tree, its variables but x pinned, over the one
     point x, against evaluate at bindings."""
-    want = outcome(evaluate, tree, bindings)
+    want = outcome(lambda: evaluate(tree, bindings))
     loop = grid_loop(pinned(tree, bindings))
     try:
         # x0 + 0 * -0.0 is x0 itself, -0.0 included
-        [value] = loop(0, 0, bindings.get("x", 0.0), -0.0)
+        values = loop(0, 0, bindings.get("x", 0.0), -0.0)
     except LOOP_FAILURES:
         assert want[0] == "error", "the grid loop raised where evaluate returned"
     else:
-        assert_same(("value", value), want)
+        assert outcome(lambda: values) == want
 
 
 def assert_one_step_solves_like_walking(tree, bindings):
@@ -120,18 +96,11 @@ def assert_one_step_solves_like_walking(tree, bindings):
     is g at bindings: the built problem's solve against the walked one's."""
     x0 = bindings.get("x", 0.0)
     h = max(1.0, abs(x0)) / 1024
-    g, K = pinned(tree, bindings, keep=("x", "u")), Num(0.0)
-    problem = DelayProblem(
-        g=registry._slot_function(g, "g"),
-        kernel=registry._slot_function(K, "K"),
-        history=registry._slot_function(Num(bindings.get("u", 1.0)), "phi"),
-        tau=h,
-        x0=x0,
-        x_end=x0 + h,
-    )
-    want = tree_loop_ends_as_walking(solve, problem, g, K, build_grid(x0, x0 + h, h, h))
-    if outcome(evaluate, tree, bindings)[0] == "error":
-        assert want[0] == "error" and want[3:] == (0, x0)
+    g, phi = pinned(tree, bindings, keep=("x", "u")), Num(bindings.get("u", 1.0))
+    problem = slot_problem(g, Num(0.0), phi, tau=h, x0=x0, x_end=x0 + h)
+    want = tree_loop_ends_as_walking(solve, problem, build_grid(x0, x0 + h, h, h))
+    if outcome(lambda: evaluate(tree, bindings))[0] == "error":
+        assert want[0] == "error" and want[3:] == (0, x0, None)
     return want
 
 
@@ -149,7 +118,7 @@ def test_an_overflow_a_later_node_would_hide_is_reported(text):
     with pytest.raises(LOOP_FAILURES):
         grid_loop(tree)(0, 0, 1e200, -0.0)
     assert assert_one_step_solves_like_walking(tree, {"x": 1e200}) == (
-        "error", DomainError, "'x * x' evaluated to a non-finite value", 0, 1e200
+        "error", DomainError, "'x * x' evaluated to a non-finite value", 0, 1e200, None
     )
 
 
@@ -227,7 +196,7 @@ def test_phis_of_one_shape_share_one_grid_loop_with_their_own_values():
     assert loops[0].args != loops[1].args
     for tree, loop in zip(trees, loops):
         want = [evaluate(tree, {"x": 0.25 + j * 0.125}) for j in range(-3, 9)]
-        assert packed(loop(-3, 8, 0.25, 0.125)) == packed(want)
+        assert outcome(lambda: loop(-3, 8, 0.25, 0.125)) == outcome(lambda: want)
 
 
 # A node that can hide a non-finite operand, over an operand that can
@@ -252,7 +221,7 @@ def test_generated_trees_run_in_grid_loops_as_evaluate_runs(tree, values):
     assert_grid_loop_matches_evaluate(tree, dict(zip(PARAMS, values)))
 
 
-def slot_problem(g="log(u) + x", x_end=1.0, exact=None):
+def config_problem(g="log(u) + x", x_end=1.0, exact=None):
     exact_line = "" if exact is None else f"exact = {exact}\n"
     return parse_config_text(
         f"name = slot\ng = {g}\nK = v\nphi = 1\n{exact_line}"
@@ -263,11 +232,11 @@ def slot_problem(g="log(u) + x", x_end=1.0, exact=None):
 def assert_walk_and_tree_loop_match_evaluate(text, inputs):
     """A built g's walk against evaluate, and one step from each (x, u)
     against the walked step, on every (x, u) of inputs."""
-    g = slot_problem(text).g
+    g = config_problem(text).g
     tree = parse(text)
     for x, u in inputs:
         bindings = {"x": x, "u": u}
-        assert_same(outcome(g, x, u), outcome(evaluate, tree, bindings))
+        assert outcome(lambda: g(x, u)) == outcome(lambda: evaluate(tree, bindings))
         assert_one_step_solves_like_walking(tree, bindings)
 
 
@@ -297,13 +266,13 @@ def test_a_dropped_problem_leaves_no_reference_cycles(g, hs):
     lines and the grid loops kept, and ends as the walked solve ends."""
 
     def build_and_solve():
-        problem = slot_problem(g, exact="exp(x)")
-        walked = walking(problem, problem.g.tree, problem.kernel.tree)
+        problem = config_problem(g, exact="exp(x)")
+        walked = walking(problem)
         for h in hs:
             grid = build_grid(0.0, 1.0, 1.0, h)
             for run in (solve, solve_implicit):
-                want = solve_outcome(lambda: run(walked, grid))
-                assert solve_outcome(lambda: run(problem, grid)) == want
+                want = outcome(lambda: run(walked, grid))
+                assert outcome(lambda: run(problem, grid)) == want
             assert max_abs_error(zero_trajectory(grid), problem.exact) > 1.0
         assert len(problem._loops) == 1  # g's and K's lines and their values
         assert problem.history.loop and problem.exact.loop
@@ -366,17 +335,13 @@ STAMP_TEXT = (
 
 
 def stamp_failure(slot, h):
-    """(message, slot, x) of the DomainError that init_trajectory (phi) or
-    max_abs_error (exact) raises at step h."""
+    """The outcome of init_trajectory (phi) or max_abs_error (exact) at step
+    h."""
     problem = parse_config_text(STAMP_TEXT).build()
     grid = build_grid(0.0, 1.0, 1.0, h)
-    with pytest.raises(DomainError) as info:
-        if slot == "phi":
-            init_trajectory(problem, grid)
-        else:
-            max_abs_error(zero_trajectory(grid), problem.exact)
-    exc = info.value
-    return str(exc), exc.slot, exc.x
+    if slot == "phi":
+        return outcome(lambda: init_trajectory(problem, grid))
+    return outcome(lambda: max_abs_error(zero_trajectory(grid), problem.exact))
 
 
 def zero_trajectory(grid):
@@ -397,14 +362,12 @@ def test_a_failing_phi_or_exact_grid_loop_names_its_slot_and_x(slot, x):
     # grid of 201 or 200 points (h = 0.005) as on one of 11 or 10 (h = 0.1)
     problem = parse_config_text(STAMP_TEXT).build()
     fn = problem.history if slot == "phi" else problem.exact
-    with pytest.raises(DomainError) as info:
-        fn(x)
-    assert (info.value.slot, info.value.x) == (slot, x)
+    want = outcome(lambda: fn(x))
+    assert want[:2] == ("error", DomainError) and want[4:] == (x, slot)
     grid = build_grid(0.0, 1.0, 1.0, 0.005)
     first, last = (-grid.delay_steps, 0) if slot == "phi" else (1, grid.steps)
     with pytest.raises(ValueError, match="^math domain error$"):
         grid_loop(fn.tree)(first, last, 0.0, 0.005)
-    want = (str(info.value), slot, x)
     assert stamp_failure(slot, 0.005) == stamp_failure(slot, 0.1) == want
 
 
@@ -435,12 +398,11 @@ SWEEP_LOOPS = {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["tree"])
 def test_a_solve_failing_in_its_tree_loop_reports_what_evaluate_would(run):
     # log(2 - x) fails at x = 2, first as g(x_{j+1}, .) of step 199, after
     # hundreds of g evaluations in the tree loop
-    problem = slot_problem("log(2 - x) + 0*u", x_end=3.0)
+    problem = config_problem("log(2 - x) + 0*u", x_end=3.0)
     grid = build_grid(0.0, 3.0, 1.0, 0.01)
-    trees = problem.g.tree, problem.kernel.tree
-    failure = tree_loop_ends_as_walking(run, problem, *trees, grid)
+    failure = tree_loop_ends_as_walking(run, problem, grid)
     assert failure[:2] == ("error", DomainError)
-    assert failure[3:] == (199, 1.99)
+    assert failure[3:] == (199, 1.99, None)
     assert "log(2.0 - x)" in failure[2]
 
 
@@ -683,13 +645,13 @@ def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(mode):
     # one grid loop
     def solve_as_walked(a, c):
         problem = parse_config_text(sweep_text(0.5, 3, a, c)).build()
-        walked = walking(problem, problem.g.tree, problem.kernel.tree)
+        walked = walking(problem)
         for h in (0.25, 0.125, 0.0625) * 2:
             grid = build_grid(0.0, 1.5, 0.5, h)
             for run in (solve, solve_implicit):
-                want = solve_outcome(lambda: run(walked, grid, mode))
+                want = outcome(lambda: run(walked, grid, mode))
                 assert want[0] == "values"
-                assert solve_outcome(lambda: run(problem, grid, mode)) == want
+                assert outcome(lambda: run(problem, grid, mode)) == want
 
     made = {"grid"} | step_loops(mode, "recur", ("calls", "tree"))
     literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
@@ -707,18 +669,15 @@ def test_a_kept_grid_loop_that_fails_falls_back_at_every_use():
     # grid loop its first use makes, and at every use the kept loop fails
     # and the walk reruns, raising the DomainError a walked call raises
     problem = parse_config_text(KEPT_TEXT).build()
-
-    def failure(fn, *args):
-        with pytest.raises(DomainError) as info:
-            fn(*args)
-        return info.value.slot, info.value.x, str(info.value)
-
     kept = []
     for h in (0.1, 0.05, 0.1):
         grid = build_grid(0.0, 1.0, 1.0, h)
-        assert failure(init_trajectory, problem, grid) == failure(problem.history, -1.0)
-        exact = failure(max_abs_error, zero_trajectory(grid), problem.exact)
-        assert exact == failure(problem.exact, h)
+        phi = outcome(lambda: init_trajectory(problem, grid))
+        assert phi[:2] == ("error", DomainError)
+        assert phi == outcome(lambda: problem.history(-1.0))
+        exact = outcome(lambda: max_abs_error(zero_trajectory(grid), problem.exact))
+        assert exact[:2] == ("error", DomainError)
+        assert exact == outcome(lambda: problem.exact(h))
         kept.append((problem.history.loop, problem.exact.loop))
     assert kept[0][0] is kept[2][0] and kept[0][1] is kept[2][1]
 
@@ -748,9 +707,7 @@ def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
             assert run(variant, grid).values == run(built, grid).values
     assert solve(swapped, grid).values != solved[0]
     # the direct rows are kernel_terms' rows, bit for bit
-    traj = init_trajectory(direct, grid)
-    for j in range(grid.steps):
-        traj.append(nnm_step(direct, traj, j))
+    traj = replay(nnm_step, direct, grid, FirstStepMode.LITERAL)
     assert solve(direct, grid).values == traj.values
     # equality, hash and repr ignore what a problem keeps
     copy = dataclasses.replace(problem)
@@ -763,14 +720,14 @@ def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
 
 def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache():
     # a walked problem's solves run their call-site loops: one per closure,
-    # built on its first solve and kept with every other loop, as is phi's
-    # grid loop, which the first solve makes and phi keeps
+    # built on its first solve and kept with every other loop; its phi walks
+    # and makes no grid loop
     problem = parse_config_text(sweep_text(0.5, 3)).build()
-    walked = walking(problem, problem.g.tree, problem.kernel.tree)
+    walked = walking(problem)
     grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
     runs, shared = (solve, solve_implicit), []
     made_once(
-        {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["calls"]),
+        step_loops(FirstStepMode.LITERAL, "recur", ["calls"]),
         lambda: shared.extend(run(walked, grid).values for run in runs),
     )
     assert shared[:2] == shared[2:]
@@ -778,23 +735,21 @@ def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache():
 
 
 def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made():
-    # one cache keeps every loop: a walked solve makes phi's grid loop and
-    # the call-site loop of its shape (K = v ignores x: the recurrence's
-    # rows), and a built solve of that shape, whose phi keeps its grid loop,
-    # adds its tree loop, which fails at x_0 = 0, and reruns in the kept
-    # call-site loop
+    # one cache keeps every loop: a walked solve makes the call-site loop of
+    # its shape (K = v ignores x: the recurrence's rows), and a built solve
+    # of that shape makes phi's grid loop and its tree loop, which fails at
+    # x_0 = 0, and reruns in the kept call-site loop
     problem = parse_config_text(
         "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
     ).build()
-    walked = walking(problem, problem.g.tree, problem.kernel.tree)
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
     calls, tree = (
         (FirstStepMode.LITERAL, "recur", solve, kind) for kind in ("calls", "tree")
     )
     with recorded_loops() as loops:
-        want = solve_outcome(lambda: solve(walked, grid))
+        want = outcome(lambda: solve(walking(problem), grid))
     assert want[0] == "error" and want[1] is DomainError
-    assert loops.made() == {"grid", calls}
+    assert loops.made() == {calls}
     with recorded_loops(empty=False) as loops:
-        assert solve_outcome(lambda: solve(problem, grid)) == want
-    assert loops == [(tree, True), (calls, False)]
+        assert outcome(lambda: solve(problem, grid)) == want
+    assert loops == [("grid", True), (tree, True), (calls, False)]

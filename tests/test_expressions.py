@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import math
-import struct
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +16,7 @@ from helpers import (
     PARSE_ERROR_MESSAGES,
     ROUND_TRIP_ONLY,
     WHITESPACE_CASES,
+    outcome,
     reference_evaluate,
     trees,
 )
@@ -220,19 +220,12 @@ def test_ast_nodes_are_immutable():
 
 # evaluate against the reference walker in helpers: the same float bit for
 # bit, sign of zero and NaN payload included, or the same exception class
-# with the same message.
-
-
-def walk(fn, tree, bindings):
-    try:
-        return "value", struct.pack("<d", fn(tree, bindings))
-    except Exception as exc:
-        return "error", type(exc), str(exc)
+# with the same message (helpers.outcome).
 
 
 def assert_walks_like_the_reference(tree, bindings):
-    got = walk(evaluate, tree, bindings)
-    assert got == walk(reference_evaluate, tree, bindings), (tree, bindings, got)
+    got = outcome(lambda: evaluate(tree, bindings))
+    assert got == outcome(lambda: reference_evaluate(tree, bindings)), (tree, bindings, got)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -4,22 +4,21 @@ solve and solve_implicit run the step loop of stepper._loop_source, which
 evaluates each trapezium row once, or, for a kernel with a declared
 kernel_x_rate lam, scales the previous row by e^(lam h) and adds one sample;
 nnm_step and implicit_step recompute every row from scratch through
-kernel_terms.  They
-must agree bit for bit when the rate is None or 0.0, and within 1e-12
-relative to the largest value compared when lam < 0, where the recurrence
-rounds differently.  Either way a failing kernel must fail at the
-same step, with the same error, as on the O(N^2) rows.
+kernel_terms.  They must agree as helpers.assert_agree says: bit for bit
+when the rate is None or 0.0, and within helpers.RTOL relative to the
+largest value compared when lam < 0, where the recurrence rounds
+differently.  Either way a failing kernel must fail at the same step, with
+the same error, as on the O(N^2) rows (helpers.row_paths_end_alike).
 """
 
-import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_agree, plain_problem, replay, row_paths_end_alike
 from vdide import (
-    DelayProblem,
     FirstStepMode,
     build_grid,
     parse_config_text,
@@ -28,11 +27,9 @@ from vdide import (
 )
 from vdide.expressions import DomainError
 from vdide.oracle import implicit_step
-from vdide.problem import init_trajectory
 from vdide.stepper import nnm_step
 
 TAU = 0.5
-RTOL = 1e-12
 
 coefficient = st.floats(-1.0, 1.0, allow_nan=False)
 frequency = st.floats(0.3, 2.0, allow_nan=False)
@@ -71,7 +68,9 @@ def delay_problems(draw):
             return b0 * math.cos(b2 * t) + cv * math.sin(v)
 
     else:
-        lam, c = draw(st.floats(0.0, 3.0)), draw(coefficient)
+        # |c| kept from 0, where every row is zero on either path
+        lam = draw(st.floats(0.0, 3.0))
+        c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 1.0))
         rate = -lam
 
         def kernel(x, t, v):
@@ -82,50 +81,27 @@ def delay_problems(draw):
         return p0 + p1 * math.cos(w * x)
 
     delays = draw(st.integers(2, 4))
-    problem = DelayProblem(
-        g=g,
-        kernel=kernel,
-        history=history,
-        tau=TAU,
-        x0=0.0,
-        x_end=delays * TAU,
-        kernel_x_rate=rate,
+    problem = plain_problem(
+        g=g, kernel=kernel, history=history, tau=TAU, x_end=delays * TAU, kernel_x_rate=rate
     )
     grid = build_grid(0.0, problem.x_end, TAU, TAU / draw(st.integers(1, 6)))
     return problem, grid, draw(st.sampled_from(FirstStepMode))
-
-
-def assert_agree(got, want, rate):
-    """got == want where the recurrence keeps the reference's arithmetic,
-    else every entry within RTOL of the largest |want|."""
-    if rate is None or rate == 0.0:
-        assert got == want
-    else:
-        bound = RTOL * max(map(abs, want))
-        assert len(got) == len(want)
-        assert all(abs(a - b) <= bound for a, b in zip(got, want)), (got, want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(delay_problems())
 def test_solve_equals_nnm_step_replay(case):
     problem, grid, mode = case
-    replay = init_trajectory(problem, grid, mode)
-    for j in range(grid.steps):
-        replay.append(nnm_step(problem, replay, j))
-    got = solve(problem, grid, mode).values
-    assert_agree(got, replay.values, problem.kernel_x_rate)
+    want = replay(nnm_step, problem, grid, mode).values
+    assert_agree(solve(problem, grid, mode).values, want, problem.kernel_x_rate)
 
 
 @settings(max_examples=60, deadline=None)
 @given(delay_problems())
 def test_solve_implicit_equals_implicit_step_replay(case):
     problem, grid, mode = case
-    replay = init_trajectory(problem, grid, mode)
-    for j in range(grid.steps):
-        replay.append(implicit_step(problem, replay, j))
-    got = solve_implicit(problem, grid, mode).values
-    assert_agree(got, replay.values, problem.kernel_x_rate)
+    want = replay(implicit_step, problem, grid, mode).values
+    assert_agree(solve_implicit(problem, grid, mode).values, want, problem.kernel_x_rate)
 
 
 @pytest.mark.parametrize("run", [solve, solve_implicit])
@@ -148,14 +124,8 @@ def test_failing_kernel_fails_at_the_same_step_on_both_row_paths(
         "tau = 0.5\nx0 = 0\nX = 1\n"
     ).build()
     assert problem.kernel_x_rate == rate
-    grid = build_grid(0.0, 1.0, 0.5, 0.05)
-    failures = []
-    for variant in (problem, dataclasses.replace(problem, kernel_x_rate=None)):
-        with pytest.raises(DomainError) as info:
-            run(variant, grid, mode)
-        failures.append((str(info.value), info.value.step_index))
-    assert failures[0] == failures[1]
-    assert failures[0][1] == step
+    failure = row_paths_end_alike(run, problem, build_grid(0.0, 1.0, 0.5, 0.05), mode)
+    assert failure[:2] == ("error", DomainError) and failure[3] == step
 
 
 @pytest.mark.parametrize("run", [solve, solve_implicit])
@@ -172,15 +142,9 @@ def test_overflow_inside_an_exponent_fails_at_the_same_step_on_both_row_paths(
     problem = parse_config_text(
         f"name = k\ng = -u\nK = {kernel}\nphi = 1\ntau = 0.5\nx0 = 0\nX = 3\n"
     ).build()
-    grid = build_grid(0.0, 3.0, 0.5, 0.5)
-    failures = []
-    for variant in (problem, dataclasses.replace(problem, kernel_x_rate=None)):
-        with pytest.raises(DomainError) as info:
-            run(variant, grid, mode)
-        failures.append((str(info.value), info.value.step_index))
-    assert failures[0] == failures[1]
-    assert failures[0][1] == 3
-    assert "1e+308 * (t - x)" in failures[0][0]
+    failure = row_paths_end_alike(run, problem, build_grid(0.0, 3.0, 0.5, 0.5), mode)
+    assert failure[:2] == ("error", DomainError) and failure[3] == 3
+    assert "1e+308 * (t - x)" in failure[2]
 
 
 @pytest.mark.parametrize("run", [solve, solve_implicit])
@@ -193,11 +157,8 @@ def test_a_kernel_failing_at_the_literal_corner_fails_at_step_0(run):
     ).build()
     assert problem.kernel_x_rate == -1.0
     grid = build_grid(1.0, 2.0, 0.5, 0.1)
-    for variant in (problem, dataclasses.replace(problem, kernel_x_rate=None)):
-        with pytest.raises(DomainError) as info:
-            run(variant, grid, FirstStepMode.LITERAL)
-        assert (info.value.step_index, info.value.x) == (0, 1.0)
-        assert str(info.value) == (
-            "cannot evaluate 'log(v)' at argument -0.7: math domain error"
-        )
+    assert row_paths_end_alike(run, problem, grid, FirstStepMode.LITERAL) == (
+        "error", DomainError,
+        "cannot evaluate 'log(v)' at argument -0.7: math domain error", 0, 1.0, None,
+    )
 

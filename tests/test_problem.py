@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from vdide import DelayProblem, FirstStepMode, build_grid, delayed_value
+from helpers import plain_problem
+from vdide import FirstStepMode, build_grid, delayed_value
 from vdide.errors import (
     IndexNotYetComputed,
     NonCommensurateDelay,
@@ -12,17 +13,6 @@ from vdide.errors import (
     ZeroDelaySteps,
 )
 from vdide.problem import GridSpec, Trajectory, init_trajectory
-
-
-def make_problem(phi, tau=1.0, x0=0.0, x_end=1.0):
-    return DelayProblem(
-        g=lambda x, u: 0.0,
-        kernel=lambda x, t, v: 0.0,
-        history=phi,
-        tau=tau,
-        x0=x0,
-        x_end=x_end,
-    )
 
 
 class TestBuildGrid:
@@ -136,29 +126,29 @@ class TestBuildGrid:
 class TestDelayProblem:
     def test_validation(self):
         with pytest.raises(ValueError):
-            make_problem(lambda x: 0.0, tau=0.0)
+            plain_problem(tau=0.0)
         with pytest.raises(ValueError):
-            make_problem(lambda x: 0.0, tau=-1.0)
+            plain_problem(tau=-1.0)
         with pytest.raises(ValueError):
-            make_problem(lambda x: 0.0, x0=1.0, x_end=1.0)
+            plain_problem(x0=1.0, x_end=1.0)
         for rate in (math.nan, -math.inf):
             with pytest.raises(ValueError):
-                dataclasses.replace(make_problem(lambda x: 0.0), kernel_x_rate=rate)
+                dataclasses.replace(plain_problem(), kernel_x_rate=rate)
 
     @pytest.mark.parametrize("field", ["tau", "x0", "x_end"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_field_is_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            make_problem(lambda x: 0.0, **{field: value})
+            plain_problem(**{field: value})
 
     def test_initial_value_comes_from_history(self):
-        problem = make_problem(lambda x: math.exp(x + 1.0))
+        problem = plain_problem(history=lambda x: math.exp(x + 1.0))
         assert problem.initial_value == math.e
 
 
 class TestTrajectory:
     def test_history_prefill_is_bit_exact(self):
-        problem = make_problem(math.exp)
+        problem = plain_problem(history=math.exp)
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid)
         for j in range(-grid.delay_steps, 1):
@@ -168,30 +158,30 @@ class TestTrajectory:
         assert traj.last_index == 0
 
     def test_shifted_exponential_history_starts_at_e(self):
-        problem = make_problem(lambda x: math.exp(x + 1.0))
+        problem = plain_problem(history=lambda x: math.exp(x + 1.0))
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid)
         assert traj.value(0) == math.e
         assert traj.value(-10) == 1.0
 
     def test_zero_history(self):
-        problem = make_problem(lambda x: 0.0)
+        problem = plain_problem()
         grid = build_grid(0.0, 1.0, 1.0, 0.2)
         traj = init_trajectory(problem, grid)
         assert traj.values == (0.0,) * 6
 
     def test_reading_ahead_raises(self):
-        traj = init_trajectory(make_problem(math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
+        traj = init_trajectory(plain_problem(history=math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
         with pytest.raises(IndexNotYetComputed):
             traj.value(1)
 
     def test_reading_before_history_raises(self):
-        traj = init_trajectory(make_problem(math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
+        traj = init_trajectory(plain_problem(history=math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
         with pytest.raises(IndexError):
             traj.value(-11)
 
     def test_append_then_read(self):
-        traj = init_trajectory(make_problem(math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
+        traj = init_trajectory(plain_problem(history=math.cos), build_grid(0.0, 1.0, 1.0, 0.1))
         traj.append(1.25)
         traj.append(1.5)
         assert traj.last_index == 2
@@ -199,7 +189,7 @@ class TestTrajectory:
         assert traj.value(2) == 1.5
 
     def test_append_past_the_grid_raises(self):
-        problem = make_problem(math.cos, x_end=0.2)
+        problem = plain_problem(history=math.cos, x_end=0.2)
         traj = init_trajectory(problem, build_grid(0.0, 0.2, 1.0, 0.1))
         traj.append(1.0)
         traj.append(2.0)
@@ -207,14 +197,14 @@ class TestTrajectory:
             traj.append(3.0)
 
     def test_values_snapshot_is_immutable(self):
-        traj = init_trajectory(make_problem(math.cos), build_grid(0.0, 1.0, 1.0, 0.5))
+        traj = init_trajectory(plain_problem(history=math.cos), build_grid(0.0, 1.0, 1.0, 0.5))
         snap = traj.values
         assert isinstance(snap, tuple)
         traj.append(9.0)
         assert snap != traj.values
 
     def test_mode_is_recorded(self):
-        problem = make_problem(math.cos)
+        problem = plain_problem(history=math.cos)
         grid = build_grid(0.0, 1.0, 1.0, 0.5)
         assert init_trajectory(problem, grid).mode is FirstStepMode.LITERAL
         traj = init_trajectory(problem, grid, FirstStepMode.CORRECTED)
@@ -226,7 +216,7 @@ class TestTrajectory:
             Trajectory(grid, FirstStepMode.LITERAL, [0.0, 0.0])
 
     def test_grid_must_match_problem(self):
-        problem = make_problem(math.cos, tau=1.0)
+        problem = plain_problem(history=math.cos, tau=1.0)
         grid = build_grid(0.0, 1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             init_trajectory(problem, grid)
@@ -241,8 +231,8 @@ class TestTrajectory:
         # that overflows to inf
         nan_origin = GridSpec(h=0.25, steps=4, delay_steps=2, x0=math.nan)
         with pytest.raises(ValueError, match="grid origin"):
-            init_trajectory(make_problem(math.cos, tau=0.5), nan_origin)
-        unbounded = make_problem(math.cos, tau=1e308)
+            init_trajectory(plain_problem(history=math.cos, tau=0.5), nan_origin)
+        unbounded = plain_problem(history=math.cos, tau=1e308)
         object.__setattr__(unbounded, "x_end", math.inf)
         overflowing = GridSpec(h=1e308, steps=3, delay_steps=1, x0=0.0)
         with pytest.raises(ValueError, match="grid endpoint"):
@@ -251,26 +241,26 @@ class TestTrajectory:
 
 class TestDelayedValue:
     def test_reads_history_before_any_step(self):
-        problem = make_problem(math.sin)
+        problem = plain_problem(history=math.sin)
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid)
         for j in range(0, grid.delay_steps + 1):
             assert delayed_value(traj, j) == math.sin(grid.point(j - 10))
 
     def test_reads_computed_values_once_past_the_delay(self):
-        problem = make_problem(math.sin, tau=0.2)
+        problem = plain_problem(history=math.sin, tau=0.2)
         grid = build_grid(0.0, 1.0, 0.2, 0.1)
         traj = init_trajectory(problem, grid)
         traj.append(42.0)
         assert delayed_value(traj, 3) == 42.0
 
     def test_negative_index_rejected(self):
-        traj = init_trajectory(make_problem(math.sin), build_grid(0.0, 1.0, 1.0, 0.1))
+        traj = init_trajectory(plain_problem(history=math.sin), build_grid(0.0, 1.0, 1.0, 0.1))
         with pytest.raises(ValueError):
             delayed_value(traj, -1)
 
     def test_future_lookup_raises(self):
-        problem = make_problem(math.sin, tau=0.1)
+        problem = plain_problem(history=math.sin, tau=0.1)
         grid = build_grid(0.0, 1.0, 0.1, 0.1)
         traj = init_trajectory(problem, grid)
         with pytest.raises(IndexNotYetComputed):
@@ -282,7 +272,7 @@ class TestDelayedValue:
             m = rng.randint(1, 8)
             n = rng.randint(1, 12)
             h = rng.choice([0.05, 0.1, 0.2, 0.25])
-            problem = make_problem(math.cos, tau=m * h, x0=0.0, x_end=n * h)
+            problem = plain_problem(history=math.cos, tau=m * h, x0=0.0, x_end=n * h)
             grid = build_grid(0.0, n * h, m * h, h)
             assert grid.delay_steps == m
             assert grid.steps == n

@@ -9,36 +9,40 @@ solve reruns the call-site loop, which raises the reference exception
 
 - the bare tree loop, whenever it returns, returns the call-site loop's
   values;
-- the built problem's solve ends as the solve of walking(problem, g, K),
-  whose plain callables walk the trees in the call-site loop: the same
-  doubles, or the same exception class, message, step_index and x;
-- with no kernel_x_rate or a zero one, the call-site loop ends as appending
-  nnm_step or implicit_step for each j does: the same doubles, or the same
-  exception class and message.
+- the built problem's solve ends as the solve of walking(problem), whose
+  plain callables walk the trees in the call-site loop: the same doubles,
+  or the same exception class, message, step_index and x;
+- with no kernel_x_rate or a zero one, the call-site loop ends as the
+  single-step replay (helpers.replay of nnm_step or implicit_step) does:
+  the same doubles, or the same exception class and message;
+- on the problems of helpers.CLOSED_FORMS, the rate rows end as the direct
+  rows (helpers.row_paths_end_alike).
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    SEEDS,
     closed_form,
-    solve_outcome,
+    mixed,
+    outcome,
+    replay,
+    row_paths_end_alike,
+    single_x_trees,
+    slot_problem,
     tree_loop_ends_as_walking,
-    trees_over,
     walking,
 )
-from test_grid_loop import SEEDS, single_x_trees
-from vdide import registry
-from vdide.expressions import BinOp, Call, Neg, Num, Var, parse, x_rate
+from vdide.expressions import BinOp, Call, DomainError, Num, Var, parse, x_rate
 from vdide.oracle import implicit_step, solve_implicit
 from vdide.analysis import order_study
-from vdide.problem import DelayProblem, FirstStepMode, build_grid, init_trajectory
+from vdide.problem import FirstStepMode, build_grid
 from vdide.stepper import nnm_step, solve
 
-# Leaves of trees that mostly stay finite over a solve; the helpers' own
-# leaves add the values that overflow or leave the domain.
-TAME = [0.0, -0.0, 0.25, 0.5, -0.75, 1.0, 2.0]
 PHIS = ["1 + x/2", "exp(-x)", "cos(3*x) - 0.5"]
 ROW_PATHS = ("rate-0", "rate-negative", "direct")
 # each solver with the single step it equals
@@ -48,41 +52,17 @@ SOLVERS = {
 }
 
 
-def slot_problem(g, K, phi, rate, x0, x_end, tau):
-    """A problem whose g, K and phi are slot functions of the trees, as a
-    config builds them."""
-    return DelayProblem(
-        g=registry._slot_function(g, "g"),
-        kernel=registry._slot_function(K, "K"),
-        history=registry._slot_function(phi, "phi"),
-        tau=tau,
-        x0=x0,
-        x_end=x_end,
-        kernel_x_rate=rate,
-    )
-
-
-def replay(step, problem, grid, mode):
-    """The trajectory of step(problem, traj, j) appended for each j."""
-    traj = init_trajectory(problem, grid, mode)
-    for j in range(grid.steps):
-        traj.append(step(problem, traj, j))
-    return traj
-
-
 def check_loops(solver, g, K, phi, rate, x0, delays, m, mode):
     """The outcome of solver on the walked problem, after checking the built
     problem's solve and its bare tree loop against it, and it against the
     single-step replay."""
     run, step = SOLVERS[solver]
     tau = 0.25
-    x_end = x0 + delays * tau
-    problem = slot_problem(g, K, phi, rate, x0, x_end, tau)
-    grid = build_grid(x0, x_end, tau, tau / m)
-    want = tree_loop_ends_as_walking(run, problem, g, K, grid, mode)
+    problem = slot_problem(g, K, phi, rate=rate, tau=tau, x0=x0, x_end=x0 + delays * tau)
+    grid = build_grid(x0, problem.x_end, tau, tau / m)
+    want = tree_loop_ends_as_walking(run, problem, grid, mode)
     if rate is None or rate == 0.0:
-        reference = walking(problem, g, K)
-        got = solve_outcome(lambda: replay(step, reference, grid, mode))
+        got = outcome(lambda: replay(step, walking(problem), grid, mode))
         assert got[:3] == want[:3]
     return want
 
@@ -97,33 +77,6 @@ def kernel_on(path, draw):
     c = draw(st.sampled_from([0.5, 1.0, 3.0]))
     decay = Call("exp", BinOp("*", Num(-c), BinOp("-", Var("x"), Var("t"))))
     return BinOp("*", decay, rest), -c
-
-
-def hiding(params):
-    """Trees whose value hides an overflow part way through a solve: the
-    product 1e308*(p + c) overflows once |p + c| > 1.8, and exp(-inf) = 0,
-    tanh(inf) = 1, a / inf = 0, inf^0 = 1 and 0.5^inf = 0 are finite.  Only
-    the generated checks stop such a value."""
-    overflow = st.builds(
-        lambda p, c: BinOp("*", Num(1e308), BinOp("+", Var(p), Num(c))),
-        st.sampled_from(params),
-        st.sampled_from([-1.0, 0.5, 1.0]),
-    )
-    tame = trees_over(params, TAME, TAME)
-    hidden = st.one_of(
-        overflow.map(lambda o: Call("exp", Neg(o))),
-        overflow.map(lambda o: Call("tanh", o)),
-        st.builds(lambda a, o: BinOp("/", a, o), tame, overflow),
-        overflow.map(lambda o: BinOp("^", o, Num(0.0))),
-        overflow.map(lambda o: BinOp("^", Num(0.5), o)),
-    )
-    return st.builds(BinOp, st.sampled_from("+-*"), hidden, tame)
-
-
-def mixed(params):
-    return st.one_of(
-        trees_over(params, TAME, TAME), trees_over(params), hiding(params)
-    )
 
 
 g_trees = mixed(("x", "u"))
@@ -235,19 +188,37 @@ def single_x_cases(draw):
               mode=FirstStepMode.LITERAL))
 @example(dict(g=parse("tanh(1e307/x) - 0.5*u"), K=parse("v/2"), phi=parse("1 + x/2"),
               rate=0.0, x0=-0.3, delays=4, m=4, mode=FirstStepMode.LITERAL))
-def test_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(case):
+def test_step_loop_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(case):
     for solver in SOLVERS:
         check_loops(solver, **case)
 
 
-# The problems of helpers.CLOSED_FORMS, whose exact solutions are known.
+# The problems of helpers.CLOSED_FORMS, whose exact solutions are known: the
+# built problem ends as the walked one and, on the direct rows, as its rate
+# rows, and its fitted slope is 2.
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 def test_x_dependent_kernels_over_several_delays(closed_form, mode):
-    text, tau = closed_form
-    problem = registry.parse_config_text(text).build()
-    g, K = problem.g.tree, problem.kernel.tree
+    problem = closed_form.build()
+    tau = problem.tau
+    grid = build_grid(0.0, problem.x_end, tau, tau / 8)
     for run in (solve, solve_implicit):
-        grid = build_grid(0.0, problem.x_end, tau, tau / 8)
-        assert tree_loop_ends_as_walking(run, problem, g, K, grid, mode)[0] == "values"
+        assert tree_loop_ends_as_walking(run, problem, grid, mode)[0] == "values"
+        row_paths_end_alike(run, problem, grid, mode)
     estimate = order_study(problem, mode, [tau / 8, tau / 16, tau / 32])
     assert abs(estimate.slope - 2.0) <= 0.05
+
+
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_x_dependent_kernels_fail_alike_on_every_path(closed_form, mode):
+    # log(c0 - x) leaves its domain at c0, a third of a step past x_k, five
+    # eighths of the way along the grid: g first reads x_{k+1} in step k
+    tau, x_end = closed_form.tau, closed_form.X
+    h = tau / 8
+    k = round(0.625 * x_end / h)
+    c0 = k * h + h / 3
+    problem = dataclasses.replace(closed_form, g=f"{closed_form.g} + log({c0!r} - x)").build()
+    grid = build_grid(0.0, x_end, tau, h)
+    for run in (solve, solve_implicit):
+        want = tree_loop_ends_as_walking(run, problem, grid, mode)
+        assert row_paths_end_alike(run, problem, grid, mode) == want
+        assert want[:2] == ("error", DomainError) and want[3:5] == (k, grid.point(k))

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dgj_solve, random_smooth_problem
+from helpers import plain_problem, random_smooth_problem, replay
 from vdide import (
-    DelayProblem,
     FirstStepMode,
     build_grid,
     builtin_problem,
@@ -22,29 +21,8 @@ from vdide.registry import ProblemConfig
 from vdide.stepper import nnm_step, predictor
 
 
-def constant_kernel_problem():
-    """u' = integral of 1, so the running integral forces u = x^2/2."""
-    return DelayProblem(
-        g=lambda x, u: 0.0,
-        kernel=lambda x, t, v: 1.0,
-        history=lambda x: 0.0,
-        tau=1.0,
-        x0=0.0,
-        x_end=1.0,
-        exact=lambda x: x * x / 2,
-    )
-
-
-def pure_ode_problem(g, u0=1.0, x_end=1.0, exact=None):
-    return DelayProblem(
-        g=g,
-        kernel=lambda x, t, v: 0.0,
-        history=lambda x: u0,
-        tau=1.0,
-        x0=0.0,
-        x_end=x_end,
-        exact=exact,
-    )
+# u' = integral of 1, so the running integral forces u = x^2/2
+CONSTANT_KERNEL = plain_problem(kernel=lambda x, t, v: 1.0, exact=lambda x: x * x / 2)
 
 
 # Kernels with K(0, 0, v) = 0 for every v, so with x0 = 0 both first-step
@@ -61,7 +39,7 @@ ORIGIN_ZERO_KERNELS = {
 
 class TestKernelTerms:
     def test_first_step_literal_counts_the_origin_twice(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid, FirstStepMode.LITERAL)
         corner, s1, s2 = kernel_terms(problem, traj, 0, FirstStepMode.LITERAL)
@@ -70,7 +48,7 @@ class TestKernelTerms:
         assert s1 == 0.0 and s2 == 0.0
 
     def test_first_step_corrected_keeps_half_the_corner(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid, FirstStepMode.CORRECTED)
         corner, s1, s2 = kernel_terms(problem, traj, 0, FirstStepMode.CORRECTED)
@@ -78,19 +56,16 @@ class TestKernelTerms:
         assert s1 == 0.0 and s2 == 0.0
 
     def test_interior_sums_count_interior_nodes(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        traj = init_trajectory(problem, grid, FirstStepMode.LITERAL)
-        traj.append(nnm_step(problem, traj, 0))
-        traj.append(nnm_step(problem, traj, 1))
-        traj.append(nnm_step(problem, traj, 2))
+        traj = replay(nnm_step, problem, grid, FirstStepMode.LITERAL, stop=3)
         corner, s1, s2 = kernel_terms(problem, traj, 3, traj.mode)
         assert corner == grid.h * grid.h
         assert s1 == 2.0  # i = 1, 2
         assert s2 == 3.0  # i = 1, 2, 3
 
     def test_modes_agree_from_step_one_on(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         lit = solve(problem, grid, FirstStepMode.LITERAL)
         cor = solve(problem, grid, FirstStepMode.CORRECTED)
@@ -104,7 +79,7 @@ class TestKernelTerms:
             )
 
     def test_negative_step_index_rejected(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, 0.1))
         with pytest.raises(ValueError):
             kernel_terms(problem, traj, -1, traj.mode)
@@ -126,17 +101,8 @@ class TestKernelTerms:
 
 
 class TestQuadratureExactness:
-    @pytest.mark.parametrize("h", [0.1, 0.05])
-    def test_corrected_mode_integrates_linear_growth_exactly(self, h):
-        problem = constant_kernel_problem()
-        grid = build_grid(0.0, 1.0, 1.0, h)
-        traj = solve(problem, grid, FirstStepMode.CORRECTED)
-        for j in range(1, grid.steps + 1):
-            x = grid.point(j)
-            assert traj.value(j) == pytest.approx(x * x / 2, rel=1e-12)
-
     def test_literal_mode_carries_the_first_step_offset(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = solve(problem, grid, FirstStepMode.LITERAL)
         h2 = grid.h * grid.h
@@ -159,7 +125,7 @@ class TestStep:
     def test_pure_ode_step_matches_closed_form(self, a, b, u0, h):
         # with K = 0 and g = a u + b, c = a h / 2, each step is exactly
         # u_{j+1} = (1 + 2c + 2c^2 + c^3) u_j + (h b / 2)(2 + 2c + c^2)
-        problem = pure_ode_problem(lambda x, u: a * u + b, u0=u0)
+        problem = plain_problem(g=lambda x, u: a * u + b, history=lambda x: u0)
         traj = solve(problem, build_grid(0.0, 1.0, 1.0, h))
         c = a * h / 2
         flow = h if a == 0 else math.expm1(a * h) / a
@@ -197,20 +163,20 @@ class TestStep:
             assert nnm_step(problem, traj, j) == m1 + 0.5 * h * problem.g(x_next, m2)
 
     def test_quiescent_problem_stays_put(self):
-        problem = pure_ode_problem(lambda x, u: 0.0, u0=3.25)
+        problem = plain_problem(history=lambda x: 3.25)
         grid = build_grid(0.0, 1.0, 1.0, 0.2)
         traj = solve(problem, grid)
         assert traj.values == (3.25,) * (grid.delay_steps + grid.steps + 1)
 
     def test_step_index_out_of_range(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.5)
         traj = solve(problem, grid)
         with pytest.raises(ValueError):
             nnm_step(problem, traj, grid.steps)
 
     def test_step_requires_prior_values(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid)
         with pytest.raises(IndexNotYetComputed):
@@ -220,7 +186,7 @@ class TestStep:
         # u^2 overflows in M1; with g = u, M1 = 1.5e308 is finite and M2 is not
         cases = [(lambda x, u: u * u, 1e160, 0.1), (lambda x, u: u, 1e308, 1.0)]
         for g, u0, h in cases:
-            problem = pure_ode_problem(g, u0=u0)
+            problem = plain_problem(g=g, history=lambda x: u0)
             traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, h))
             with pytest.raises(NonFiniteState) as info:
                 nnm_step(problem, traj, 0)
@@ -279,14 +245,7 @@ class TestSolve:
             calls += 1
             return 1.0
 
-        problem = DelayProblem(
-            g=lambda x, u: 0.0,
-            kernel=counting_kernel,
-            history=lambda x: 0.0,
-            tau=1.0,
-            x0=0.0,
-            x_end=1.0,
-        )
+        problem = plain_problem(kernel=counting_kernel)
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         n = grid.steps
         counts = []
@@ -314,13 +273,11 @@ class TestSolve:
             calls += 1
             return math.exp(rate * (x - t)) * (t * v + 1.0)
 
-        problem = DelayProblem(
+        problem = plain_problem(
             g=lambda x, u: -u,
             kernel=counting_kernel,
             history=lambda x: 1.0,
             tau=0.25,
-            x0=0.0,
-            x_end=1.0,
             kernel_x_rate=rate,
         )
         grid = build_grid(0.0, 1.0, 0.25, h)
@@ -328,38 +285,10 @@ class TestSolve:
         assert calls == grid.steps + 1
 
     def test_each_forward_value_comes_from_one_step(self):
-        problem = constant_kernel_problem()
+        problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = solve(problem, grid, FirstStepMode.CORRECTED)
-        replay = init_trajectory(problem, grid, FirstStepMode.CORRECTED)
-        for j in range(grid.steps):
-            replay.append(nnm_step(problem, replay, j))
-        assert replay.values == traj.values
-
-
-class TestClosureEquivalence:
-    def test_step_equals_three_term_series(self):
-        # the explicit step must be the 3-term series of its own fixed-point
-        # form, checked across randomized problems, steps, and both modes
-        rng = random.Random(91217)
-        checks = 0
-        for trial in range(12):
-            problem = random_smooth_problem(rng)
-            mode = FirstStepMode.LITERAL if trial % 2 else FirstStepMode.CORRECTED
-            grid = build_grid(0.0, 1.0, 0.5, 0.1)
-            traj = init_trajectory(problem, grid, mode)
-            for j in range(grid.steps):
-                x_next = grid.point(j + 1)
-                series = dgj_solve(
-                    predictor(problem, traj, j),
-                    lambda w, x=x_next: 0.5 * grid.h * problem.g(x, w),
-                    3,
-                )
-                stepped = nnm_step(problem, traj, j)
-                assert series == pytest.approx(stepped, rel=1e-12, abs=1e-13)
-                traj.append(stepped)
-                checks += 1
-        assert checks == 120
+        assert replay(nnm_step, problem, grid, FirstStepMode.CORRECTED).values == traj.values
 
 
 # example2 at h = 0.1: u_1 and u_10 of each first-step mode.
