@@ -12,6 +12,8 @@ solve reruns the call-site loop, which raises the reference exception
 - the built problem's solve ends as the solve of walking(problem), whose
   plain callables walk the trees in the call-site loop: the same doubles,
   or the same exception class, message, step_index and x;
+- a tree loop that raises where the walk returns leaves the call-site loop
+  only the history, and the solve ends as the walk;
 - with no kernel_x_rate or a zero one, the call-site loop ends as the
   single-step replay (helpers.replay of nnm_step or implicit_step) does:
   the same doubles, or the same exception class and message;
@@ -20,6 +22,7 @@ solve reruns the call-site loop, which raises the reference exception
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +44,7 @@ from vdide.expressions import BinOp, Call, DomainError, Num, Var, parse, x_rate
 from vdide.oracle import implicit_step, solve_implicit
 from vdide.analysis import order_study
 from vdide.problem import FirstStepMode, build_grid
-from vdide.stepper import nnm_step, solve
+from vdide.stepper import _written, nnm_step, solve
 
 PHIS = ["1 + x/2", "exp(-x)", "cos(3*x) - 0.5"]
 ROW_PATHS = ("rate-0", "rate-negative", "direct")
@@ -139,6 +142,22 @@ def test_named_cases_match_the_call_site_loop(name, path, mode, solver):
         assert want[3] > 0  # a failure past the first step
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_a_tree_loop_that_raises_where_the_walk_returns_ends_as_the_walk(solver):
+    # the tree loop's isfinite turns false after 20 checks, part way along,
+    # and the call-site loop reruns from u_0
+    problem = slot_problem(parse("-u + sin(x)"), parse("sin(x - t)*v"), parse("1 + x/2"),
+                           tau=0.25, x0=0.0, x_end=1.0)
+    grid = build_grid(0.0, 1.0, 0.25, 0.025)
+    run = lambda p: SOLVERS[solver][0](p, grid, FirstStepMode.LITERAL)
+    want = outcome(lambda: run(walking(problem)))
+    lines, values = _written(problem.g.tree, problem.kernel.tree)
+    checks = iter(range(20))
+    failing = lambda v: next(checks, None) is not None and math.isfinite(v)
+    problem._loops["written"] = lines, [failing if v is math.isfinite else v for v in values]
+    assert outcome(lambda: run(problem)) == want and next(checks, None) is None
+
+
 # g with x once in its part without u, through +, -, *, / and unary minus,
 # with constants that overflow part way along the solve: the loop checks
 # that part at x_0 and x_N only (expressions._emit), and must fail where the
@@ -193,9 +212,23 @@ def test_step_loop_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(case
         check_loops(solver, **case)
 
 
+# The max abs error of each helpers.CLOSED_FORMS family's order study at
+# tau/8 and tau/16, per first-step mode (LITERAL, CORRECTED); the two agree
+# where K(x_0, x_0, v) is 0, as on lag, sine and xfactor.
+CLOSED_FORM_ERRORS = {
+    "cosx": ((1.06490e-4, 2.66751e-5), (1.21091e-6, 3.00842e-7)),
+    "decay": ((2.20138e-4, 5.51534e-5), (7.83006e-6, 1.95262e-6)),
+    "fixed": ((1.24293e-4, 3.11116e-5), (9.94749e-6, 2.48613e-6)),
+    "lag": ((3.90134e-5, 9.72439e-6), (3.90134e-5, 9.72439e-6)),
+    "sine": ((9.51625e-6, 2.37250e-6), (9.51625e-6, 2.37250e-6)),
+    "xfactor": ((1.55354e-6, 3.75634e-7), (1.55354e-6, 3.75634e-7)),
+}
+
+
 # The problems of helpers.CLOSED_FORMS, whose exact solutions are known: the
 # built problem ends as the walked one and, on the direct rows, as its rate
-# rows, and its fitted slope is 2.
+# rows, its fitted slope is 2, and its max errors at tau/8 and tau/16 are
+# those of CLOSED_FORM_ERRORS within 10%.
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 def test_x_dependent_kernels_over_several_delays(closed_form, mode):
     problem = closed_form.build()
@@ -206,17 +239,29 @@ def test_x_dependent_kernels_over_several_delays(closed_form, mode):
         row_paths_end_alike(run, problem, grid, mode)
     estimate = order_study(problem, mode, [tau / 8, tau / 16, tau / 32])
     assert abs(estimate.slope - 2.0) <= 0.05
+    pinned = CLOSED_FORM_ERRORS[closed_form.name][list(FirstStepMode).index(mode)]
+    for (_, err), want in zip(estimate.pairs, pinned):
+        assert abs(err / want - 1.0) <= 0.10, (estimate.pairs, pinned)
 
 
+@pytest.mark.parametrize("slot", ["g", "K"])
 @pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_x_dependent_kernels_fail_alike_on_every_path(closed_form, mode):
+def test_x_dependent_kernels_fail_alike_on_every_path(closed_form, mode, slot):
     # log(c0 - x) leaves its domain at c0, a third of a step past x_k, five
-    # eighths of the way along the grid: g first reads x_{k+1} in step k
+    # eighths of the way along the grid: g, or K on the direct rows, first
+    # reads x_{k+1} in step k.  On the rate rows K takes log(c0 - t), which
+    # keeps its rate and fails first at the diagonal sample at x_{k+1}.
     tau, x_end = closed_form.tau, closed_form.X
     h = tau / 8
     k = round(0.625 * x_end / h)
     c0 = k * h + h / 3
-    problem = dataclasses.replace(closed_form, g=f"{closed_form.g} + log({c0!r} - x)").build()
+    rate = closed_form.build().kernel_x_rate
+    if slot == "g":
+        failing = dict(g=f"{closed_form.g} + log({c0!r} - x)")
+    else:
+        failing = dict(K=f"{closed_form.K}*log({c0!r} - {'x' if rate is None else 't'})")
+    problem = dataclasses.replace(closed_form, **failing).build()
+    assert problem.kernel_x_rate == rate
     grid = build_grid(0.0, x_end, tau, h)
     for run in (solve, solve_implicit):
         want = tree_loop_ends_as_walking(run, problem, grid, mode)
