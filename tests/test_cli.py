@@ -1,6 +1,5 @@
 import argparse
 import gc
-import math
 import os
 import re
 import subprocess
@@ -34,42 +33,6 @@ def parse_csv(text):
 
 
 class TestSolve:
-    def test_csv_shape_and_values(self, capsys):
-        code, out, err = run(
-            capsys, "solve", "--problem", "example1", "--h", "0.1"
-        )
-        assert code == 0 and err == ""
-        header, rows = parse_csv(out)
-        assert header == ["x", "u"]
-        assert len(rows) == 11
-        assert rows[0] == [0.0, 1.0]
-        # final value near e, within the known coarse-grid error
-        assert abs(rows[-1][1] - math.e) < 5e-3
-
-    def test_seventeen_digit_round_trip(self, capsys):
-        code, out, _ = run(capsys, "solve", "--problem", "example2", "--h", "0.1")
-        assert code == 0
-        _, rows = parse_csv(out)
-        problem = builtin_problem("example2").build()
-        grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        traj = solve(problem, grid, FirstStepMode.LITERAL)
-        for (x, u), j in zip(rows, range(11)):
-            assert u == traj.value(j)  # printed text preserves the exact float
-
-    def test_first_step_flag_changes_the_result(self, capsys):
-        _, lit, _ = run(capsys, "solve", "--problem", "example1", "--h", "0.1")
-        _, cor, _ = run(
-            capsys,
-            "solve",
-            "--problem",
-            "example1",
-            "--h",
-            "0.1",
-            "--first-step",
-            "corrected",
-        )
-        assert lit != cor
-
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "run.csv"
         code, out, err = run(
@@ -78,63 +41,6 @@ class TestSolve:
         )
         assert code == 0 and out == "" and err == ""
         assert target.read_text().startswith("x,u\n")
-
-    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
-        target = tmp_path / "no" / "such" / "dir" / "run.csv"
-        code, _, err = run(
-            capsys,
-            "solve", "--problem", "example1", "--h", "0.1", "--out", str(target),
-        )
-        assert code == 2
-        assert "cannot write" in err
-
-    def test_incommensurate_h_is_a_usage_error(self, capsys):
-        code, _, err = run(capsys, "solve", "--problem", "example1", "--h", "0.3")
-        assert code == 2
-        assert "whole number of steps" in err
-
-    def test_multiple_h_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "solve", "--problem", "example1", "--h", "0.1,0.05"
-        )
-        assert code == 2
-        assert "exactly one" in err
-
-    def test_unknown_problem(self, capsys):
-        code, _, err = run(capsys, "solve", "--problem", "nope", "--h", "0.1")
-        assert code == 2
-        assert "nope" in err
-
-    def test_bad_config_expression(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(
-            "name = bad\ng = u\nK = w^2\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
-        )
-        code, _, err = run(capsys, "solve", "--problem", str(cfg), "--h", "0.1")
-        assert code == 2
-        assert "w" in err
-
-    def test_blow_up_is_a_numerical_error(self, capsys, tmp_path):
-        cfg = tmp_path / "blowup.cfg"
-        cfg.write_text(
-            "name = blowup\ng = u^2\nK = 0\nphi = 10\ntau = 0.5\nx0 = 0\nX = 5\n"
-        )
-        code, _, err = run(capsys, "solve", "--problem", str(cfg), "--h", "0.5")
-        assert code == 3
-        # u^2 overflows in g(x_4, M1) while advancing from step 3
-        assert "evaluation failed during solve at step 3 (x = 1.5): " in err
-
-    @pytest.mark.parametrize("command", ["solve", "compare"])
-    def test_non_finite_state_names_step_and_x(self, capsys, tmp_path, command):
-        # g = u is a leaf, so no expression fails: u_3 = M1 + (h/2) M2 of
-        # step 2 overflows in the closure itself
-        cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(
-            "name = overflow\ng = u\nK = 0\nphi = 1e307\ntau = 1\nx0 = 0\nX = 5\n"
-        )
-        code, _, err = run(capsys, command, "--problem", str(cfg), "--h", "1")
-        assert code == 3
-        assert err == "vdide: non-finite value while advancing from step 2 (x = 2)\n"
 
     def test_bad_flag_value(self, capsys):
         for h, message in [
@@ -212,33 +118,6 @@ class TestTable:
         _, rows = parse_csv(out)
         assert [r[0] for r in rows] == [0.5, 1.0]
 
-    def test_off_grid_point_is_a_usage_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            "table", "--problem", "example1", "--h", "0.1", "--points", "0.15",
-        )
-        assert code == 2
-        assert "grid" in err
-
-    @pytest.mark.parametrize("point", ["2.0", "-0.5"])
-    def test_point_outside_the_interval_is_a_usage_error(self, capsys, point):
-        # 2.0 lies past X = 1, -0.5 in the history segment
-        code, out, err = run(
-            capsys,
-            "table", "--problem", "example1", "--h", "0.1", "--points", point,
-        )
-        assert code == 2 and out == ""
-        assert "[0.0, 1.0]" in err
-
-    def test_problem_without_exact_is_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "noexact.cfg"
-        cfg.write_text(
-            "name = noexact\ng = -u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
-        )
-        code, _, err = run(capsys, "table", "--problem", str(cfg), "--h", "0.1")
-        assert code == 2
-        assert "exact" in err
-
 
 class TestOrder:
     def test_report_contains_slope_near_two(self, capsys):
@@ -252,57 +131,15 @@ class TestOrder:
         assert out.count("pairwise") == 1
         assert len(re.findall(r"h [0-9.]+ -> [0-9.]+", out)) == 3
 
-    def test_single_h_rejected(self, capsys):
-        code, _, err = run(capsys, "order", "--problem", "example1", "--h", "0.1")
-        assert code == 2
-        assert "two" in err
-
-    def test_no_exact_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "noexact.cfg"
-        cfg.write_text(
-            "name = noexact\ng = -u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
-        )
-        code, _, err = run(capsys, "order", "--problem", str(cfg), "--h", "0.1,0.05")
-        assert code == 2
-
-    def test_exactness_case_is_a_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "exactcase.cfg"
-        cfg.write_text(
-            "name = exactcase\ng = 0\nK = 1\nphi = 0\n"
-            "exact = x^2/2\ntau = 1\nx0 = 0\nX = 1\n"
-        )
-        code, _, err = run(
-            capsys,
-            "order", "--problem", str(cfg), "--h", "0.25,0.125",
-            "--first-step", "corrected",
-        )
-        assert code == 2
-        assert "exact" in err.lower()
-
 
 class TestCompare:
-    def test_columns_and_summary(self, capsys):
-        code, out, err = run(
-            capsys, "compare", "--problem", "example1", "--h", "0.1"
-        )
-        assert code == 0 and err == ""
-        header, rows = parse_csv(out)
-        assert header == ["x", "u_nnm", "u_implicit", "diff"]
-        assert len(rows) == 11
-        for x, a, b, d in rows:
-            assert d == a - b
-        summary = [ln for ln in out.splitlines() if ln.startswith("# max_abs_diff")]
-        assert len(summary) == 1
-        reported = float(summary[0].split(":")[1])
-        assert reported == max(abs(r[3]) for r in rows)
-        assert reported < 1e-2
-
     def test_closure_gap_shrinks_with_h(self, capsys):
         gaps = {}
         for h in ("0.1", "0.05"):
             _, out, _ = run(capsys, "compare", "--problem", "example1", "--h", h)
             summary = [ln for ln in out.splitlines() if ln.startswith("#")][0]
             gaps[h] = float(summary.split(":")[1])
+        assert gaps["0.1"] < 1e-2
         assert 3.5 <= gaps["0.1"] / gaps["0.05"] <= 9.5
 
     def test_zero_g_gives_zero_diff(self, capsys, tmp_path):
@@ -314,32 +151,6 @@ class TestCompare:
         assert code == 0
         _, rows = parse_csv(out)
         assert all(r[3] == 0.0 for r in rows)
-
-    def test_stalled_iteration_is_a_numerical_error(self, capsys, tmp_path):
-        cfg = tmp_path / "stiff.cfg"
-        cfg.write_text(
-            "name = stiff\ng = u\nK = 0\nphi = 1\ntau = 2.5\nx0 = 0\nX = 2.5\n"
-        )
-        code, _, err = run(capsys, "compare", "--problem", str(cfg), "--h", "2.5")
-        assert code == 3
-        assert "iteration" in err
-
-    def test_iteration_cap_starves_convergence(self, capsys):
-        # one sweep cannot meet a 1e-13 tolerance on a problem with g != 0
-        code, _, err = run(
-            capsys,
-            "compare", "--problem", "example1", "--h", "0.1", "--max-iter", "1",
-        )
-        assert code == 3
-        assert "iteration" in err
-
-    def test_bad_iteration_cap_is_usage_error(self, capsys):
-        code, _, err = run(
-            capsys,
-            "compare", "--problem", "example1", "--h", "0.1", "--max-iter", "0",
-        )
-        assert code == 2
-        assert "max_iter" in err
 
 
 class TestListProblems:
@@ -638,16 +449,17 @@ def test_the_row_template_cache_stays_within_its_bound(capsys):
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_csv_bodies_match_per_row_formatting(capsys, mode):
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_csv_bodies_match_per_row_formatting(capsys, name, mode):
     # at h = 0.1 the grid points x0 + j h print as 17-digit forms such as
     # 0.30000000000000004, which the one-operation bodies must repeat
-    problem = builtin_problem("example2").build()
+    problem = builtin_problem(name).build()
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
     traj = solve(problem, grid, mode)
     ref = solve_implicit(problem, grid, mode)
     flag = ("--first-step", mode.value)
-    solved = run(capsys, "solve", "--problem", "example2", "--h", "0.1", *flag)
-    compared = run(capsys, "compare", "--problem", "example2", "--h", "0.1", *flag)
+    solved = run(capsys, "solve", "--problem", name, "--h", "0.1", *flag)
+    compared = run(capsys, "compare", "--problem", name, "--h", "0.1", *flag)
     assert solved == (0, expected_solve_csv(traj), "")
     assert compared == (0, expected_compare_csv(traj, ref), "")
     assert "0.30000000000000004," in solved[1]
@@ -817,6 +629,14 @@ FAILURES = [
         "(x_end - x0)/h = 3.3333333333333335 is not a whole number of steps",
         id="NonCommensurateInterval",
     ),
+    *[
+        row(
+            f"{command} --problem example1 --h {hs}", 2,
+            "(x_end - x0)/h = 3.3333333333333335 is not a whole number of steps",
+            id=f"NonCommensurateInterval-{command}",
+        )
+        for command, hs in [("table", "0.1,0.3"), ("order", "0.1,0.3"), ("compare", "0.3")]
+    ],
     row(
         "solve --problem example1 --h 1e-320", 2,
         "(x_end - x0)/h = inf is not a whole number of steps",
@@ -859,6 +679,14 @@ FAILURES = [
         "x = 0.15 is not a grid point at h = 0.1",
         id="OffGridSample",
     ),
+    *[
+        row(
+            f"table --problem example1 --h 0.1 --points {point}", 2,
+            f"x = {point} lies outside the solved interval [0.0, 1.0]",
+            id=f"OffGridSample-{where}",
+        )
+        for point, where in [("2.0", "past-X"), ("-0.5", "in-history")]
+    ],
     row(
         "solve --problem nope --h 0.1", 2,
         "problem 'nope' is neither a built-in name (example1, example2) nor "
@@ -912,9 +740,19 @@ FAILURES = [
         id="ValueError-one-h",
     ),
     row(
+        "compare --problem example1 --h 0.1,0.05", 2,
+        "this command expects exactly one --h value, got 2",
+        id="ValueError-one-h-compare",
+    ),
+    row(
         "order --problem example1 --h 0.1", 2,
         "order needs at least two --h values",
         id="ValueError-two-h",
+    ),
+    row(
+        "order --problem example1 --h 0.1,0.1", 2,
+        "order study needs at least two step sizes, got [0.1, 0.1]",
+        id="ValueError-two-distinct-h",
     ),
     row(
         "table --problem {noexact} --h 0.1", 2,
@@ -942,9 +780,29 @@ FAILURES = [
         id="OSError",
     ),
     row(
+        "solve --problem example1 --h 0.1 --out {dir}/no/such/run.csv", 2,
+        "cannot write '{dir}/no/such/run.csv': [Errno 2] No such file or "
+        "directory: '{dir}/no/such/run.csv'",
+        id="OSError-out",
+    ),
+    *[
+        row(
+            f"{command} --problem example1 --h {hs} --out {{dir}}/no/such/{command}", 2,
+            f"cannot write '{{dir}}/no/such/{command}': [Errno 2] No such file or "
+            f"directory: '{{dir}}/no/such/{command}'",
+            id=f"OSError-out-{command}",
+        )
+        for command, hs in [("table", "0.1"), ("order", "0.1,0.05"), ("compare", "0.1")]
+    ],
+    row(
         "compare --problem {overflow} --h 1", 3,
         "non-finite value while advancing from step 2 (x = 2)",
         id="NonFiniteState",
+    ),
+    row(
+        "solve --problem {overflow} --h 1", 3,
+        "non-finite value while advancing from step 2 (x = 2)",
+        id="NonFiniteState-h1",
     ),
     row(
         "compare --problem {stiff} --h 2.5", 3,
@@ -954,7 +812,7 @@ FAILURES = [
     row(
         "compare --problem {stiff400} --h 0.0078125", 3,
         NOT_CONVERGED.format(iterations=100),
-        id="NoConvergence-generated",
+        id="NoConvergence-h0.0078125",
     ),
     row(
         "compare --problem example1 --h 0.1 --max-iter 1", 3,
@@ -971,15 +829,15 @@ FAILURES = [
         "solve --problem {blowup} --h 0.01", 3,
         "evaluation failed during solve at step 13 (x = 0.13): cannot evaluate "
         "'u^2.0': math range error",
-        id="DomainError-solve-generated",
+        id="DomainError-solve-h0.01",
     ),
     row(
         "solve --problem {log_g} --h 0.1", 3, LOG_G_FAILS,
-        id="DomainError-g-walked",
+        id="DomainError-g-h0.1",
     ),
     row(
         "solve --problem {log_g} --h 0.005", 3, LOG_G_FAILS,
-        id="DomainError-g-generated",
+        id="DomainError-g-h0.005",
     ),
     row(
         "compare --problem {log_g} --h 0.1", 3, LOG_G_FAILS,
@@ -988,32 +846,32 @@ FAILURES = [
     row(
         "solve --problem {log_g_mid} --h 0.1", 3,
         LOG_G_MID_FAILS.format(step=4, x="0.40000000000000002"),
-        id="DomainError-g-mid-walked",
+        id="DomainError-g-mid-h0.1",
     ),
     row(
         "solve --problem {log_g_mid} --h 0.005", 3,
         LOG_G_MID_FAILS.format(step=99, x="0.495"),
-        id="DomainError-g-mid-generated",
+        id="DomainError-g-mid-h0.005",
     ),
     row(
         "solve --problem {k_overflow} --h 0.1", 3,
         K_OVERFLOW_FAILS.format(step=8, x="0.80000000000000004", arg="720.0"),
-        id="DomainError-K-walked",
+        id="DomainError-K-h0.1",
     ),
     row(
         "solve --problem {k_overflow} --h 0.005", 3,
         K_OVERFLOW_FAILS.format(step=177, x="0.88500000000000001", arg="712.0"),
-        id="DomainError-K-generated",
+        id="DomainError-K-h0.005",
     ),
     row(
         "solve --problem {overflow} --h 0.5", 3,
         "non-finite value while advancing from step 5 (x = 2.5)",
-        id="NonFiniteState-walked",
+        id="NonFiniteState-h0.5",
     ),
     row(
         "solve --problem {overflow} --h 0.01", 3,
         "non-finite value while advancing from step 288 (x = 2.8799999999999999)",
-        id="NonFiniteState-generated",
+        id="NonFiniteState-h0.01",
     ),
     row(
         "table --problem {log_exact} --h 0.1", 3, LOG_EXACT_FAILS,
@@ -1029,15 +887,15 @@ FAILURES = [
     ),
     row(
         "solve --problem {log_phi_half} --h 0.1", 3, LOG_PHI_HALF_FAILS,
-        id="DomainError-phi-walked",
+        id="DomainError-phi-half-h0.1",
     ),
     row(
         "solve --problem {log_phi_half} --h 0.005", 3, LOG_PHI_HALF_FAILS,
-        id="DomainError-phi-compiled",
+        id="DomainError-phi-half-h0.005",
     ),
     row(
         "solve --problem {log_phi_half} --h 0.005", 3, LOG_PHI_HALF_FAILS,
-        id="DomainError-phi-compiled-process", process=True,
+        id="DomainError-phi-half-h0.005-process", process=True,
     ),
     row(
         "order --problem {log_phi_half} --h 0.1,0.05", 3, LOG_PHI_HALF_FAILS,
@@ -1045,12 +903,12 @@ FAILURES = [
     ),
     row(
         "order --problem {log_exact_half} --h 0.1,0.05", 3, LOG_EXACT_HALF_FAILS,
-        id="DomainError-exact-walked",
+        id="DomainError-exact-half-h0.1",
     ),
     row(
         "order --problem {log_exact_half} --h 0.005,0.0025", 3,
         LOG_EXACT_HALF_FAILS,
-        id="DomainError-exact-compiled",
+        id="DomainError-exact-half-h0.005",
     ),
 ]
 

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import gc
 import itertools
+import math
 import weakref
 
 import pytest
@@ -380,6 +381,17 @@ def sweep_text(tau, delays, a=0.1234, c=0.3):
         f"K = {c!r}*exp(t - x)*v^2\nphi = exp({a!r}*x)\nexact = exp({a!r}*x)\n"
         f"tau = {tau!r}\nx0 = 0.0\nX = {delays * tau!r}\n"
     )
+
+
+def test_the_diagonal_sample_of_a_sweep_kernel_calls_no_exp():
+    # on the diagonal t = x, exp(t - x) is exp(0.0) at every sample, so the
+    # step loop evaluates it once per solve and kd_site, the diagonal
+    # sample's lines, calls no exp
+    problem = parse_config_text(sweep_text(1.0, 2)).build()
+    lines, values = stepper._written(problem.g.tree, problem.kernel.tree)
+    names, kd_site = lines[0], lines[5]
+    exps = [name for name, value in zip(names, values) if value is math.exp]
+    assert exps and not any(f"{name}(" in kd_site for name in exps)
 
 
 def step_loops(mode, row, lines, runs=(solve, solve_implicit)):

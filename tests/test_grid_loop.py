@@ -6,7 +6,8 @@ fails, the walk reruns and raises the reference DomainError.  A plain
 callable, or a wrapper that hides the slot's tree, is called at every
 point.  On every tree and grid these check that a built problem ends as
 one whose phi and exact are plain walks of the same trees: the same
-doubles, or the same exception class, message, slot and x.
+doubles, or the same exception class, message, slot and x; and that a loop
+runs the checks proved at the grid's ends there only.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from vdide.analysis import max_abs_error
 from vdide.errors import IndexNotYetComputed
 from vdide.expressions import LOOP_FAILURES, DomainError, Num, evaluate, grid_loop, parse
 from vdide.problem import FirstStepMode, Trajectory, build_grid, init_trajectory
+from vdide.registry import builtin_problem
 
 # A power of two, so tau = M h and X = x0 + N h are exact.
 H = 0.0078125
@@ -146,15 +148,15 @@ def test_max_abs_error_on_a_trajectory_that_stops_short(text, want, built):
         assert outcome(lambda: max_abs_error(traj, exact))[4:] == want
 
 
-def bare_loop_matches_the_walk(tree, first, last, x0):
+def bare_loop_matches_the_walk(tree, first, last, x0, h=H):
     """The grid loop over j = first .. last against evaluate at each point:
     the same doubles, or a failure where the walk fails somewhere."""
     try:
-        want = [evaluate(tree, {"x": x0 + j * H}) for j in range(first, last + 1)]
+        want = [evaluate(tree, {"x": x0 + j * h}) for j in range(first, last + 1)]
     except DomainError:
         want = None
     try:
-        got = grid_loop(tree)(first, last, x0, H)
+        got = grid_loop(tree)(first, last, x0, h)
     except LOOP_FAILURES:
         assert want is None, "the grid loop raised where the walk returned"
     else:
@@ -182,3 +184,45 @@ def test_grid_loop_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(phi,
     check(phi, exact, x0, m, n)
     bare_loop_matches_the_walk(phi, -m, 0, x0)
     bare_loop_matches_the_walk(exact, 1, n, x0)
+
+
+# At an infinite h, x0 + j h is nan at j = 0, which 1^ hides from the value,
+# and tanh is finite at the ends, -inf and inf: only the loop's check of h
+# fails it, as the walk fails at j = 0.  At a nan h the ends fail too.  A
+# single point is its own end: at x = inf it returns, as the walk does, and
+# at x = 0 inf, nan, it fails there.
+@pytest.mark.parametrize(
+    "first, last, h",
+    [(-1, 1, math.inf), (-1, 1, math.nan), (-1, 1, -math.inf),
+     (1, 1, math.inf), (0, 0, math.inf)],
+    ids=["inf", "nan", "-inf", "inf-one-point", "inf-one-point-at-nan"],
+)
+def test_a_non_finite_h_fails_where_the_walk_fails(first, last, h):
+    bare_loop_matches_the_walk(parse("1^tanh(x)"), first, last, 0.0, h)
+
+
+def isfinite_calls(loop, points):
+    """How often loop calls _isfinite, which it takes as an argument, over
+    points grid points."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return math.isfinite(value)
+
+    args = [counting if arg is math.isfinite else arg for arg in loop.args]
+    loop.func(*args, 1 - points, 0, 0.0, 1.0 / points)
+    return len(calls)
+
+
+# The phis of the built-in problems and of perfbench's generated ones: exp
+# of a chain on x, which the loop checks at the grid's two ends, not at each
+# point, so as often over 801 points as over 9.
+@pytest.mark.parametrize(
+    "text",
+    [builtin_problem("example1").phi, builtin_problem("example2").phi,
+     "exp(0.1234*x)", "exp(-0.1234*x)"],
+)
+def test_a_chain_is_checked_at_the_grid_ends_only(text):
+    loop = grid_loop(parse(text))
+    assert isfinite_calls(loop, 9) == isfinite_calls(loop, 801) > 0
