@@ -15,8 +15,9 @@ class, message, step_index, x and slot.
 - The rate rows against the direct rows, direct(problem):
   row_paths_end_alike, within assert_agree.
 plain_problem makes a problem of plain callables, which runs the call-site
-loop.  The strategies TAME, hiding, mixed and single_x_trees draw the trees
-these properties run on.
+loop, filled a trajectory of given values, and isfinite_calls counts the
+checks a grid loop runs.  The strategies TAME, hiding, mixed and
+single_x_trees draw the trees these properties run on.
 """
 
 import contextlib
@@ -50,7 +51,7 @@ from vdide.expressions import (
     evaluate,
     unparse,
 )
-from vdide.problem import init_trajectory
+from vdide.problem import Trajectory, init_trajectory
 
 # ---------------------------------------------------------------------------
 # Reference absolute errors for the built-in problems, literal first step,
@@ -612,6 +613,16 @@ def replay(step, problem, grid, mode, stop=None):
     return traj
 
 
+def filled(grid, value, last=None):
+    """A trajectory on grid holding value(j) at j = -M .. 0, then value(j)
+    appended for j = 1 .. last, by default N."""
+    history = [value(j) for j in range(-grid.delay_steps, 1)]
+    traj = Trajectory(grid, FirstStepMode.LITERAL, history)
+    for j in range(1, (grid.steps if last is None else last) + 1):
+        traj.append(value(j))
+    return traj
+
+
 def tree_loop_ends_as_walking(run, problem, *args):
     """The outcome of run(walking(problem), *args), after checking that
     run(problem, *args), whose g and K carry their trees, ends the same,
@@ -734,6 +745,20 @@ def made_once(shapes, run, *again):
         with recorded_loops(empty=False) as loops:
             rerun()
         assert loops.made() == set()
+
+
+def isfinite_calls(loop, points):
+    """How often the grid loop loop calls _isfinite, which it takes as an
+    argument, over points grid points."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return math.isfinite(value)
+
+    args = [counting if arg is math.isfinite else arg for arg in loop.args]
+    loop.func(*args, 1 - points, 0, 0.0, 1.0 / points)
+    return len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import plain_problem
+from helpers import filled, plain_problem
 from vdide import analysis
 from vdide import (
     FirstStepMode,
@@ -18,7 +18,6 @@ from vdide import (
 )
 from vdide.analysis import grid_index, max_abs_error, observed_order, timed_solve
 from vdide.errors import DegenerateError, OffGridSample
-from vdide.problem import Trajectory
 
 
 # u' = u with u = e^x
@@ -58,10 +57,7 @@ class TestGridIndex:
 class TestErrorTable:
     def test_zero_errors_for_exactly_stored_solution(self):
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        hist = [math.exp(grid.point(j)) for j in range(-10, 1)]
-        traj = Trajectory(grid, FirstStepMode.LITERAL, hist)
-        for j in range(1, 11):
-            traj.append(math.exp(grid.point(j)))
+        traj = filled(grid, lambda j: math.exp(grid.point(j)))
         # sample at the stored abscissas so no decimal-to-binary drift leaks in
         xs = [grid.point(j) for j in range(1, 11)]
         table = error_table(traj, math.exp, xs)

@@ -525,6 +525,7 @@ FAILING_CONFIGS = {
         f"name = sum988\ng = {' + '.join(['u'] * 988)}\nK = v\nphi = exp(x)\n"
         "exact = exp(x)\ntau = 1\nx0 = 0\nX = 1\n"
     ),
+    "bad_tau": "name = badtau\ng = -u\nK = v\nphi = 1\ntau = 0\nx0 = 0\nX = 1\n",
     "noexact": "name = noexact\ng = -u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n",
     "exactcase": (
         "name = exactcase\ng = 0\nK = 1\nphi = 0\n"
@@ -619,10 +620,10 @@ def row(command, code, message, id, process=False):
     return pytest.param(command, code, message, process, id=id)
 
 
-# One or more rows per failure class.  The 988-term sum runs as a process:
-# before the depth bound it loaded there and then exhausted the recursion
-# limit in the implicit solve and the order study, while the deeper stack
-# under a test tripped the limit at load already.
+# One or more rows per failure class.  The 988-term sum runs as a process
+# but for solve: before the depth bound it loaded there and then exhausted
+# the recursion limit in the implicit solve and the order study, while the
+# deeper stack under a test tripped the limit at load already.
 FAILURES = [
     row(
         "solve --problem example1 --h 0.3", 2,
@@ -692,6 +693,14 @@ FAILURES = [
         "problem 'nope' is neither a built-in name (example1, example2) nor "
         "a config file",
         id="ConfigError",
+    ),
+    row(
+        "solve --problem {bad_tau} --h 0.5", 2, "tau must be positive, got 0.0",
+        id="ConfigError-bad-number",
+    ),
+    row(
+        "solve --problem {sum988} --h 0.5", 2, TOO_DEEP,
+        id="ConfigError-too-deep-solve",
     ),
     row(
         "compare --problem {sum988} --h 0.5", 2, TOO_DEEP,

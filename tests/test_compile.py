@@ -11,7 +11,6 @@ same exception, message, step_index and x (helpers.outcome).
 """
 
 import dataclasses
-import functools
 import gc
 import itertools
 import math
@@ -27,6 +26,7 @@ from helpers import (
     EVAL_CASES,
     HIDDEN_OVERFLOWS,
     PARAMS,
+    filled,
     made_once,
     outcome,
     recorded_loops,
@@ -52,8 +52,8 @@ from vdide.expressions import (
     parse,
     unparse,
 )
-from vdide.analysis import max_abs_error, order_study
-from vdide.problem import FirstStepMode, Trajectory, build_grid, init_trajectory
+from vdide.analysis import max_abs_error
+from vdide.problem import FirstStepMode, build_grid, init_trajectory
 from vdide.registry import parse_config_text
 from vdide.oracle import solve_implicit
 from vdide.stepper import nnm_step, solve
@@ -173,33 +173,6 @@ def test_g_is_split_in_one_pass_without_asking_for_variables(monkeypatch):
                 assert "{u}" in value or "_v" in value, line
 
 
-def test_no_tree_text_reaches_the_source():
-    # a number is bound by name, so the grid loop holds no constant, and two
-    # g of one shape write one step loop
-    loop = grid_loop(parse("2*x + 3.5"))
-    assert loop(0, 0, 1.0, -0.0) == [5.5]
-    assert not any(isinstance(c, float) for c in loop.func.__code__.co_consts)
-    K = parse("v")
-    sources = {
-        stepper._loop_source(True, False, False, stepper._written(parse(g), K)[0])
-        for g in ("2*x + 3.5*u", "4*x + 1.25*u")
-    }
-    assert len(sources) == 1
-    assert "3.5" not in sources.pop()
-
-
-def test_phis_of_one_shape_share_one_grid_loop_with_their_own_values():
-    # the grid loop of each tree is the one loop of their shape with the
-    # tree's own numbers and functions bound, and gives evaluate's values
-    trees = [parse(text) for text in ("sin(3*x) + 0.5", "cos(0.2651*x) + 1")]
-    loops = [grid_loop(tree) for tree in trees]
-    assert loops[0].func is loops[1].func
-    assert loops[0].args != loops[1].args
-    for tree, loop in zip(trees, loops):
-        want = [evaluate(tree, {"x": 0.25 + j * 0.125}) for j in range(-3, 9)]
-        assert outcome(lambda: loop(-3, 8, 0.25, 0.125)) == outcome(lambda: want)
-
-
 # A node that can hide a non-finite operand, over an operand that can
 # overflow to inf without raising, so that each check _emit places is
 # exercised often.
@@ -250,65 +223,6 @@ def test_the_walk_and_the_tree_loop_match_evaluate_on_every_input():
     )
 
 
-@pytest.mark.parametrize(
-    "g, hs",
-    [
-        pytest.param("log(u) + x", (0.005, 0.01), id="0.005"),
-        pytest.param("log(u) + x", (0.05, 0.1), id="0.05"),
-        # fails at g(x_0, u_0), in the tree loop, at every h
-        pytest.param("log(x - 0.5) + u", (0.1, 0.05), id="log_g"),
-    ],
-)
-def test_a_dropped_problem_leaves_no_reference_cycles(g, hs):
-    """A problem, its trees, its slot functions, the lines of g and K it
-    keeps and the grid loops its phi and exact keep are freed by reference
-    counting alone, so a sweep of many problems leaves the cyclic collector
-    nothing to find.  Each closure runs at two h, the second time with the
-    lines and the grid loops kept, and ends as the walked solve ends."""
-
-    def build_and_solve():
-        problem = config_problem(g, exact="exp(x)")
-        walked = walking(problem)
-        for h in hs:
-            grid = build_grid(0.0, 1.0, 1.0, h)
-            for run in (solve, solve_implicit):
-                want = outcome(lambda: run(walked, grid))
-                assert outcome(lambda: run(problem, grid)) == want
-            assert max_abs_error(zero_trajectory(grid), problem.exact) > 1.0
-        assert len(problem._loops) == 1  # g's and K's lines and their values
-        assert problem.history.loop and problem.exact.loop
-
-    build_and_solve()
-    without_cycles(build_and_solve)
-
-
-def without_cycles(run):
-    """run() with the cyclic collector off, checking that it leaves the
-    collector nothing to find."""
-    gc.collect()
-    gc.disable()
-    try:
-        run()
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
-@pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
-def test_single_calls_walk_and_generate_nothing(slot):
-    # only loops generate code: a single call walks, however many there are
-    problem = parse_config_text(
-        "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
-        "tau = 1\nx0 = 0\nX = 1\n"
-    ).build()
-    fn = getattr(problem, slot)
-    args = {"g": (0.5, 2.0), "kernel": (0.5, 0.25, 2.0)}.get(slot, (0.5,))
-    with recorded_loops() as loops:
-        for _ in range(1280):
-            fn(*args)
-    assert loops == loops.written == []
-
-
 @pytest.mark.parametrize("mode", list(FirstStepMode))
 def test_a_solve_of_plain_callables_calls_g_three_times_a_step(mode):
     # a plain g runs the call-site loop, which calls it for M1 and for the
@@ -342,16 +256,7 @@ def stamp_failure(slot, h):
     grid = build_grid(0.0, 1.0, 1.0, h)
     if slot == "phi":
         return outcome(lambda: init_trajectory(problem, grid))
-    return outcome(lambda: max_abs_error(zero_trajectory(grid), problem.exact))
-
-
-def zero_trajectory(grid):
-    """A filled trajectory of zeros on grid."""
-    history = [0.0] * (grid.delay_steps + 1)
-    traj = Trajectory(grid, FirstStepMode.LITERAL, history)
-    for _ in range(grid.steps):
-        traj.append(0.0)
-    return traj
+    return outcome(lambda: max_abs_error(filled(grid, lambda j: 0.0), problem.exact))
 
 
 @pytest.mark.parametrize(
@@ -398,12 +303,6 @@ def step_loops(mode, row, lines, runs=(solve, solve_implicit)):
     """The shapes (helpers.LoopRecord) of the step loops of runs in mode on
     the row path row, for each of lines."""
     return {(mode, row, run, kind) for run in runs for kind in lines}
-
-
-# What a sweep problem's solves make: the grid loop phi = exp(a*x) and
-# exact = exp(a*x) share, and each closure's tree loop on the recurrence's
-# rows, as K's kernel_x_rate is -1
-SWEEP_LOOPS = {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["tree"])
 
 
 @pytest.mark.parametrize("run", [solve, solve_implicit])
@@ -476,7 +375,8 @@ def test_built_commands_print_what_walking_commands_print(capsys, monkeypatch, a
 # constants and functions only through generated names, and a grid loop or
 # a step loop takes their values as arguments, so trees of one shape share
 # the loop itself.  A slot function keeps its grid loop with its tree's
-# values bound (problem.grid_values).
+# values bound (problem.grid_values), and a problem the lines of its g and K
+# (problem._loops).  Each test below checks one contract of that cache.
 
 
 # One shape: neither log nor sqrt can hide a non-finite argument, so their
@@ -484,190 +384,148 @@ def test_built_commands_print_what_walking_commands_print(capsys, monkeypatch, a
 ONE_SHAPE = ["log(x - 0.5)*u + 2", "sqrt(x - 1.5)*u + 0.25", "log(x - 2.5)*u + 4"]
 # values, a domain error of the call and an overflow of the product
 ONE_SHAPE_INPUTS = [(3.0, 0.5), (7.25, -2.0), (0.25, 1.0), (100.0, 1e308)]
-# What their one-step solves (assert_one_step_solves_like_walking) make: the
-# constant phi's grid loop, and on the direct rows, as the problem declares
-# no kernel_x_rate, the walked and the built solve's DGJ loops
-ONE_STEP_LOOPS = {"grid"} | step_loops(
-    FirstStepMode.LITERAL, "direct", ("calls", "tree"), [solve]
-)
 
 
-def test_trees_of_one_shape_compile_once_and_keep_their_own_values():
-    # twelve one-step problems of one shape, each solved walked and with g
-    # and K written in (helpers.tree_loop_ends_as_walking), the six that
-    # fail in their tree loop rerunning in the call-site loop
-    def solve_all():
+def test_trees_of_one_shape_share_a_loop_and_keep_their_own_values():
+    # a grid loop's code holds no literal: phis of one shape share it, each
+    # with its own values bound, and give evaluate's values
+    phis = [parse(text) for text in ("sin(3*x) + 0.5", "cos(0.2651*x) + 1")]
+    loops = [grid_loop(tree) for tree in phis]
+    assert loops[0].func is loops[1].func
+    assert not any(isinstance(c, float) for c in loops[0].func.__code__.co_consts)
+    for tree, loop in zip(phis, loops):
+        want = [evaluate(tree, {"x": 0.25 + j * 0.125}) for j in range(-3, 9)]
+        assert outcome(lambda: loop(-3, 8, 0.25, 0.125)) == outcome(lambda: want)
+
+    # twelve one-step problems whose g are of one shape, each solved walked
+    # and with g and K written in: the first g makes the loops its shape runs
+    # in, on the direct rows, as the problem declares no kernel_x_rate, and
+    # the others make none.  At x = 0.25 each fails in its tree loop, reruns
+    # in the call-site loop and names its own call
+    def solve_all(texts):
         for x, u in ONE_SHAPE_INPUTS:
-            for text in ONE_SHAPE:
-                assert_one_step_solves_like_walking(parse(text), {"x": x, "u": u})
+            for text in texts:
+                bindings = {"x": x, "u": u}
+                failure = assert_one_step_solves_like_walking(parse(text), bindings)
+                if x == 0.25:
+                    call = unparse(parse(text).left.left)
+                    assert failure[1] is DomainError
+                    assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
 
-    made_once(ONE_STEP_LOOPS, solve_all)
+    made = step_loops(FirstStepMode.LITERAL, "direct", ("calls", "tree"), [solve])
+    made.add("grid")
+    made_once(made, lambda: solve_all(ONE_SHAPE[:1]), lambda: solve_all(ONE_SHAPE[1:]))
 
 
-def test_a_domain_error_names_its_own_trees_text():
-    # the first tree makes the loops its shape runs in, and the others make none
-    def fail(texts):
-        for text in texts:
-            call = unparse(parse(text).left.left)
-            bindings = {"x": 0.25, "u": 1.0}
-            failure = assert_one_step_solves_like_walking(parse(text), bindings)
-            assert failure[1] is DomainError
-            assert failure[2].startswith(f"cannot evaluate {call!r} at argument")
+@pytest.mark.parametrize("mode", list(FirstStepMode))
+def test_a_sweep_of_one_shape_makes_each_loop_once(mode):
+    # three problems of one shape, each solved by both closures at three h
+    # and its error taken.  Their first solves make the grid loop phi =
+    # exp(a*x) and exact = exp(a*x) share, and each closure's tree loop on
+    # the recurrence's rows, as K's kernel_x_rate is -1; each problem writes
+    # g and K once, and each of its slots looks its grid loop up on its
+    # first use.  A second op makes, writes and looks up no loop but the
+    # step loops, the walked problems make the two call-site loops, and
+    # every solve is the walked solve and the solve from an emptied cache,
+    # bit for bit
+    literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
+    texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
+    grids = [build_grid(0.0, 1.5, 0.5, h) for h in (0.25, 0.125, 0.0625)]
 
-    made_once(ONE_STEP_LOOPS, lambda: fail(ONE_SHAPE[:1]), lambda: fail(ONE_SHAPE[1:]))
+    def op(problem):
+        solves = []
+        for grid in grids:
+            for run in (solve, solve_implicit):
+                traj = run(problem, grid, mode)
+                solves.append((traj.values, max_abs_error(traj, problem.exact)))
+        return solves
+
+    problems = [parse_config_text(text).build() for text in texts]
+    with recorded_loops() as loops:
+        ops = [op(problem) for problem in problems]
+    assert loops.made() == {"grid"} | step_loops(mode, "recur", ["tree"])
+    assert loops.written == [(p.g.tree, p.kernel.tree) for p in problems]
+    assert [shape for shape, _ in loops].count("grid") == 2 * len(problems)
+    with recorded_loops(empty=False) as loops:
+        assert [op(problem) for problem in problems] == ops
+    assert (loops.made(), loops.written) == (set(), [])
+    assert "grid" not in [shape for shape, _ in loops]
+    with recorded_loops(empty=False) as loops:
+        assert [op(walking(problem)) for problem in problems] == ops
+    assert loops.made() == step_loops(mode, "recur", ["calls"])
+    for text, want in zip(texts, ops):
+        expressions._loop_of.cache_clear()
+        assert op(parse_config_text(text).build()) == want
+    assert len({values for solves in ops for values, _ in solves}) == 18
+
+
+def without_cycles(run):
+    """run() with the cyclic collector off, checking that it leaves the
+    collector nothing to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_dropped_problems_leave_no_reference_cycles():
+    """A problem, its trees, its slot functions, the lines of g and K it
+    keeps and the grid loops its phi and exact keep are freed by reference
+    counting alone, so a sweep of many problems leaves the cyclic collector
+    nothing to find, and the loops the cache keeps refer to none of them.
+    Each problem is solved by both closures at two h, the second time with
+    the lines and the grid loops kept, and ends as the walked solve ends;
+    log(x - 0.5) + u fails at g(x_0, u_0), in the tree loop, at every h.
+    The second build of each runs only loops the first one made."""
+    refs = []
+
+    def build_and_solve():
+        for g in ("log(u) + x", "log(x - 0.5) + u"):
+            problem = config_problem(g, exact="exp(x)")
+            slots = problem.g, problem.kernel, problem.history, problem.exact
+            refs.extend(weakref.ref(obj) for obj in (problem, *slots))
+            walked = walking(problem)
+            for h in (0.1, 0.005):
+                grid = build_grid(0.0, 1.0, 1.0, h)
+                for run in (solve, solve_implicit):
+                    want = outcome(lambda: run(walked, grid))
+                    assert outcome(lambda: run(problem, grid)) == want
+                assert max_abs_error(filled(grid, lambda j: 0.0), problem.exact) > 1.0
+            assert len(problem._loops) == 1  # g's and K's lines and their values
+            assert problem.history.loop and problem.exact.loop
+
+    build_and_solve()
+    with recorded_loops(empty=False) as loops:
+        without_cycles(build_and_solve)
+    assert loops.made() == set()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_the_loop_cache_stays_within_its_bound(loop_cache):
     # each i spells a different sequence of five operators, so a new shape:
-    # of phi, a grid loop, for even i, and of g, a step loop, for odd i
+    # of phi, a grid loop, for even i, and of g, a step loop, for odd i.
+    # The last 20 evict the oldest loops, which reference counting frees:
+    # a loop and its namespace do not refer to each other
     bound = loop_cache.cache_info().maxsize
     assert bound == 256
     K = parse("v")
-    for i in range(bound + 20):
-        ops = ["+-*/"[(i >> (2 * k)) & 3] for k in range(5)]
-        if i % 2:
-            written = stepper._written(parse("u" + "".join(f" {op} u" for op in ops)), K)
-            loop_cache(stepper._loop_source, True, False, False, written[0])
-        else:
-            grid_loop(parse("x" + "".join(f" {op} x" for op in ops)))
+
+    def make(shapes):
+        for i in shapes:
+            ops = ["+-*/"[(i >> (2 * k)) & 3] for k in range(5)]
+            if i % 2:
+                g = parse("u" + "".join(f" {op} u" for op in ops))
+                loop_cache(stepper._loop_source, True, False, False, stepper._written(g, K)[0])
+            else:
+                grid_loop(parse("x" + "".join(f" {op} x" for op in ops)))
+
+    make(range(bound))
+    without_cycles(lambda: make(range(bound, bound + 20)))
     info = loop_cache.cache_info()
     assert (info.misses, info.currsize) == (bound + 20, bound)
-
-
-def test_dropped_problems_sharing_cached_code_leave_no_reference_cycles():
-    refs = []
-
-    def build_and_run_loops(*literals):
-        # the step loop, phi's grid loop and exact's
-        for a in literals:
-            problem = parse_config_text(sweep_text(1.0, 2, a=a)).build()
-            grid = build_grid(0.0, 2.0, 1.0, 0.125)
-            fill = stepper._step_loop(problem, grid, FirstStepMode.LITERAL)
-            slots = problem.g, problem.kernel, problem.history, problem.exact
-            refs.extend(weakref.ref(obj) for obj in (problem, *slots))
-            traj = fill(init_trajectory(problem, grid))
-            assert 0 < max_abs_error(traj, problem.exact) < 0.01
-
-    # the first problem makes the grid loop phi = exp(a*x) and exact =
-    # exp(a*x) share, and the DGJ pair's tree loop; the others make none
-    made_once(
-        {"grid"} | step_loops(FirstStepMode.LITERAL, "recur", ["tree"], [solve]),
-        lambda: build_and_run_loops(0.1),
-        lambda: without_cycles(lambda: build_and_run_loops(0.2, 0.3, 0.4)),
-    )
-    # the cached loops keep no problem or slot function alive
-    assert [ref() for ref in refs] == [None] * len(refs)
-
-
-def test_solves_sharing_cached_code_match_solves_that_compile_afresh():
-    # three problems of one shape, at h = tau/80: the first two runs make
-    # what a sweep op makes, and the four after them run those loops
-    literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
-    texts = [sweep_text(0.5, 3, a, c) for a, c in literals]
-    grid = build_grid(0.0, 1.5, 0.5, 0.5 / 80)
-    runs = [(solve, 0), (solve_implicit, 1), (solve, 2),
-            (solve_implicit, 0), (solve, 1), (solve_implicit, 2)]
-    problems = [parse_config_text(text).build() for text in texts]
-    shared = []
-
-    def run_all(part):
-        shared.extend(run(problems[i], grid).values for run, i in part)
-
-    made_once(SWEEP_LOOPS, lambda: run_all(runs[:2]), lambda: run_all(runs[2:]))
-    afresh = []
-    for run, i in runs:
-        expressions._loop_of.cache_clear()
-        afresh.append(run(parse_config_text(texts[i]).build(), grid).values)
-    assert shared == afresh
-    assert len(set(shared)) == 6
-
-
-def sweep_op(problem):
-    """(slope, solve's values, solve_implicit's values) of perfbench's sweep
-    op on problem: an order study at tau/2, tau/4 and tau/8, then solve and
-    solve_implicit at tau/8."""
-    tau = problem.tau
-    estimate = order_study(problem, FirstStepMode.LITERAL, [tau / 2, tau / 4, tau / 8])
-    grid = build_grid(problem.x0, problem.x_end, tau, tau / 8)
-    return (
-        estimate.slope, solve(problem, grid).values, solve_implicit(problem, grid).values
-    )
-
-
-def test_a_problem_writes_g_and_k_once_and_makes_each_loop_once():
-    # a sweep op solves one problem at three h with the DGJ pair and once
-    # with the oracle: g and K are written once, and each loop is made on
-    # the process's first solve of its shape.  A second build of the same
-    # text writes its own lines and runs the same loops, and every solve
-    # gives what a fresh problem's gives
-    text = sweep_text(0.5, 3)
-    ops = []
-    for empty in (True, False):
-        with recorded_loops(empty) as loops:
-            problem = parse_config_text(text).build()
-            ops.append(sweep_op(problem))
-        assert loops.written == [(problem.g.tree, problem.kernel.tree)]
-        assert loops.made() == (SWEEP_LOOPS if empty else set())
-        for h in (0.25, 0.125, 0.0625):
-            grid = build_grid(0.0, 1.5, 0.5, h)
-            for run in (solve, solve_implicit):
-                want = run(parse_config_text(text).build(), grid).values
-                assert run(problem, grid).values == want
-    assert ops[0] == ops[1]
-
-
-def test_a_problem_of_the_same_shapes_makes_no_step_loop():
-    # the sweep's next problem has other numbers in the same g and K shapes:
-    # its sweep op runs the loops the first one made, and gives what it
-    # gives from an emptied cache
-    first, second, again = (
-        parse_config_text(sweep_text(0.5, 3, a, c)).build()
-        for a, c in ((0.1234, 0.3), (0.2, 0.15), (0.2, 0.15))
-    )
-    ops = []
-    made_once(
-        SWEEP_LOOPS, lambda: sweep_op(first), lambda: ops.append(sweep_op(second))
-    )
-    with recorded_loops() as loops:
-        assert sweep_op(again) == ops[0]
-    assert loops.made() == SWEEP_LOOPS
-
-
-def test_a_sweep_op_makes_phis_and_exacts_grid_loops_once():
-    # an order study at three h and the two solves after it read phi on
-    # five grids and exact on three: the slot functions keep the loops they
-    # look up, so each looks its loop up on its first use, and a second op
-    # looks up none
-    problem = parse_config_text(sweep_text(0.5, 3)).build()
-    with recorded_loops() as loops:
-        op = sweep_op(problem)
-    assert [shape for shape, _ in loops].count("grid") == 2
-    assert problem.history.loop.func is problem.exact.loop.func
-    with recorded_loops(empty=False) as loops:
-        assert sweep_op(problem) == op
-    assert "grid" not in [shape for shape, _ in loops]
-
-
-@pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_problems_sharing_tree_loops_solve_as_walked_at_every_h(mode):
-    # three problems of one shape, each solved twice at three h by both
-    # closures: every solve ends as the walked solve ends, bit for bit, in
-    # the two tree loops the first problem's first solves made, and the
-    # walked solves in the two call-site loops theirs made; the phis share
-    # one grid loop
-    def solve_as_walked(a, c):
-        problem = parse_config_text(sweep_text(0.5, 3, a, c)).build()
-        walked = walking(problem)
-        for h in (0.25, 0.125, 0.0625) * 2:
-            grid = build_grid(0.0, 1.5, 0.5, h)
-            for run in (solve, solve_implicit):
-                want = outcome(lambda: run(walked, grid, mode))
-                assert want[0] == "values"
-                assert outcome(lambda: run(problem, grid, mode)) == want
-
-    made = {"grid"} | step_loops(mode, "recur", ("calls", "tree"))
-    literals = [(0.1234, 0.3), (0.05, 0.7), (0.2, 0.15)]
-    made_once(made, *(functools.partial(solve_as_walked, a, c) for a, c in literals))
 
 
 KEPT_TEXT = (
@@ -687,11 +545,34 @@ def test_a_kept_grid_loop_that_fails_falls_back_at_every_use():
         phi = outcome(lambda: init_trajectory(problem, grid))
         assert phi[:2] == ("error", DomainError)
         assert phi == outcome(lambda: problem.history(-1.0))
-        exact = outcome(lambda: max_abs_error(zero_trajectory(grid), problem.exact))
+        exact = outcome(lambda: max_abs_error(filled(grid, lambda j: 0.0), problem.exact))
         assert exact[:2] == ("error", DomainError)
         assert exact == outcome(lambda: problem.exact(h))
         kept.append((problem.history.loop, problem.exact.loop))
-    assert kept[0][0] is kept[2][0] and kept[0][1] is kept[2][1]
+    assert kept == [kept[0]] * 3
+    for loop, fn in zip(kept[0], (problem.history, problem.exact)):
+        assert loop.func is grid_loop(fn.tree).func
+
+
+def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made():
+    # one cache keeps every loop: a walked solve makes the call-site loop of
+    # its shape (K = v ignores x: the recurrence's rows), and a built solve
+    # of that shape makes phi's grid loop and its tree loop, which fails at
+    # x_0 = 0, and reruns in the kept call-site loop
+    problem = parse_config_text(
+        "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+    ).build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    calls, tree = (
+        (FirstStepMode.LITERAL, "recur", solve, kind) for kind in ("calls", "tree")
+    )
+    with recorded_loops() as loops:
+        want = outcome(lambda: solve(walking(problem), grid))
+    assert want[0] == "error" and want[1] is DomainError
+    assert loops.made() == {calls}
+    with recorded_loops(empty=False) as loops:
+        assert outcome(lambda: solve(problem, grid)) == want
+    assert loops == [("grid", True), (tree, True), (calls, False)]
 
 
 def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
@@ -730,38 +611,16 @@ def test_a_replaced_problem_starts_with_no_loops_and_solves_as_built():
         dataclasses.replace(problem, _loops={})
 
 
-def test_walked_solves_build_each_call_site_loop_once_outside_the_code_cache():
-    # a walked problem's solves run their call-site loops: one per closure,
-    # built on its first solve and kept with every other loop; its phi walks
-    # and makes no grid loop
-    problem = parse_config_text(sweep_text(0.5, 3)).build()
-    walked = walking(problem)
-    grid = build_grid(0.0, 1.5, 0.5, 0.5 / 2)
-    runs, shared = (solve, solve_implicit), []
-    made_once(
-        step_loops(FirstStepMode.LITERAL, "recur", ["calls"]),
-        lambda: shared.extend(run(walked, grid).values for run in runs),
-    )
-    assert shared[:2] == shared[2:]
-    assert shared == [run(problem, grid).values for run in runs * 2]
-
-
-def test_a_failing_tree_loop_reruns_in_the_call_site_loop_a_walked_solve_made():
-    # one cache keeps every loop: a walked solve makes the call-site loop of
-    # its shape (K = v ignores x: the recurrence's rows), and a built solve
-    # of that shape makes phi's grid loop and its tree loop, which fails at
-    # x_0 = 0, and reruns in the kept call-site loop
+@pytest.mark.parametrize("slot", ["g", "kernel", "history", "exact"])
+def test_single_calls_walk_and_generate_nothing(slot):
+    # only loops generate code: a single call walks, however many there are
     problem = parse_config_text(
-        "name = logg\ng = log(x - 0.5) + u\nK = v\nphi = 1\ntau = 1\nx0 = 0\nX = 1\n"
+        "name = walk\ng = u*x\nK = v - t\nphi = 1 + x\nexact = 1 + x\n"
+        "tau = 1\nx0 = 0\nX = 1\n"
     ).build()
-    grid = build_grid(0.0, 1.0, 1.0, 0.1)
-    calls, tree = (
-        (FirstStepMode.LITERAL, "recur", solve, kind) for kind in ("calls", "tree")
-    )
+    fn = getattr(problem, slot)
+    args = {"g": (0.5, 2.0), "kernel": (0.5, 0.25, 2.0)}.get(slot, (0.5,))
     with recorded_loops() as loops:
-        want = outcome(lambda: solve(walking(problem), grid))
-    assert want[0] == "error" and want[1] is DomainError
-    assert loops.made() == {calls}
-    with recorded_loops(empty=False) as loops:
-        assert outcome(lambda: solve(problem, grid)) == want
-    assert loops == [("grid", True), (tree, True), (calls, False)]
+        for _ in range(1280):
+            fn(*args)
+    assert loops == loops.written == []

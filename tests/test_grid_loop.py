@@ -17,11 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import mixed, outcome, single_x_trees, slot_problem, walking
+from helpers import (
+    filled, isfinite_calls, mixed, outcome, single_x_trees, slot_problem, walking
+)
 from vdide.analysis import max_abs_error
 from vdide.errors import IndexNotYetComputed
 from vdide.expressions import LOOP_FAILURES, DomainError, Num, evaluate, grid_loop, parse
-from vdide.problem import FirstStepMode, Trajectory, build_grid, init_trajectory
+from vdide.problem import FirstStepMode, build_grid, init_trajectory
 from vdide.registry import builtin_problem
 
 # A power of two, so tau = M h and X = x0 + N h are exact.
@@ -30,12 +32,9 @@ ZERO = Num(0.0)
 
 
 def forward(grid, seed):
-    """A filled trajectory on grid, its forward values spread over [-3, 3],
-    some of them equal, so the error's maximum can tie."""
-    traj = Trajectory(grid, FirstStepMode.LITERAL, [0.0] * (grid.delay_steps + 1))
-    for j in range(1, grid.steps + 1):
-        traj.append(((seed * j) % 7 - 3) * 1.0)
-    return traj
+    """A filled trajectory on grid, its values spread over [-3, 3], some of
+    them equal, so the error's maximum can tie."""
+    return filled(grid, lambda j: (seed * j) % 7 - 3.0)
 
 
 def check(phi, exact, x0, m, n, seed=1):
@@ -136,9 +135,7 @@ def test_a_wrapper_without_a_tree_is_called_at_every_point():
 )
 def test_max_abs_error_on_a_trajectory_that_stops_short(text, want, built):
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
-    traj = Trajectory(grid, FirstStepMode.LITERAL, [0.0] * (grid.delay_steps + 1))
-    for j in range(1, 6):
-        traj.append(0.5 * j)
+    traj = filled(grid, lambda j: 0.5 * j, last=5)
     problem = slot_problem(ZERO, ZERO, ZERO, parse(text), tau=1.0, x0=0.0, x_end=1.0)
     exact = (problem if built else walking(problem)).exact
     if want is IndexNotYetComputed:
@@ -199,20 +196,6 @@ def test_grid_loop_checks_proved_at_the_grid_ends_fail_where_the_walk_fails(phi,
 )
 def test_a_non_finite_h_fails_where_the_walk_fails(first, last, h):
     bare_loop_matches_the_walk(parse("1^tanh(x)"), first, last, 0.0, h)
-
-
-def isfinite_calls(loop, points):
-    """How often loop calls _isfinite, which it takes as an argument, over
-    points grid points."""
-    calls = []
-
-    def counting(value):
-        calls.append(value)
-        return math.isfinite(value)
-
-    args = [counting if arg is math.isfinite else arg for arg in loop.args]
-    loop.func(*args, 1 - points, 0, 0.0, 1.0 / points)
-    return len(calls)
 
 
 # The phis of the built-in problems and of perfbench's generated ones: exp

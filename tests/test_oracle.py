@@ -100,18 +100,6 @@ class TestImplicitStep:
             OracleConfig(**{field: value})
         assert str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "g, u0",
-        [(lambda x, u: math.nan, 1.0), (lambda x, u: u * u, 1e160)],
-        ids=["nan", "overflow"],
-    )
-    def test_non_finite_iterate_is_not_a_convergence_failure(self, g, u0):
-        problem = plain_problem(g=g, history=lambda x: u0)
-        traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, 0.1))
-        with pytest.raises(NonFiniteState) as info:
-            implicit_step(problem, traj, 0)
-        assert info.value.step_index == 0
-
     def test_both_solvers_report_where_a_solve_failed(self):
         # g turns NaN from x = 0.5 on, first reached as x_{j+1} at step 4,
         # which the solve loop reports with x_4
@@ -121,13 +109,6 @@ class TestImplicitStep:
             with pytest.raises(NonFiniteState) as info:
                 run(problem, grid)
             assert (info.value.step_index, info.value.x) == (4, 0.4)
-
-    def test_step_index_out_of_range(self):
-        problem = plain_problem(g=lambda x, u: u, history=one)
-        grid = build_grid(0.0, 1.0, 1.0, 0.5)
-        traj = solve_implicit(problem, grid)
-        with pytest.raises(ValueError):
-            implicit_step(problem, traj, grid.steps)
 
 
 class TestResiduals:
@@ -165,24 +146,3 @@ class TestLocalScaling:
         assert gaps[0.1] < 1e-2
         assert 3.5 <= gaps[0.1] / gaps[0.05] <= 9.5
 
-
-@pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_a_mode_given_by_its_value_runs_that_modes_stencil(mode):
-    # the implicit solve and its single step take "literal" and "corrected"
-    # as the modes they name
-    problem = builtin_problem("example2").build()
-    grid = build_grid(0.0, 1.0, 1.0, 0.1)
-    by_value = solve_implicit(problem, grid, mode.value)
-    assert by_value.mode is mode
-    assert by_value.values == solve_implicit(problem, grid, mode).values
-    other = next(m for m in FirstStepMode if m is not mode)
-    assert by_value.values != solve_implicit(problem, grid, other).values
-    traj = init_trajectory(problem, grid, mode.value)
-    assert implicit_step(problem, traj, 0) == by_value.value(1)
-
-
-def test_an_unknown_mode_is_refused():
-    problem = builtin_problem("example2").build()
-    grid = build_grid(0.0, 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError, match="'bogus' is not a valid FirstStepMode"):
-        solve_implicit(problem, grid, "bogus")

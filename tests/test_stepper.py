@@ -16,6 +16,7 @@ from vdide import (
     step_residual,
 )
 from vdide.errors import IndexNotYetComputed, NonFiniteState
+from vdide.oracle import implicit_step
 from vdide.problem import init_trajectory
 from vdide.registry import ProblemConfig
 from vdide.stepper import nnm_step, predictor
@@ -77,27 +78,6 @@ class TestKernelTerms:
             assert traj.value(2) - traj.value(1) == pytest.approx(
                 1.5 * h2, rel=1e-14
             )
-
-    def test_negative_step_index_rejected(self):
-        problem = CONSTANT_KERNEL
-        traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, 0.1))
-        with pytest.raises(ValueError):
-            kernel_terms(problem, traj, -1, traj.mode)
-
-    def test_step_index_past_the_grid_rejected(self):
-        # j = N would evaluate K beyond x_end; every single-step function
-        # refuses it through kernel_terms
-        problem = builtin_problem("example1").build()
-        grid = build_grid(0.0, 1.0, 1.0, 0.1)
-        traj = solve(problem, grid)
-        n = grid.steps
-        for step_fn in (
-            lambda: kernel_terms(problem, traj, n, traj.mode),
-            lambda: predictor(problem, traj, n),
-            lambda: step_residual(problem, traj, n),
-        ):
-            with pytest.raises(ValueError, match=f"step index {n} is out of range"):
-                step_fn()
 
 
 class TestQuadratureExactness:
@@ -168,29 +148,12 @@ class TestStep:
         traj = solve(problem, grid)
         assert traj.values == (3.25,) * (grid.delay_steps + grid.steps + 1)
 
-    def test_step_index_out_of_range(self):
-        problem = CONSTANT_KERNEL
-        grid = build_grid(0.0, 1.0, 1.0, 0.5)
-        traj = solve(problem, grid)
-        with pytest.raises(ValueError):
-            nnm_step(problem, traj, grid.steps)
-
     def test_step_requires_prior_values(self):
         problem = CONSTANT_KERNEL
         grid = build_grid(0.0, 1.0, 1.0, 0.1)
         traj = init_trajectory(problem, grid)
         with pytest.raises(IndexNotYetComputed):
             nnm_step(problem, traj, 2)
-
-    def test_blow_up_raises_with_step_index(self):
-        # u^2 overflows in M1; with g = u, M1 = 1.5e308 is finite and M2 is not
-        cases = [(lambda x, u: u * u, 1e160, 0.1), (lambda x, u: u, 1e308, 1.0)]
-        for g, u0, h in cases:
-            problem = plain_problem(g=g, history=lambda x: u0)
-            traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, h))
-            with pytest.raises(NonFiniteState) as info:
-                nnm_step(problem, traj, 0)
-            assert info.value.step_index == 0
 
 
 class TestSolve:
@@ -291,38 +254,93 @@ class TestSolve:
         assert replay(nnm_step, problem, grid, FirstStepMode.CORRECTED).values == traj.values
 
 
-# example2 at h = 0.1: u_1 and u_10 of each first-step mode.
+# The single steps of both closures, the DGJ pair's nnm_step and the
+# oracle's implicit_step, and the solves that append them.
+CLOSURES = [(solve, nnm_step), (solve_implicit, implicit_step)]
+CLOSURE_IDS = ["nnm", "implicit"]
+
+
+def kernel_terms_of(problem, traj, j):
+    return kernel_terms(problem, traj, j, traj.mode)
+
+
+@pytest.mark.parametrize("j", [-1, 10])
+@pytest.mark.parametrize(
+    "step",
+    [predictor, nnm_step, implicit_step, step_residual, kernel_terms_of],
+    ids=["predictor", "nnm_step", "implicit_step", "step_residual", "kernel_terms"],
+)
+def test_a_step_index_off_the_grid_is_refused(step, j):
+    # j = N = 10 would evaluate K beyond x_end; every single-step function
+    # refuses it, and j = -1, through kernel_terms
+    problem = builtin_problem("example1").build()
+    grid = build_grid(0.0, 1.0, 1.0, 0.1)
+    traj = solve(problem, grid)
+    assert grid.steps == 10
+    message = f"^step index {j} is out of range; the grid ends after step 9$"
+    with pytest.raises(ValueError, match=message):
+        step(problem, traj, j)
+
+
+# example2 at h = 0.1: u_1 and u_10 of each closure and first-step mode.
 EXAMPLE2_AT = {
-    FirstStepMode.LITERAL: (3.009336949281507, 7.40593135227227),
-    FirstStepMode.CORRECTED: (3.004074449281507, 7.392992530190458),
+    (solve, FirstStepMode.LITERAL): (3.009336949281507, 7.40593135227227),
+    (solve, FirstStepMode.CORRECTED): (3.004074449281507, 7.392992530190458),
+    (solve_implicit, FirstStepMode.LITERAL): (3.009699324024611, 7.413142438739263),
+    (solve_implicit, FirstStepMode.CORRECTED): (3.004436166129874, 7.400187432004988),
 }
 
 
 @pytest.mark.parametrize("mode", list(FirstStepMode))
-def test_a_mode_given_by_its_value_runs_that_modes_stencil(mode):
+@pytest.mark.parametrize("run, step", CLOSURES, ids=CLOSURE_IDS)
+def test_a_mode_given_by_its_value_runs_that_modes_stencil(run, step, mode):
     # "literal" and "corrected" enter as FirstStepMode("literal") and so on:
     # the solve and the single step run the same stencil
     problem = builtin_problem("example2").build()
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
-    by_value = solve(problem, grid, mode.value)
+    by_value = run(problem, grid, mode.value)
     assert by_value.mode is mode
-    assert (by_value.value(1), by_value.value(10)) == EXAMPLE2_AT[mode]
-    assert by_value.values == solve(problem, grid, mode).values
+    assert (by_value.value(1), by_value.value(10)) == EXAMPLE2_AT[run, mode]
+    assert by_value.values == run(problem, grid, mode).values
     traj = init_trajectory(problem, grid, mode.value)
     assert traj.mode is mode
-    assert nnm_step(problem, traj, 0) == EXAMPLE2_AT[mode][0]
+    assert step(problem, traj, 0) == by_value.value(1)
     assert kernel_terms(problem, traj, 0, mode.value) == kernel_terms(problem, traj, 0, mode)
 
 
-def test_an_unknown_mode_is_refused():
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda problem, grid, traj: solve(problem, grid, "bogus"),
+        lambda problem, grid, traj: solve_implicit(problem, grid, "bogus"),
+        lambda problem, grid, traj: init_trajectory(problem, grid, "bogus"),
+        lambda problem, grid, traj: kernel_terms(problem, traj, 0, "bogus"),
+    ],
+    ids=["solve", "solve_implicit", "init_trajectory", "kernel_terms"],
+)
+def test_an_unknown_mode_is_refused(call):
     problem = builtin_problem("example2").build()
     grid = build_grid(0.0, 1.0, 1.0, 0.1)
     traj = init_trajectory(problem, grid)
-    calls = [
-        lambda: solve(problem, grid, "bogus"),
-        lambda: init_trajectory(problem, grid, "bogus"),
-        lambda: kernel_terms(problem, traj, 0, "bogus"),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="'bogus' is not a valid FirstStepMode"):
-            call()
+    with pytest.raises(ValueError, match="'bogus' is not a valid FirstStepMode"):
+        call(problem, grid, traj)
+
+
+@pytest.mark.parametrize(
+    "g, u0, h",
+    [
+        (lambda x, u: u * u, 1e160, 0.1),
+        (lambda x, u: u, 1e308, 1.0),
+        (lambda x, u: math.nan, 1.0, 0.1),
+    ],
+    ids=["overflow-in-M1", "overflow-after-M1", "nan"],
+)
+@pytest.mark.parametrize("step", [nnm_step, implicit_step], ids=CLOSURE_IDS)
+def test_a_non_finite_single_step_raises_with_its_step_index(step, g, u0, h):
+    # a NonFiniteState, not a NoConvergence: u^2 overflows in M1; with g = u,
+    # M1 = 1.5e308 is finite and what follows it is not; and g is nan
+    problem = plain_problem(g=g, history=lambda x: u0)
+    traj = init_trajectory(problem, build_grid(0.0, 1.0, 1.0, h))
+    with pytest.raises(NonFiniteState) as info:
+        step(problem, traj, 0)
+    assert (info.value.step_index, info.value.x) == (0, None)
